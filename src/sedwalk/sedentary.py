@@ -1,15 +1,29 @@
 """Vertex verdicts: how much amplitude a walk is guaranteed to keep home.
 
-The machinery layers three ingredients.  A projection-sum floor pulls a
-heavy subset of the eigenvalue support forward and bounds the diagonal
-from below by the triangle inequality; for a single class the floor
-2a - 1 holds at every time.  An exact equality-time test on recognized
-(integer or quadratic) supports decides whether the floor is attained
-and at which first time.  A relation-parity test on the exact support
-decides whether the floor is approached in the limit, which is also the
-transfer-versus-sedentary decision for strongly cospectral twin pairs.
+Every vertex runs through one staged decision tree (:func:`classify_all`),
+and each stage appends its step to the certificate trail:
+
+1. Support: a single eigenvalue class keeps the diagonal at modulus one.
+2. Floor source: the twin dichotomy routes a twin vertex to the sedentary
+   branch or to a strongly cospectral pair.  On the sedentary branch the
+   twin class, and on a twin-free vertex without a certified period a class
+   of weight a > 1/2, gives the projection-sum floor 2a - 1, which holds at
+   every time by the triangle inequality.
+3. Transfer test: a strongly cospectral twin pair transfers perfectly when
+   the exact equality-time test puts its two sign blocks at opposite phases;
+   otherwise relation parity decides between pretty good transfer and
+   sedentariness.  A twin-free vertex whose one-period minimum is zero is
+   scanned for a perfect-transfer partner instead.
+4. Period minimum plus exact-dip match: on a periodic vertex the minimum
+   over one period is the constant, replaced by the exact dip of the
+   equality mechanism that it matches, if any; it may not fall below the
+   floor.
+5. Relation parity: without a period, parity on the exact support says
+   whether the floor is approached in the limit (sharp) or stays strictly
+   below the infimum.
+
 Grid scans over one period (or a declared horizon) supply the numeric
-evidence and, for periodic vertices, the true minimum.
+evidence attached to every verdict.
 """
 
 from __future__ import annotations
@@ -19,6 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +51,12 @@ from .numtheory import (
     recognize_spectrum,
     recognize_values,
 )
-from .spectral import EigenvalueSupport, SpectralDecomposition, decompose
+from .spectral import (
+    EigenvalueSupport,
+    SpectralDecomposition,
+    StrongCospectrality,
+    decompose,
+)
 from .twins import TwinSet, find_twin_sets, twin_dichotomy
 from .walk import InfimumEstimate, WalkEvaluator, _golden_min
 
@@ -51,7 +71,6 @@ __all__ = [
     "projection_sum_bound",
     "equality_time_criterion",
     "pgst_parity_criterion",
-    "classify_twin_vertex",
     "classify_vertex",
     "classify_all",
     "real_diagonal_zero_search",
@@ -218,16 +237,6 @@ def pgst_parity_criterion(
     return ParityOutcome(_PARITY_MAP[res.verdict], res)
 
 
-def _try_parity(
-    plus: list[ExactEigenvalue], minus: list[ExactEigenvalue]
-) -> ParityOutcome | None:
-    """Parity outcome, or None when the exact values mix distinct radicals."""
-    try:
-        return pgst_parity_criterion(plus, minus)
-    except ValueError:
-        return None
-
-
 @dataclass(frozen=True)
 class VertexClassification:
     """Verdict for one vertex under one matrix kind, with its paper trail.
@@ -311,12 +320,9 @@ def _support_positions(sup: EigenvalueSupport, class_indices) -> tuple[int, ...]
 
 
 def _exact_dips(
-    dec: SpectralDecomposition,
-    u: int,
-    sup: EigenvalueSupport,
-    form: QuadraticIntegerForm,
-) -> list[tuple[float, EqualityTime, tuple[int, ...], float]]:
-    """Every (dip value, time, subset, a) the equality mechanism certifies.
+    sup: EigenvalueSupport, form: QuadraticIntegerForm
+) -> list[tuple[float, EqualityTime]]:
+    """Every (dip value, time) the equality mechanism certifies.
 
     At each returned time the diagonal magnitude equals 2a - 1 exactly,
     so the smallest dip is an upper bound on the infimum; for periodic
@@ -333,278 +339,93 @@ def _exact_dips(
                 continue
             eq = equality_time_criterion(form, combo)
             if eq is not None:
-                dips.append((2.0 * a - 1.0, eq, combo, a))
+                dips.append((2.0 * a - 1.0, eq))
     return dips
 
 
-def _match_exact_dip(
-    dips: list[tuple[float, EqualityTime, tuple[int, ...], float]],
-    target: float,
-) -> tuple[float, EqualityTime] | None:
-    """The certified dip agreeing with a grid minimum, earliest time first."""
-    hits = [(value, eq) for value, eq, _, _ in dips if abs(value - target) <= MATCH_TOL]
-    if not hits:
-        return None
-    return min(hits, key=lambda h: h[1].t1)
+# -- classification pipeline ------------------------------------------------
 
 
-# -- classification -------------------------------------------------------
+@dataclass(frozen=True)
+class _GraphFacts:
+    """What every vertex of one graph shares, computed once per graph."""
+
+    g: WeightedGraph
+    kind: MatrixKind
+    dec: SpectralDecomposition
+    evaluator: WalkEvaluator
+    twin_of: dict[int, TwinSet]
 
 
-def _sedentary_twin_branch(
-    dec: SpectralDecomposition,
-    ev: WalkEvaluator,
-    kind: MatrixKind,
-    u: int,
-    theta_index: int,
-    trail: list[str],
-) -> VertexClassification:
-    sup = dec.support(u)
-    bound = projection_sum_bound(dec, u, (theta_index,))
-    trail.append(f"projection-floor:a={bound.a:.12g}")
-    floor = bound.floor
-    inf_est = ev.infimum_diagonal(u)
-    form, exacts = _exact_support(sup.values)
-    constant = floor
-    tight: bool | None = None
-    sharp: bool | None = None
-    t_time: float | None = None
-    if inf_est.certified:
-        if inf_est.value < floor - MATCH_TOL:
-            raise ValueError("period minimum dipped below the certified floor")
-        dips = _exact_dips(dec, u, sup, form) if form is not None else []
-        hit = _match_exact_dip(dips, inf_est.value)
-        if hit is not None:
-            constant, eq = hit
-            tight = True
-            t_time = eq.t1
-            trail.append(f"equality-time:t1={eq.t1:.12g}")
-        else:
-            constant = inf_est.value
-            tight = True
-            t_time = inf_est.attained_time
-            trail.append("period-minimum")
-        # a minimum over one closed period is always attained
-        sharp = False
-    else:
-        # floor certified by the triangle inequality alone; sharpness by parity
-        s_pos = _support_positions(sup, (theta_index,))
-        outcome = None
-        if exacts is not None:
-            plus = [exacts[i] for i in s_pos]
-            minus = [exacts[i] for i in range(len(sup)) if i not in set(s_pos)]
-            outcome = _try_parity(plus, minus)
-        if outcome is not None:
-            if outcome.verdict is ParityVerdict.BLOCKED:
-                # the infimum stays strictly above the floor, so the
-                # reported constant is a bound rather than the infimum
-                tight = False
-                sharp = False
-                trail.append("parity:odd-relation")
-            elif outcome.verdict is ParityVerdict.APPROACHES_EQUALITY:
-                sharp = True
-                tight = False
-                trail.append("parity:all-even")
-            else:
-                trail.append("parity:inconclusive")
-        else:
-            trail.append("grid-evidence")
-    return VertexClassification(
-        vertex=u,
-        matrix_kind=kind,
-        verdict=Verdict.SEDENTARY,
-        constant=constant,
-        tight=tight,
-        sharp=sharp,
-        tightness_time=t_time,
-        certificate=tuple(trail),
-        evidence=inf_est,
-        certified=True,
-    )
-
-
-def _pair_twin_branch(
-    dec: SpectralDecomposition,
-    ev: WalkEvaluator,
-    kind: MatrixKind,
-    u: int,
-    v: int,
-    sc_plus: tuple[int, ...],
-    sc_minus: tuple[int, ...],
-    trail: list[str],
-) -> VertexClassification:
-    sup = dec.support(u)
-    plus_pos = _support_positions(sup, sc_plus)
-    minus_pos = _support_positions(sup, sc_minus)
-    if len(plus_pos) + len(minus_pos) != len(sup):
-        raise ValueError("strong cospectrality split does not cover the support")
-    form, exacts = _exact_support(sup.values)
-    inf_est = ev.infimum_diagonal(u)
-    if form is not None:
-        eq = equality_time_criterion(form, plus_pos)
-        if eq is not None:
-            if ev.magnitude(u, v, eq.t1) < 1.0 - PST_TOL:
-                raise ValueError("equality time failed to deliver the full transfer")
-            trail.append(f"pst:time={eq.t1:.12g}")
-            return VertexClassification(
-                vertex=u,
-                matrix_kind=kind,
-                verdict=Verdict.PST,
-                partner=v,
-                pst_time=eq.t1,
-                certificate=tuple(trail),
-                evidence=inf_est,
-                certified=True,
-            )
-    if exacts is None:
-        trail.append("unrecognized-support")
-        return VertexClassification(
-            vertex=u,
-            matrix_kind=kind,
-            verdict=Verdict.UNDETERMINED,
-            certificate=tuple(trail),
-            evidence=inf_est,
-            certified=False,
-        )
-    plus = [exacts[i] for i in plus_pos]
-    minus = [exacts[i] for i in minus_pos]
-    outcome = _try_parity(plus, minus)
-    if outcome is None:
-        trail.append("parity:inconclusive")
-        return VertexClassification(
-            vertex=u,
-            matrix_kind=kind,
-            verdict=Verdict.UNDETERMINED,
-            certificate=tuple(trail),
-            evidence=inf_est,
-            certified=False,
-        )
-    if outcome.verdict is ParityVerdict.APPROACHES_EQUALITY:
-        if form is not None:
-            # periodic vertices attain what they approach, contradicting the
-            # failed equality test above
-            raise ValueError("parity and equality time disagree on a periodic pair")
-        trail.append("parity:all-even")
-        return VertexClassification(
-            vertex=u,
-            matrix_kind=kind,
-            verdict=Verdict.PGST,
-            partner=v,
-            certificate=tuple(trail),
-            evidence=inf_est,
-            certified=True,
-        )
-    if outcome.verdict is ParityVerdict.BLOCKED:
-        trail.append("parity:odd-relation")
-        constant: float | None = None
-        tight: bool | None = None
-        sharp: bool | None = None
-        t_time: float | None = None
-        if inf_est.certified:
-            constant = inf_est.value
-            tight = True
-            sharp = False
-            t_time = inf_est.attained_time
-            trail.append("period-minimum")
-            dips = _exact_dips(dec, u, sup, form) if form is not None else []
-            hit = _match_exact_dip(dips, inf_est.value)
-            if hit is not None:
-                constant, eq2 = hit
-                t_time = eq2.t1
-                trail.append(f"equality-time:t1={eq2.t1:.12g}")
-        else:
-            trail.append("no-general-constant")
-        return VertexClassification(
-            vertex=u,
-            matrix_kind=kind,
-            verdict=Verdict.SEDENTARY,
-            constant=constant,
-            tight=tight,
-            sharp=sharp,
-            tightness_time=t_time,
-            certificate=tuple(trail),
-            evidence=inf_est,
-            certified=True,
-        )
-    trail.append("parity:inconclusive")
-    return VertexClassification(
-        vertex=u,
-        matrix_kind=kind,
-        verdict=Verdict.UNDETERMINED,
-        certificate=tuple(trail),
-        evidence=inf_est,
-        certified=False,
-    )
-
-
-def classify_twin_vertex(
-    g: WeightedGraph,
-    kind: MatrixKind,
-    twin_set: TwinSet,
-    u: int,
-    dec: SpectralDecomposition | None = None,
-    evaluator: WalkEvaluator | None = None,
-) -> VertexClassification:
-    """Decision tree for a vertex inside a twin set."""
-    if dec is None:
-        dec = decompose(g, kind)
-    ev = evaluator if evaluator is not None else WalkEvaluator(dec)
-    branch = twin_dichotomy(g, kind, twin_set, u, dec=dec)
+def _twin_stage(
+    facts: _GraphFacts, twin_set: TwinSet, u: int, trail: list[str]
+) -> tuple[int | None, tuple[int, StrongCospectrality] | None]:
+    """Route a twin vertex: its twin class as the floor source (sedentary
+    branch), or its partner with the sign split (strongly cospectral pair)."""
+    branch = twin_dichotomy(facts.g, facts.kind, twin_set, u, dec=facts.dec)
     split = branch.split
     size = len(twin_set)
-    a_theta = float(dec.projectors[split.eigen_index][u, u])
+    a_theta = float(facts.dec.projectors[split.eigen_index][u, u])
     expected = 1.0 - 1.0 / size + split.f_diagonal(u)
     if abs(a_theta - expected) > 1e-7:
         raise ValueError("twin eigenvalue weight disagrees with the split")
-    trail = [f"twin-set:size={size},theta={split.theta:.6g}"]
+    trail.append(f"twin-set:size={size},theta={split.theta:.6g}")
     if branch.branch == "sedentary":
         trail.append("twin-branch:sedentary")
-        return _sedentary_twin_branch(dec, ev, kind, u, split.eigen_index, trail)
+        return split.eigen_index, None
     trail.append("twin-branch:pair")
     trail.append("strong-cospectrality")
     sc = branch.strong_cospectrality
     assert sc is not None and branch.partner is not None
     if split.eigen_index not in sc.minus:
         raise ValueError("twin eigenvalue landed on the symmetric side of the pair")
-    return _pair_twin_branch(
-        dec, ev, kind, u, branch.partner, sc.plus, sc.minus, trail
-    )
+    return None, (branch.partner, sc)
 
 
-def classify_vertex(
-    g: WeightedGraph,
-    kind: MatrixKind,
-    u: int,
-    dec: SpectralDecomposition | None = None,
-    grid_points: int | None = None,
-    horizon: float | None = None,
-) -> VertexClassification:
-    """Classify one vertex, dispatching between the twin machinery, the
-    periodic exact route, and honest fallbacks."""
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} out of range")
-    if dec is None:
-        dec = decompose(g, kind)
-    ev = WalkEvaluator(dec)
-    sup = dec.support(u)
-    if len(sup) == 1:
-        inf_est = ev.infimum_diagonal(u)
-        return VertexClassification(
-            vertex=u,
-            matrix_kind=kind,
-            verdict=Verdict.SEDENTARY,
-            constant=1.0,
-            tight=True,
-            sharp=False,
-            tightness_time=0.0,
-            certificate=("support-singleton",),
-            evidence=inf_est,
-            certified=True,
-        )
-    for ts in find_twin_sets(g):
-        if u in ts:
-            return classify_twin_vertex(g, kind, ts, u, dec=dec, evaluator=ev)
-    return _classify_plain_vertex(dec, ev, kind, u, sup, grid_points, horizon)
+def _period_minimum(
+    sup: EigenvalueSupport,
+    form: QuadraticIntegerForm | None,
+    scan: InfimumEstimate,
+    floor: float | None,
+    trail: list[str],
+) -> tuple[float, float | None]:
+    """Constant and attaining time from a certified one-period minimum.
+
+    The minimum may not dip below a certified floor.  When it matches a
+    dip that the equality mechanism certifies, the exact dip and its first
+    time replace the sampled ones, earliest time first.
+    """
+    if floor is not None and scan.value < floor - MATCH_TOL:
+        raise ValueError("period minimum dipped below the certified floor")
+    trail.append("period-minimum")
+    dips = _exact_dips(sup, form) if form is not None else []
+    hits = [(value, eq) for value, eq in dips if abs(value - scan.value) <= MATCH_TOL]
+    if not hits:
+        return scan.value, scan.attained_time
+    value, eq = min(hits, key=lambda h: h[1].t1)
+    trail.append(f"equality-time:t1={eq.t1:.12g}")
+    return value, eq.t1
+
+
+_PARITY_STEPS = {
+    ParityVerdict.APPROACHES_EQUALITY: "parity:all-even",
+    ParityVerdict.BLOCKED: "parity:odd-relation",
+    ParityVerdict.INCONCLUSIVE: "parity:inconclusive",
+}
+
+
+def _parity_stage(
+    exacts: list[ExactEigenvalue], plus_pos: tuple[int, ...], trail: list[str]
+) -> ParityVerdict:
+    """Relation parity of the ``plus_pos`` block against the rest of the support."""
+    plus = [exacts[i] for i in plus_pos]
+    minus = [e for i, e in enumerate(exacts) if i not in plus_pos]
+    try:
+        verdict = pgst_parity_criterion(plus, minus).verdict
+    except ValueError:  # the exact values mix distinct radicals
+        verdict = ParityVerdict.INCONCLUSIVE
+    trail.append(_PARITY_STEPS[verdict])
+    return verdict
 
 
 def _pst_partner_scan(
@@ -632,123 +453,155 @@ def _pst_partner_scan(
     return None
 
 
-def _classify_plain_vertex(
-    dec: SpectralDecomposition,
-    ev: WalkEvaluator,
-    kind: MatrixKind,
-    u: int,
-    sup: EigenvalueSupport,
-    grid_points: int | None,
-    horizon: float | None,
+def _classify(
+    facts: _GraphFacts, u: int, grid_points: int | None, horizon: float | None
 ) -> VertexClassification:
-    inf_est = ev.infimum_diagonal(u, grid_points=grid_points, horizon=horizon)
-    form, exacts = _exact_support(sup.values)
+    """The staged decision tree for one vertex; see the module docstring."""
+    dec, ev = facts.dec, facts.evaluator
+    sup = dec.support(u)
+    twin_set = facts.twin_of.get(u)
+    if twin_set is not None:
+        grid_points = horizon = None  # the scan overrides reach only vertices without a twin
+    scan = ev.infimum_diagonal(u, grid_points=grid_points, horizon=horizon)
     trail: list[str] = []
-    if inf_est.certified:
-        if inf_est.value <= ZERO_TOL:
-            trail.append("period-minimum")
-            trail.append(f"zero-at-minimum:t={inf_est.attained_time:.12g}")
-            found = _pst_partner_scan(dec, ev, u, sup, form)
-            if found is not None:
-                v, t1 = found
-                trail.append(f"pst:time={t1:.12g}")
-                return VertexClassification(
-                    vertex=u,
-                    matrix_kind=kind,
-                    verdict=Verdict.PST,
-                    partner=v,
-                    pst_time=t1,
-                    certificate=tuple(trail),
-                    evidence=inf_est,
-                    certified=True,
-                )
-            return VertexClassification(
-                vertex=u,
-                matrix_kind=kind,
-                verdict=Verdict.NOT_SEDENTARY,
-                certificate=tuple(trail),
-                evidence=inf_est,
-                certified=True,
-            )
-        constant = inf_est.value
-        tight = True
-        t_time = inf_est.attained_time
-        trail.append("period-minimum")
-        dips = _exact_dips(dec, u, sup, form) if form is not None else []
-        hit = _match_exact_dip(dips, inf_est.value)
-        if hit is not None:
-            constant, eq = hit
-            t_time = eq.t1
-            trail.append(f"equality-time:t1={eq.t1:.12g}")
+
+    def record(verdict: Verdict, certified: bool = True, **fields) -> VertexClassification:
         return VertexClassification(
             vertex=u,
-            matrix_kind=kind,
-            verdict=Verdict.SEDENTARY,
-            constant=constant,
-            tight=tight,
-            sharp=False,
-            tightness_time=t_time,
+            matrix_kind=facts.kind,
+            verdict=verdict,
             certificate=tuple(trail),
-            evidence=inf_est,
-            certified=True,
+            evidence=scan,
+            certified=certified,
+            **fields,
         )
-    # no periodicity: only a dominant single class certifies anything
-    weights = sup.weights
-    best = int(np.argmax(weights))
-    if float(weights[best]) > 0.5 + 1e-12:
-        bound = projection_sum_bound(dec, u, (sup.indices[best],))
+
+    # support
+    if len(sup) == 1:
+        trail.append("support-singleton")
+        return record(
+            Verdict.SEDENTARY, constant=1.0, tight=True, sharp=False, tightness_time=0.0
+        )
+
+    # floor source: the twin class, else a dominant class when no period helps
+    floor_class, pair = None, None
+    if twin_set is not None:
+        floor_class, pair = _twin_stage(facts, twin_set, u, trail)
+    elif not scan.certified:
+        best = int(np.argmax(sup.weights))
+        if sup.weights[best] > 0.5 + 1e-12:
+            floor_class = sup.indices[best]
+    floor = None
+    if floor_class is not None:
+        bound = projection_sum_bound(dec, u, (floor_class,))
         trail.append(f"projection-floor:a={bound.a:.12g}")
-        sharp: bool | None = None
-        tight: bool | None = None
-        outcome = None
-        if exacts is not None:
-            plus = [exacts[best]]
-            minus = [exacts[i] for i in range(len(sup)) if i != best]
-            outcome = _try_parity(plus, minus)
-        if outcome is not None:
-            if outcome.verdict is ParityVerdict.BLOCKED:
-                tight = False
-                sharp = False
-                trail.append("parity:odd-relation")
-            elif outcome.verdict is ParityVerdict.APPROACHES_EQUALITY:
-                sharp = True
-                tight = False
-                trail.append("parity:all-even")
-            else:
-                trail.append("parity:inconclusive")
-        else:
-            trail.append("grid-evidence")
-        return VertexClassification(
-            vertex=u,
-            matrix_kind=kind,
-            verdict=Verdict.SEDENTARY,
-            constant=bound.floor,
-            tight=tight,
-            sharp=sharp,
-            certificate=tuple(trail),
-            evidence=inf_est,
-            certified=True,
+        floor = bound.floor
+    form, exacts = _exact_support(sup.values)
+
+    # transfer test and parity for a strongly cospectral twin pair
+    if pair is not None:
+        v, sc = pair
+        plus_pos = _support_positions(sup, sc.plus)
+        if len(plus_pos) + len(_support_positions(sup, sc.minus)) != len(sup):
+            raise ValueError("strong cospectrality split does not cover the support")
+        eq = equality_time_criterion(form, plus_pos) if form is not None else None
+        if eq is not None:
+            if ev.magnitude(u, v, eq.t1) < 1.0 - PST_TOL:
+                raise ValueError("equality time failed to deliver the full transfer")
+            trail.append(f"pst:time={eq.t1:.12g}")
+            return record(Verdict.PST, partner=v, pst_time=eq.t1)
+        if exacts is None:
+            trail.append("unrecognized-support")
+            return record(Verdict.UNDETERMINED, certified=False)
+        parity = _parity_stage(exacts, plus_pos, trail)
+        if parity is ParityVerdict.INCONCLUSIVE:
+            return record(Verdict.UNDETERMINED, certified=False)
+        if parity is ParityVerdict.APPROACHES_EQUALITY:
+            if form is not None:
+                # periodic vertices attain what they approach, contradicting
+                # the failed equality test above
+                raise ValueError("parity and equality time disagree on a periodic pair")
+            return record(Verdict.PGST, partner=v)
+        # blocked: the pair is sedentary; only a period minimum gives a constant
+        if not scan.certified:
+            trail.append("no-general-constant")
+            return record(Verdict.SEDENTARY)
+
+    # period minimum plus exact-dip match; a zero minimum asks for a partner
+    if scan.certified:
+        if twin_set is None and scan.value <= ZERO_TOL:
+            trail.append("period-minimum")
+            trail.append(f"zero-at-minimum:t={scan.attained_time:.12g}")
+            found = _pst_partner_scan(dec, ev, u, sup, form)
+            if found is None:
+                return record(Verdict.NOT_SEDENTARY)
+            v, t1 = found
+            trail.append(f"pst:time={t1:.12g}")
+            return record(Verdict.PST, partner=v, pst_time=t1)
+        constant, t_time = _period_minimum(sup, form, scan, floor, trail)
+        # a minimum over one closed period is always attained
+        return record(
+            Verdict.SEDENTARY, constant=constant, tight=True, sharp=False, tightness_time=t_time
         )
-    trail.append("grid-evidence")
-    return VertexClassification(
-        vertex=u,
-        matrix_kind=kind,
-        verdict=Verdict.UNDETERMINED,
-        certificate=tuple(trail),
-        evidence=inf_est,
-        certified=False,
-    )
+    if floor is None:
+        trail.append("grid-evidence")
+        return record(Verdict.UNDETERMINED, certified=False)
+
+    # relation parity: the floor holds by the triangle inequality alone; an
+    # odd relation keeps the infimum strictly above it, all-even approaches it
+    tight = sharp = None
+    if exacts is None:
+        trail.append("grid-evidence")
+    else:
+        parity = _parity_stage(exacts, _support_positions(sup, (floor_class,)), trail)
+        if parity is not ParityVerdict.INCONCLUSIVE:
+            tight, sharp = False, parity is ParityVerdict.APPROACHES_EQUALITY
+    return record(Verdict.SEDENTARY, constant=floor, tight=tight, sharp=sharp)
 
 
 def classify_all(
     g: WeightedGraph,
     kind: MatrixKind = ADJACENCY,
     dec: SpectralDecomposition | None = None,
+    *,
+    vertices: Sequence[int] | None = None,
+    twin_sets: list[TwinSet] | None = None,
+    grid_points: int | None = None,
+    horizon: float | None = None,
 ) -> list[VertexClassification]:
-    """Classification of every vertex, sharing one decomposition."""
+    """Classify ``vertices`` (default: every vertex) in order.
+
+    The graph-level facts are computed once and shared by every vertex:
+    the decomposition and its walk evaluator, and twin-set membership.
+    Pass ``dec`` or ``twin_sets`` to reuse ones the caller already holds.
+    ``grid_points`` and ``horizon`` override the scan of vertices that
+    have no twin.
+    """
+    verts = list(range(g.n) if vertices is None else vertices)
+    for u in verts:
+        if not 0 <= u < g.n:
+            raise ValueError(f"vertex {u} out of range")
     if dec is None:
         dec = decompose(g, kind)
-    return [classify_vertex(g, kind, u, dec=dec) for u in range(g.n)]
+    if twin_sets is None:
+        twin_sets = find_twin_sets(g)
+    twin_of = {m: ts for ts in twin_sets for m in ts.members}
+    facts = _GraphFacts(g, kind, dec, WalkEvaluator(dec), twin_of)
+    return [_classify(facts, u, grid_points, horizon) for u in verts]
+
+
+def classify_vertex(
+    g: WeightedGraph,
+    kind: MatrixKind,
+    u: int,
+    dec: SpectralDecomposition | None = None,
+    grid_points: int | None = None,
+    horizon: float | None = None,
+) -> VertexClassification:
+    """Classify one vertex; see :func:`classify_all`."""
+    return classify_all(
+        g, kind, dec, vertices=(u,), grid_points=grid_points, horizon=horizon
+    )[0]
 
 
 # -- real-diagonal specials ------------------------------------------------
