@@ -12,7 +12,6 @@ Subcommands:
 All numbers are printed with 12 significant digits so identical commands
 produce byte-identical output.  Times appear in radians and, when they are a
 small rational multiple of pi, annotated like ``1.5707963268 (pi/2)``.
-``SEDWALK_THREADS`` caps the worker count of family sweeps (default 1).
 
 Exit status: 0 on success (an undetermined verdict is still a success), 2 for
 unusable input (expression, file or flag values), and 3 when a Laplacian walk
@@ -26,11 +25,9 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,9 +41,9 @@ from .families import (
     threshold_vertex_verdict,
 )
 from .graphs import MatrixKind, WeightedGraph, from_edge_list_text
-from .sedentary import Verdict, VertexClassification, classify_vertex
+from .sedentary import Verdict, VertexClassification, classify_all
 from .spectral import LaplacianProductUnsupported, decompose
-from .twins import find_twin_sets
+from .twins import TwinSet, find_twin_sets
 from .walk import WalkEvaluator
 
 __all__ = ["main", "build_parser"]
@@ -162,23 +159,13 @@ def _select_vertices(args: argparse.Namespace, n: int) -> list[int]:
     return [v]
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("SEDWALK_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"SEDWALK_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, cap)
-
-
-def _run_jobs(work: Callable, jobs: list) -> list:
-    cap = _thread_cap()
-    if cap > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=min(cap, len(jobs))) as pool:
-            return list(pool.map(work, jobs))
-    return [work(j) for j in jobs]
+def _twin_record(g: WeightedGraph, kind: MatrixKind, ts: TwinSet) -> dict:
+    return {
+        "members": list(ts.members),
+        "omega": float(ts.omega),
+        "eta": float(ts.eta),
+        "theta": float(ts.theta(g, kind)),
+    }
 
 
 # -- classification rendering ----------------------------------------------
@@ -251,26 +238,35 @@ def _render_classifications(results: list[VertexClassification], fmt: str) -> st
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_classify(args: argparse.Namespace) -> str:
-    g, _src = _load_graph(args)
+def _classify(
+    args: argparse.Namespace,
+) -> tuple[WeightedGraph, str, MatrixKind, list[TwinSet], list[VertexClassification]]:
+    """Classify the selected vertices with the graph's twin sets found once."""
+    g, src = _load_graph(args)
     kind = MatrixKind.parse(args.matrix)
     dec = _decompose(g, kind, args)
-    results = [
-        classify_vertex(g, kind, u, dec=dec, grid_points=args.steps, horizon=args.tmax)
-        for u in _select_vertices(args, g.n)
-    ]
+    vertices = _select_vertices(args, g.n)
+    twin_sets = find_twin_sets(g)
+    results = classify_all(
+        g,
+        kind,
+        dec,
+        vertices=vertices,
+        twin_sets=twin_sets,
+        grid_points=args.steps,
+        horizon=args.tmax,
+    )
+    return g, src, kind, twin_sets, results
+
+
+def cmd_classify(args: argparse.Namespace) -> str:
+    *_, results = _classify(args)
     return _render_classifications(results, args.format)
 
 
 def cmd_analyze(args: argparse.Namespace) -> str:
-    g, src = _load_graph(args)
-    kind = MatrixKind.parse(args.matrix)
-    dec = _decompose(g, kind, args)
-    twin_sets = find_twin_sets(g)
-    results = [
-        classify_vertex(g, kind, u, dec=dec, grid_points=args.steps, horizon=args.tmax)
-        for u in _select_vertices(args, g.n)
-    ]
+    g, src, kind, twin_sets, results = _classify(args)
+    twins = [_twin_record(g, kind, ts) for ts in twin_sets]
     row_sum = g.is_weighted_regular()
     if args.format == "json":
         return _dump_json(
@@ -283,15 +279,7 @@ def cmd_analyze(args: argparse.Namespace) -> str:
                     "matrix_kind": kind.short_name,
                     "regular_row_sum": None if row_sum is None else float(row_sum),
                 },
-                "twin_sets": [
-                    {
-                        "members": list(ts.members),
-                        "omega": float(ts.omega),
-                        "eta": float(ts.eta),
-                        "theta": float(ts.theta(g, kind)),
-                    }
-                    for ts in twin_sets
-                ],
+                "twin_sets": twins,
                 "classification": [c.to_json_dict() for c in results],
             }
         )
@@ -302,14 +290,13 @@ def cmd_analyze(args: argparse.Namespace) -> str:
         f"vertices: {g.n}  edges: {len(g.edges)}  matrix: {kind.short_name}",
         "regular row sum: " + ("-" if row_sum is None else _num(float(row_sum))),
     ]
-    if twin_sets:
-        for ts in twin_sets:
-            members = ",".join(str(m) for m in ts.members)
-            head.append(
-                f"twin set {{{members}}}  omega={_num(float(ts.omega))}"
-                f"  eta={_num(float(ts.eta))}  theta={_num(float(ts.theta(g, kind)))}"
-            )
-    else:
+    for rec in twins:
+        members = ",".join(str(m) for m in rec["members"])
+        head.append(
+            f"twin set {{{members}}}  omega={_num(rec['omega'])}"
+            f"  eta={_num(rec['eta'])}  theta={_num(rec['theta'])}"
+        )
+    if not twins:
         head.append("twin sets: none")
     table = _render_classifications(results, "table")
     return "\n".join(head) + "\n\n" + table
@@ -339,29 +326,14 @@ def cmd_series(args: argparse.Namespace) -> str:
 def cmd_twins(args: argparse.Namespace) -> str:
     g, _src = _load_graph(args)
     kind = MatrixKind.parse(args.matrix)
-    twin_sets = find_twin_sets(g)
+    twins = [_twin_record(g, kind, ts) for ts in find_twin_sets(g)]
     if args.format == "json":
-        return _dump_json(
-            [
-                {
-                    "members": list(ts.members),
-                    "omega": float(ts.omega),
-                    "eta": float(ts.eta),
-                    "theta": float(ts.theta(g, kind)),
-                }
-                for ts in twin_sets
-            ]
-        )
+        return _dump_json(twins)
     headers = ("members", "omega", "eta", "theta")
     sep = "|" if args.format == "csv" else ","
     rows = [
-        [
-            sep.join(str(m) for m in ts.members),
-            _num(float(ts.omega)),
-            _num(float(ts.eta)),
-            _num(float(ts.theta(g, kind))),
-        ]
-        for ts in twin_sets
+        [sep.join(str(m) for m in rec["members"])] + [_num(rec[key]) for key in headers[1:]]
+        for rec in twins
     ]
     if args.format == "csv":
         return _render_csv(headers, rows)
@@ -493,8 +465,7 @@ def _family_rows(args: argparse.Namespace, kind: MatrixKind) -> list[dict]:
         ]
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown family {fam!r}")
-    nested = _run_jobs(work, jobs)
-    return [rec for sub in nested for rec in sub]
+    return [rec for job in jobs for rec in work(job)]
 
 
 def cmd_families(args: argparse.Namespace) -> str:

@@ -134,7 +134,6 @@ class WeightedGraph:
 
     n: int
     edges: tuple[tuple[int, int, Weight], ...]
-    labels: tuple[str, ...] | None = None
     laplacian_safe: bool = True
 
     def __post_init__(self) -> None:
@@ -149,8 +148,6 @@ class WeightedGraph:
             if not w > 0:
                 raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
             seen.add((u, v))
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels length must equal n")
 
     # -- construction -------------------------------------------------
 
@@ -159,7 +156,6 @@ class WeightedGraph:
         cls,
         n: int,
         edges: Iterable[tuple[int, int, object]] | Mapping[tuple[int, int], object] = (),
-        labels: Sequence[str] | None = None,
         laplacian_safe: bool = True,
     ) -> "WeightedGraph":
         if isinstance(edges, Mapping):
@@ -174,8 +170,7 @@ class WeightedGraph:
                 raise ValueError(f"conflicting weights for edge ({u},{v})")
             canon[(u, v)] = weight
         triples = tuple(sorted((u, v, w) for (u, v), w in canon.items()))
-        lab = tuple(labels) if labels is not None else None
-        return cls(n, triples, lab, laplacian_safe)
+        return cls(n, triples, laplacian_safe)
 
     # -- basic accessors ----------------------------------------------
 
@@ -216,9 +211,6 @@ class WeightedGraph:
     @cached_property
     def degrees(self) -> tuple[Weight, ...]:
         return tuple(self.degree(u) for u in range(self.n))
-
-    def label_of(self, u: int) -> str:
-        return self.labels[u] if self.labels is not None else str(u)
 
     # -- matrices ------------------------------------------------------
 
@@ -277,9 +269,6 @@ class WeightedGraph:
         if kind.label == "laplacian":
             return self.degree(u) - w + e
         return kind.q * self.degree(u) + w - e
-
-    def relabeled(self, labels: Sequence[str]) -> "WeightedGraph":
-        return WeightedGraph(self.n, self.edges, tuple(labels), self.laplacian_safe)
 
 
 # -- elementary families ------------------------------------------------

@@ -177,11 +177,6 @@ class SpectralDecomposition:
         period = 2 * math.pi / (float(g) * math.sqrt(form.delta))
         return Periodicity(recognized=True, period=period, form=form, g=g)
 
-    def is_periodic(self, u: int, tol: float = 1e-7) -> float | None:
-        """Period of vertex u when its support is recognized exactly, else None."""
-        p = self.periodicity(u, tol)
-        return p.period if p.recognized else None
-
     def min_gap(self) -> float:
         if self.k < 2:
             return math.inf

@@ -91,7 +91,6 @@ class WalkEvaluator:
                 mode=InfimumMode.EXACT_ON_PERIOD,
                 grid_points=1,
                 horizon=0.0,
-                error_estimate=0.0,
             )
         if per.recognized and per.period is not None:
             span = per.period
@@ -117,14 +116,12 @@ class WalkEvaluator:
             t_ref, v_ref = _golden_min(f, a, b)
             if v_ref < best_val:
                 best_val, best_t = v_ref, t_ref
-        err = _curvature_error(f, best_t, step)
         return InfimumEstimate(
             value=best_val,
             attained_time=best_t,
             mode=mode,
             grid_points=pts,
             horizon=span,
-            error_estimate=err,
         )
 
 
@@ -147,7 +144,6 @@ class InfimumEstimate:
     mode: InfimumMode
     grid_points: int
     horizon: float
-    error_estimate: float
 
     @property
     def certified(self) -> bool:
@@ -157,11 +153,18 @@ class InfimumEstimate:
 def _golden_min(
     f: Callable[[float], float], a: float, b: float, tol: float = 1e-10
 ) -> tuple[float, float]:
-    """Golden-section minimization on [a, b]; returns (argmin, min)."""
+    """Golden-section minimization on [a, b]; returns (argmin, min).
+
+    Far from zero, doubles can be spaced wider than ``tol``; the bracket
+    then stops shrinking and the iteration cycles.  A repeated state ends
+    the search there, which leaves every search that converges unchanged.
+    """
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    seen: set[tuple[float, float, float, float]] = set()
+    while b - a > tol and (a, b, x1, x2) not in seen:
+        seen.add((a, b, x1, x2))
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
@@ -172,13 +175,6 @@ def _golden_min(
             f2 = f(x2)
     t = (a + b) / 2
     return t, f(t)
-
-
-def _curvature_error(f: Callable[[float], float], t: float, h: float) -> float:
-    """Error bar from the local second derivative at a refined minimum."""
-    h = max(h * 1e-3, 1e-9)
-    fpp = (f(t + h) - 2 * f(t) + f(t - h)) / (h * h)
-    return abs(fpp) * (1e-10) ** 2 / 2 + 1e-14
 
 
 def product_diagonal_km_y(

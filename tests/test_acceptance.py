@@ -388,7 +388,7 @@ def test_criterion_12_flag_exclusivity():
     for g in graphs:
         for kind in (A, L):
             for rec in classify_all(g, kind):
-                assert not (rec.tight and rec.sharp), (rec.vertex, kind.label())
+                assert not (rec.tight and rec.sharp), (rec.vertex, kind.short_name)
                 if rec.verdict is Verdict.PST:
                     assert rec.partner is not None and rec.pst_time is not None
                 if rec.verdict is Verdict.SEDENTARY:
@@ -434,4 +434,4 @@ def test_criterion_13_twin_inequality(rand_graph):
             for u, v in pairs:
                 duu = np.abs(ev.diagonal_amplitudes(u, times))
                 duv = np.abs(ev.pair_amplitudes(u, v, times))
-                assert float(np.min(duu + duv)) >= 1 - 1e-9, (u, v, kind.label())
+                assert float(np.min(duu + duv)) >= 1 - 1e-9, (u, v, kind.short_name)

@@ -154,6 +154,24 @@ def test_edge_list_file_matches_expression(capsys, tmp_path):
     assert via_file == via_expr
 
 
+def test_scan_past_double_spacing_terminates(capsys, tmp_path):
+    # smallest gap below 0.003: the bounded-horizon scan runs past t = 4.5e5,
+    # where doubles are spaced wider than the golden-section tolerance
+    listing = tmp_path / "tree9.txt"
+    listing.write_text(
+        "n 9\n0 1 1\n0 3 3\n0 4 1\n1 2 2\n3 6 3\n3 7 3\n4 5 2\n6 8 1\n",
+        encoding="utf-8",
+    )
+    rc, out, _ = run(
+        capsys, "classify", "--file", str(listing), "--matrix", "Mq:-1", "--vertex", "2",
+        "--format", "json",
+    )
+    assert rc == 0
+    (rec,) = json.loads(out)
+    assert rec["verdict"] == "undetermined"
+    assert rec["evidence"]["horizon"] > 4.5e5
+
+
 def test_edge_list_weights_and_loops(capsys, tmp_path):
     listing = tmp_path / "loop.txt"
     listing.write_text("# a weighted loop\nn 2\n0 1 2\n0 0 1/2\n", encoding="utf-8")
@@ -208,25 +226,6 @@ def test_families_threshold_needs_laplacian(capsys):
     rows = [ln.split() for ln in out.splitlines()[1:]]
     assert rows[0][2:4] == ["first-cell-pst", "pst"]
     assert rows[1][2:5] == ["clique-cell", "sedentary", "0.75"]
-
-
-def test_threads_env_validated(capsys, monkeypatch):
-    monkeypatch.setenv("SEDWALK_THREADS", "abc")
-    rc, _, err = run(capsys, "families", "--family", "cp", "--start", "2", "--stop", "3")
-    assert rc == 2
-    assert "SEDWALK_THREADS" in err
-
-
-def test_threads_env_does_not_change_output(capsys, monkeypatch):
-    argv = ["families", "--family", "cp", "--start", "2", "--stop", "4"]
-    monkeypatch.delenv("SEDWALK_THREADS", raising=False)
-    rc1 = main(argv)
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("SEDWALK_THREADS", "4")
-    rc2 = main(argv)
-    pooled = capsys.readouterr().out
-    assert rc1 == rc2 == 0
-    assert serial == pooled
 
 
 def test_spectrum_table(capsys):

@@ -143,7 +143,7 @@ def test_multipartite_verdicts_match_engine():
         g = complete_multipartite(parts)
         u = sum(parts[:ell])
         rec = classify_vertex(g, kind, u)
-        assert rec.verdict is fv.verdict, (parts, ell, kind.label())
+        assert rec.verdict is fv.verdict, (parts, ell, kind.short_name)
         if fv.constant is not None and rec.constant is not None:
             assert rec.constant == pytest.approx(fv.constant, abs=1e-9)
         if fv.verdict is Verdict.PST:

@@ -130,7 +130,6 @@ def test_periodicity_unrecognized_quartic():
     dec = decompose(g)
     per = dec.periodicity(0)
     assert not per.recognized
-    assert dec.is_periodic(0) is None
 
 
 def test_periodicity_singleton_support():

@@ -24,6 +24,7 @@ from sedwalk import (
     product_diagonal_km_y,
 )
 from sedwalk.graphs import WeightedGraph
+from sedwalk.walk import _golden_min
 
 KINDS = [MatrixKind.adjacency(), MatrixKind.laplacian(), MatrixKind.generalized(Fraction(1, 2))]
 
@@ -198,3 +199,10 @@ def test_join_perturbation_bound_regular_adjacency(oracle):
         a = abs(oracle(joined, kind, float(t))[0, 0])
         b = abs(oracle(x, kind, float(t))[0, 0])
         assert abs(a - b) <= join_perturbation_bound(x.n) + 1e-9
+
+
+def test_golden_min_stops_where_doubles_outgrow_the_tolerance():
+    # near 6e5 adjacent doubles lie about 1.2e-10 apart, above the 1e-10 tolerance
+    t, v = _golden_min(lambda s: (s - 6e5) ** 2, 6e5 - 0.1, 6e5 + 0.1)
+    assert abs(t - 6e5) < 1e-9
+    assert v < 1e-18
