@@ -239,14 +239,14 @@ def _render_classifications(results: list[VertexClassification], fmt: str) -> st
 
 
 def _classify(
-    args: argparse.Namespace,
+    args: argparse.Namespace, all_twin_sets: bool
 ) -> tuple[WeightedGraph, str, MatrixKind, list[TwinSet], list[VertexClassification]]:
-    """Classify the selected vertices with the graph's twin sets found once."""
+    """Classify the selected vertices; ``all_twin_sets`` finds every twin set once."""
     g, src = _load_graph(args)
     kind = MatrixKind.parse(args.matrix)
     dec = _decompose(g, kind, args)
     vertices = _select_vertices(args, g.n)
-    twin_sets = find_twin_sets(g)
+    twin_sets = find_twin_sets(g) if all_twin_sets else None
     results = classify_all(
         g,
         kind,
@@ -256,16 +256,16 @@ def _classify(
         grid_points=args.steps,
         horizon=args.tmax,
     )
-    return g, src, kind, twin_sets, results
+    return g, src, kind, twin_sets or [], results
 
 
 def cmd_classify(args: argparse.Namespace) -> str:
-    *_, results = _classify(args)
+    *_, results = _classify(args, all_twin_sets=False)
     return _render_classifications(results, args.format)
 
 
 def cmd_analyze(args: argparse.Namespace) -> str:
-    g, src, kind, twin_sets, results = _classify(args)
+    g, src, kind, twin_sets, results = _classify(args, all_twin_sets=True)
     twins = [_twin_record(g, kind, ts) for ts in twin_sets]
     row_sum = g.is_weighted_regular()
     if args.format == "json":
@@ -305,21 +305,15 @@ def cmd_analyze(args: argparse.Namespace) -> str:
 def cmd_series(args: argparse.Namespace) -> str:
     g, _src = _load_graph(args)
     kind = MatrixKind.parse(args.matrix)
-    dec = _decompose(g, kind, args)
-    ev = WalkEvaluator(dec)
+    ev = WalkEvaluator(_decompose(g, kind, args))
     t_max = args.tmax if args.tmax is not None else 2.0 * math.pi
     steps = args.steps if args.steps is not None else 1001
-    if t_max <= 0:
-        raise ValueError("tmax must be positive")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
     verts = _select_vertices(args, g.n)
-    times = np.linspace(0.0, t_max, steps)
-    columns = [np.abs(ev.diagonal_amplitudes(u, times)) for u in verts]
+    series = [ev.diagonal_series(u, t_max, steps) for u in verts]
     headers = ["t"] + [f"u{u}" for u in verts]
     rows = []
-    for i, t in enumerate(times):
-        rows.append([_num(float(t))] + [_num(float(col[i])) for col in columns])
+    for i, t in enumerate(series[0][:, 0]):
+        rows.append([_num(float(t))] + [_num(float(col[i, 1])) for col in series])
     return _render_csv(headers, rows)
 
 

@@ -120,11 +120,11 @@ class SedentaryBound:
         return len(self.subset) == 1
 
     def bound_at(self, t: float) -> float:
+        weights = self.dec.diagonal_weights(self.vertex)
         inner = 0j
         for j in self.subset:
-            w = float(self.dec.projectors[j][self.vertex, self.vertex])
             lam = float(self.dec.eigenvalues[j])
-            inner += w * complex(math.cos(lam * t), math.sin(lam * t))
+            inner += float(weights[j]) * complex(math.cos(lam * t), math.sin(lam * t))
         return abs(inner) - (1.0 - self.a)
 
 
@@ -140,7 +140,8 @@ def projection_sum_bound(
         raise ValueError("subset leaves the eigenvalue support of the vertex")
     if len(chosen) >= len(sup.indices):
         raise ValueError("subset must be a proper part of the support")
-    a = float(sum(dec.projectors[j][u, u] for j in chosen))
+    weights = dec.diagonal_weights(u)
+    a = float(sum(weights[j] for j in chosen))
     if a < 0.5 - 1e-12:
         raise ValueError(f"subset weight a={a:.6g} is below one half")
     return SedentaryBound(dec=dec, vertex=u, subset=chosen, a=a)
@@ -365,7 +366,7 @@ def _twin_stage(
     branch = twin_dichotomy(facts.g, facts.kind, twin_set, u, dec=facts.dec)
     split = branch.split
     size = len(twin_set)
-    a_theta = float(facts.dec.projectors[split.eigen_index][u, u])
+    a_theta = float(facts.dec.diagonal_weights(u)[split.eigen_index])
     expected = 1.0 - 1.0 / size + split.f_diagonal(u)
     if abs(a_theta - expected) > 1e-7:
         raise ValueError("twin eigenvalue weight disagrees with the split")
@@ -572,7 +573,8 @@ def classify_all(
     """Classify ``vertices`` (default: every vertex) in order.
 
     The graph-level facts are computed once and shared by every vertex:
-    the decomposition and its walk evaluator, and twin-set membership.
+    the decomposition and its walk evaluator, and the twin sets that meet
+    ``vertices``.
     Pass ``dec`` or ``twin_sets`` to reuse ones the caller already holds.
     ``grid_points`` and ``horizon`` override the scan of vertices that
     have no twin.
@@ -584,7 +586,7 @@ def classify_all(
     if dec is None:
         dec = decompose(g, kind)
     if twin_sets is None:
-        twin_sets = find_twin_sets(g)
+        twin_sets = find_twin_sets(g, verts)
     twin_of = {m: ts for ts in twin_sets for m in ts.members}
     facts = _GraphFacts(g, kind, dec, WalkEvaluator(dec), twin_of)
     return [_classify(facts, u, grid_points, horizon) for u in verts]
@@ -770,7 +772,7 @@ def blowup_bound(
     bound = projection_sum_bound(dec_up, u, (zero_idx,))
     base = dec if dec is not None else decompose(g, ADJACENCY)
     try:
-        w0 = float(base.projectors[base.eigenvalue_index(0.0)][u, u])
+        w0 = float(base.diagonal_weights(u)[base.eigenvalue_index(0.0)])
     except ValueError:
         w0 = 0.0
     expected = (m - 1.0) / m + w0 / m

@@ -1,6 +1,6 @@
-"""Spectral decomposition of graph matrices: grouped eigenvalues, projection
-matrices, per-vertex eigenvalue supports, cospectrality tests, and exact
-periodicity recognition.
+"""Spectral decomposition of graph matrices: grouped eigenvalues with their
+eigenvector blocks, per-vertex eigenvalue supports, strong cospectrality, and
+exact periodicity recognition.
 """
 
 from __future__ import annotations
@@ -87,52 +87,60 @@ class Periodicity:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues (descending) with orthogonal projectors.
+    """Distinct eigenvalues (descending) with their orthonormal eigenvector blocks.
 
-    M = sum_j eigenvalues[j] * projectors[j]; projectors are symmetric
-    idempotents summing to the identity.
+    Class j is the block V_j of columns ``starts[j]`` to ``starts[j] +
+    multiplicities[j]`` of ``vectors``; its projector E_j = V_j V_j^T is
+    read through rows of V_j and never stored, so memory stays O(n^2).
     """
 
     matrix_kind: MatrixKind
     eigenvalues: np.ndarray
-    projectors: np.ndarray
+    vectors: np.ndarray
     multiplicities: tuple[int, ...]
+    starts: np.ndarray
     grouping_tol: float
 
     @property
     def n(self) -> int:
-        return self.projectors.shape[1]
+        return self.vectors.shape[0]
 
     @property
     def k(self) -> int:
         return len(self.eigenvalues)
 
-    def reconstruct(self) -> np.ndarray:
-        return np.einsum("j,jab->ab", self.eigenvalues, self.projectors)
+    def combine(self, coefficients: np.ndarray) -> np.ndarray:
+        """sum_j coefficients[j] E_j as an n x n matrix."""
+        scaled = self.vectors * np.repeat(coefficients, self.multiplicities)
+        return scaled @ self.vectors.T
 
-    def projector_column(self, j: int, u: int) -> np.ndarray:
-        """E_j e_u as a vector (projectors are symmetric, so a column)."""
-        return self.projectors[j, :, u]
+    def reconstruct(self) -> np.ndarray:
+        return self.combine(self.eigenvalues)
+
+    def projector(self, j: int) -> np.ndarray:
+        """E_j = V_j V_j^T as an n x n matrix."""
+        block = self.vectors[:, self.starts[j] : self.starts[j] + self.multiplicities[j]]
+        return block @ block.T
+
+    def entries(self, u: int, v: int) -> np.ndarray:
+        """(E_j)_{u,v} for every eigenvalue class j."""
+        return np.add.reduceat(self.vectors[u] * self.vectors[v], self.starts)
 
     def diagonal_weights(self, u: int) -> np.ndarray:
-        """(E_j)_{u,u} for every eigenvalue class j."""
-        return self.projectors[:, u, u].copy()
+        """(E_j)_{u,u} = ||E_j e_u||^2 for every eigenvalue class j."""
+        return self.entries(u, u)
 
     def support(self, u: int, support_tol: float = DEFAULT_SUPPORT_TOL) -> EigenvalueSupport:
         if not 0 <= u < self.n:
             raise ValueError(f"vertex {u} out of range")
-        norms = np.linalg.norm(self.projectors[:, :, u], axis=1)
-        idx = tuple(int(j) for j in np.nonzero(norms > support_tol)[0])
+        weights = self.diagonal_weights(u)
+        idx = tuple(int(j) for j in np.nonzero(np.sqrt(weights) > support_tol)[0])
         return EigenvalueSupport(
             vertex=u,
             indices=idx,
             values=tuple(float(self.eigenvalues[j]) for j in idx),
-            weights=tuple(float(self.projectors[j, u, u]) for j in idx),
+            weights=tuple(float(weights[j]) for j in idx),
         )
-
-    def cospectral(self, u: int, v: int, tol: float = 1e-7) -> bool:
-        du, dv = self.diagonal_weights(u), self.diagonal_weights(v)
-        return bool(np.max(np.abs(du - dv)) <= tol)
 
     def strongly_cospectral(
         self, u: int, v: int, support_tol: float = DEFAULT_SUPPORT_TOL
@@ -140,16 +148,17 @@ class SpectralDecomposition:
         """Sign partition when E_j e_u = +/- E_j e_v holds for every class."""
         if u == v:
             raise ValueError("strong cospectrality needs two distinct vertices")
+        x, y = self.vectors[u], self.vectors[v]
+        rows = np.stack([x, y, x - y, x + y])
+        norm_u, norm_v, norm_minus, norm_plus = np.sqrt(np.add.reduceat(rows**2, self.starts, 1))
         plus: list[int] = []
         minus: list[int] = []
         for j in range(self.k):
-            x = self.projector_column(j, u)
-            y = self.projector_column(j, v)
-            if np.linalg.norm(x) <= support_tol and np.linalg.norm(y) <= support_tol:
+            if norm_u[j] <= support_tol and norm_v[j] <= support_tol:
                 continue
-            if np.linalg.norm(x - y) <= SIGN_MATCH_TOL:
+            if norm_minus[j] <= SIGN_MATCH_TOL:
                 plus.append(j)
-            elif np.linalg.norm(x + y) <= SIGN_MATCH_TOL:
+            elif norm_plus[j] <= SIGN_MATCH_TOL:
                 minus.append(j)
             else:
                 return None
@@ -230,14 +239,12 @@ def decompose(
             groups.append([i])
     groups.reverse()  # descending eigenvalues
     eigenvalues = np.array([float(np.mean(vals[idx])) for idx in groups])
-    projectors = np.empty((len(groups), g.n, g.n))
-    for row, idx in enumerate(groups):
-        block = vecs[:, idx]
-        projectors[row] = block @ block.T
+    multiplicities = tuple(len(idx) for idx in groups)
     return SpectralDecomposition(
         matrix_kind=kind,
         eigenvalues=eigenvalues,
-        projectors=projectors,
-        multiplicities=tuple(len(idx) for idx in groups),
+        vectors=vecs[:, [i for idx in groups for i in idx]],
+        multiplicities=multiplicities,
+        starts=np.cumsum((0,) + multiplicities[:-1]),
         grouping_tol=grouping_tol,
     )

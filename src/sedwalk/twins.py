@@ -11,6 +11,8 @@ what the sedentariness bounds consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Iterable
 
 import numpy as np
 
@@ -86,44 +88,40 @@ class TwinSet:
         return self.members[1] if self.members[0] == u else self.members[0]
 
 
-def find_twin_sets(g: WeightedGraph) -> list[TwinSet]:
-    """All maximal twin sets of the graph.
+def twin_set_of(g: WeightedGraph, u: int) -> TwinSet | None:
+    """The maximal twin set containing ``u``, or None when ``u`` has no twin.
 
-    The twin relation restricted to vertices possessing a twin is an
-    equivalence (two twins of a common vertex are twins of each other,
-    with the same pair weight), so greedy collection yields the maximal
-    sets; a pairwise re-check guards the implementation anyway.
+    On vertices possessing a twin the twin relation is an equivalence, so
+    ``u`` and its twins form the set; a pairwise re-check of the twins
+    guards the implementation anyway.
     """
+    twins = [v for v in range(g.n) if v != u and are_twins(g, u, v)]
+    if not twins:
+        return None
+    for a, b in combinations(twins, 2):
+        if not are_twins(g, a, b):
+            raise ValueError("twin relation failed to be transitive")
+    members = sorted([u, *twins])
+    return TwinSet(
+        members=tuple(members),
+        omega=g.weight(u, u),
+        eta=g.weight(members[0], members[1]),
+    )
+
+
+def find_twin_sets(g: WeightedGraph, vertices: Iterable[int] | None = None) -> list[TwinSet]:
+    """The maximal twin sets meeting ``vertices`` (default: all), in the
+    order the vertices first reach them; covered vertices are skipped."""
     assigned: set[int] = set()
     sets: list[TwinSet] = []
-    for u in range(g.n):
+    for u in range(g.n) if vertices is None else vertices:
         if u in assigned:
             continue
-        members = [u] + [v for v in range(g.n) if v != u and are_twins(g, u, v)]
-        if len(members) < 2:
-            continue
-        members.sort()
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                if not are_twins(g, a, b):
-                    raise ValueError("twin relation failed to be transitive")
-        assigned.update(members)
-        sets.append(
-            TwinSet(
-                members=tuple(members),
-                omega=g.weight(u, u),
-                eta=g.weight(members[0], members[1]),
-            )
-        )
+        ts = twin_set_of(g, u)
+        if ts is not None:
+            assigned.update(ts.members)
+            sets.append(ts)
     return sets
-
-
-def twin_set_of(g: WeightedGraph, u: int) -> TwinSet | None:
-    """The maximal twin set containing ``u``, or None when ``u`` has no twin."""
-    for ts in find_twin_sets(g):
-        if u in ts:
-            return ts
-    return None
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,7 @@ def theta_split(
         dec = decompose(g, kind)
     theta = float(twin_set.theta(g, kind))
     idx = dec.eigenvalue_index(theta)
-    proj = dec.projectors[idx]
+    proj = dec.projector(idx)
     size = len(twin_set)
     ix = np.asarray(twin_set.members)
     p1 = np.zeros((g.n, g.n))

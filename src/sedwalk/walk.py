@@ -39,16 +39,14 @@ class WalkEvaluator:
         return self.dec.n
 
     def amplitude(self, u: int, v: int, t: float) -> complex:
-        entries = self.dec.projectors[:, u, v]
         phases = np.exp(1j * t * self.dec.eigenvalues)
-        return complex(np.dot(phases, entries))
+        return complex(np.dot(phases, self.dec.entries(u, v)))
 
     def magnitude(self, u: int, v: int, t: float) -> float:
         return abs(self.amplitude(u, v, t))
 
     def matrix(self, t: float) -> np.ndarray:
-        phases = np.exp(1j * t * self.dec.eigenvalues)
-        return np.einsum("j,jab->ab", phases, self.dec.projectors)
+        return self.dec.combine(np.exp(1j * t * self.dec.eigenvalues))
 
     def diagonal_amplitudes(self, u: int, times: np.ndarray) -> np.ndarray:
         """Vectorized U(t)_{u,u} over an array of times."""
@@ -57,9 +55,8 @@ class WalkEvaluator:
         return phases @ weights
 
     def pair_amplitudes(self, u: int, v: int, times: np.ndarray) -> np.ndarray:
-        entries = self.dec.projectors[:, u, v]
         phases = np.exp(1j * np.outer(times, self.dec.eigenvalues))
-        return phases @ entries
+        return phases @ self.dec.entries(u, v)
 
     def diagonal_series(self, u: int, t_max: float, steps: int) -> np.ndarray:
         """Uniform (t, |U(t)_{u,u}|) grid including both endpoints; shape (steps, 2)."""
@@ -105,12 +102,14 @@ class WalkEvaluator:
             mode = InfimumMode.GRID_LOWER_CONFIDENCE
         times = np.linspace(0.0, span, pts)
         mags = np.abs(self.diagonal_amplitudes(u, times))
-        order = np.argsort(mags)
+        seeds = np.argpartition(mags, min(5, pts) - 1)[:5]
+        seeds = seeds[np.argsort(mags[seeds], kind="stable")]
         step = span / (pts - 1)
-        f = lambda t: self.magnitude(u, u, t)
-        best_val = float(mags[order[0]])
-        best_t = float(times[order[0]])
-        for i in order[:5]:
+        weights = self.dec.diagonal_weights(u)
+        f = lambda t: abs(complex(np.dot(np.exp(1j * t * self.dec.eigenvalues), weights)))
+        best_val = float(mags[seeds[0]])
+        best_t = float(times[seeds[0]])
+        for i in seeds:
             a = max(0.0, float(times[i]) - step)
             b = min(span, float(times[i]) + step)
             t_ref, v_ref = _golden_min(f, a, b)

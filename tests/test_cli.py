@@ -103,6 +103,13 @@ def test_series_endpoint_included(capsys):
     assert float(rows[-1][0]) == pytest.approx(6.2832)
 
 
+@pytest.mark.parametrize("flag,value", [("--tmax", "-1"), ("--tmax", "0"), ("--steps", "1")])
+def test_series_rejects_bad_grid(capsys, flag, value):
+    rc, out, err = run(capsys, "series", "--graph", "K(2)", "--vertex", "0", flag, value)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_exit_code_for_unsupported_laplacian(capsys):
     rc, out, err = run(capsys, "classify", "--graph", "dprod(P(3),K(2))", "--matrix", "L")
     assert rc == 3

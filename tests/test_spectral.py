@@ -1,4 +1,5 @@
-"""Spectral decomposition: projectors, supports, cospectrality, periodicity."""
+"""Spectral decomposition: eigenvector blocks and their projectors, supports,
+cospectrality, periodicity."""
 
 from __future__ import annotations
 
@@ -31,16 +32,15 @@ def test_decomposition_reconstructs(rand_graph, kind, seed):
     g = rand_graph(rng, n=7, weights=(1, 2))
     dec = decompose(g, kind)
     np.testing.assert_allclose(dec.reconstruct(), g.matrix(kind), atol=1e-9)
-    ident = np.einsum("jab->ab", dec.projectors)
-    np.testing.assert_allclose(ident, np.eye(g.n), atol=1e-9)
+    projectors = [dec.projector(j) for j in range(dec.k)]
+    np.testing.assert_allclose(sum(projectors), np.eye(g.n), atol=1e-9)
     assert sum(dec.multiplicities) == g.n
-    for j in range(dec.k):
-        ej = dec.projectors[j]
+    for j, ej in enumerate(projectors):
         np.testing.assert_allclose(ej, ej.T, atol=1e-9)
         np.testing.assert_allclose(ej @ ej, ej, atol=1e-9)
         assert np.trace(ej) == pytest.approx(dec.multiplicities[j], abs=1e-8)
         for i in range(j):
-            assert np.max(np.abs(dec.projectors[i] @ ej)) < 1e-9
+            assert np.max(np.abs(projectors[i] @ ej)) < 1e-9
     assert all(np.diff(dec.eigenvalues) < 0)
 
 
@@ -75,12 +75,16 @@ def test_star_center_support_misses_kernel():
         dec.support(4)
 
 
+def _cospectral(dec, u: int, v: int) -> bool:
+    return bool(np.max(np.abs(dec.diagonal_weights(u) - dec.diagonal_weights(v))) <= 1e-7)
+
+
 def test_cospectral_pairs():
     dec = decompose(path(3))
-    assert dec.cospectral(0, 2)
-    assert not dec.cospectral(0, 1)
+    assert _cospectral(dec, 0, 2)
+    assert not _cospectral(dec, 0, 1)
     dec_k = decompose(complete(5))
-    assert dec_k.cospectral(1, 3)
+    assert _cospectral(dec_k, 1, 3)
 
 
 def test_strong_cospectrality_path_ends():
@@ -165,8 +169,48 @@ def test_laplacian_product_guard():
     assert decompose(safe, MatrixKind.laplacian()).n == 6
 
 
-def test_projector_column_matches_matrix():
+def test_entries_match_projector():
     dec = decompose(path(4))
+    for u in range(dec.n):
+        for v in range(dec.n):
+            want = [dec.projector(j)[u, v] for j in range(dec.k)]
+            np.testing.assert_allclose(dec.entries(u, v), want, atol=1e-12)
+    np.testing.assert_allclose(dec.diagonal_weights(1), dec.entries(1, 1))
+
+
+def _strongly_cospectral_by_columns(dec, u: int, v: int):
+    """Definition: E_j e_u = +/- E_j e_v for every class, from the n x n E_j."""
+    plus: list[int] = []
+    minus: list[int] = []
     for j in range(dec.k):
-        np.testing.assert_allclose(dec.projector_column(j, 2), dec.projectors[j][:, 2])
-    np.testing.assert_allclose(dec.diagonal_weights(1), dec.projectors[:, 1, 1])
+        x, y = dec.projector(j)[:, u], dec.projector(j)[:, v]
+        if np.linalg.norm(x) <= 1e-8 and np.linalg.norm(y) <= 1e-8:
+            continue
+        if np.linalg.norm(x - y) <= 1e-7:
+            plus.append(j)
+        elif np.linalg.norm(x + y) <= 1e-7:
+            minus.append(j)
+        else:
+            return None
+    return tuple(plus), tuple(minus)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.short_name)
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_strong_cospectrality_rows_match_projector_columns(rand_graph, kind, seed):
+    rng = np.random.default_rng(seed)
+    graphs = [rand_graph(rng, n=7, p=0.4, weights=(1,)), path(5), cycle(6)]
+    for g in graphs:
+        dec = decompose(g, kind)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                sc = dec.strongly_cospectral(u, v)
+                got = None if sc is None else (sc.plus, sc.minus)
+                assert got == _strongly_cospectral_by_columns(dec, u, v), (u, v)
+
+
+def test_decomposition_memory_is_quadratic():
+    g = path(300)
+    dec = decompose(g)
+    held = sum(a.nbytes for a in vars(dec).values() if isinstance(a, np.ndarray))
+    assert held <= 16 * g.n**2

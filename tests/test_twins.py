@@ -16,6 +16,7 @@ from sedwalk import (
     cycle,
     decompose,
     find_twin_sets,
+    parse_graph,
     path,
     star,
     theta_split,
@@ -23,6 +24,7 @@ from sedwalk import (
     twin_dichotomy,
     twin_set_of,
 )
+from sedwalk import twins as twins_module
 from sedwalk.graphs import WeightedGraph
 
 A = MatrixKind.adjacency()
@@ -86,6 +88,26 @@ def test_twin_set_of_lookup():
     ts = twin_set_of(g, 2)
     assert ts is not None and ts.members == (1, 2, 3)
     assert twin_set_of(path(3), 1) is None
+
+
+@pytest.mark.parametrize("expr", ["CP(8)", "KM(2,3,1)", "blowup(3,C(4))"])
+def test_twin_set_of_matches_find_twin_sets(monkeypatch, expr):
+    g = parse_graph(expr)
+    sets = find_twin_sets(g)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return are_twins(*args)
+
+    monkeypatch.setattr(twins_module, "are_twins", counted)
+    for u in range(g.n):
+        want = next((ts for ts in sets if u in ts), None)
+        calls = 0
+        assert twin_set_of(g, u) == want, u
+        size = 0 if want is None else len(want)
+        assert calls <= (g.n - 1) + size * (size - 1) // 2, u
 
 
 def test_twin_set_validation_and_partner():
