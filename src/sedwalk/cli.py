@@ -14,8 +14,9 @@ produce byte-identical output.  Times appear in radians and, when they are a
 small rational multiple of pi, annotated like ``1.5707963268 (pi/2)``.
 
 Exit status: 0 on success (an undetermined verdict is still a success), 2 for
-unusable input (expression, file or flag values), and 3 when a Laplacian walk
-is requested on a direct product with an irregular factor.
+unusable input (expression, file or flag values, or a graph too large for
+memory), and 3 when a Laplacian walk is requested on a direct product with an
+irregular factor.
 """
 
 from __future__ import annotations
@@ -609,6 +610,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

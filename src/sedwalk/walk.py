@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 GOLDEN = (math.sqrt(5) - 1) / 2
+# Grid values per block of the baby-step/giant-step product.
+_GRID_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,30 @@ class WalkEvaluator:
         weights = self.dec.diagonal_weights(u)
         phases = np.exp(1j * np.outer(times, self.dec.eigenvalues))
         return phases @ weights
+
+    def diagonal_grid_magnitudes(self, u: int, span: float, points: int) -> np.ndarray:
+        """|U(m h)_{u,u}| for m = 0, ..., points - 1 with h = span / (points - 1).
+
+        Baby-step/giant-step: with B = ceil(sqrt(points)) and m = b B + r,
+        exp(i m h lambda) = exp(i b B h lambda) exp(i r h lambda), so one
+        product of the weighted giant phases (about points / B rows) with the
+        B baby phases gives every grid value from about 2 sqrt(points)
+        exponentials per class.  Classes of zero weight are dropped; the
+        product runs in row blocks, so only the result is held in full.
+        """
+        weights = self.dec.diagonal_weights(u)
+        keep = weights != 0.0
+        weights, lams = weights[keep], self.dec.eigenvalues[keep]
+        h = span / (points - 1)
+        baby_n = math.isqrt(points - 1) + 1
+        giant_n = -(-points // baby_n)
+        baby = np.exp(1j * np.outer(np.arange(baby_n) * h, lams)).T
+        giant = weights * np.exp(1j * np.outer((np.arange(giant_n) * baby_n) * h, lams))
+        mags = np.empty((giant_n, baby_n))
+        rows = max(1, _GRID_BLOCK // baby_n)
+        for lo in range(0, giant_n, rows):
+            np.abs(giant[lo : lo + rows] @ baby, out=mags[lo : lo + rows])
+        return mags.ravel()[:points]
 
     def pair_amplitudes(self, u: int, v: int, times: np.ndarray) -> np.ndarray:
         phases = np.exp(1j * np.outer(times, self.dec.eigenvalues))
@@ -100,18 +126,22 @@ class WalkEvaluator:
             auto = int(span * max(spread, 1.0) * 16 / (2 * math.pi))
             pts = grid_points or max(50001, min(1_000_001, auto))
             mode = InfimumMode.GRID_LOWER_CONFIDENCE
-        times = np.linspace(0.0, span, pts)
-        mags = np.abs(self.diagonal_amplitudes(u, times))
-        seeds = np.argpartition(mags, min(5, pts) - 1)[:5]
-        seeds = seeds[np.argsort(mags[seeds], kind="stable")]
         step = span / (pts - 1)
+        if mode is InfimumMode.GRID_LOWER_CONFIDENCE:
+            mags = self.diagonal_grid_magnitudes(u, span, pts)
+        else:
+            mags = np.abs(self.diagonal_amplitudes(u, np.linspace(0.0, span, pts)))
+        seeds = np.argpartition(mags, min(5, pts) - 1)[:5]
+        seeds = seeds[np.argsort(mags[seeds], kind="stable")].tolist()
+        # grid time i exactly as np.linspace(0, span, pts) computes it
+        time_at = lambda i: span if i == pts - 1 else i * step
         weights = self.dec.diagonal_weights(u)
         f = lambda t: abs(complex(np.dot(np.exp(1j * t * self.dec.eigenvalues), weights)))
         best_val = float(mags[seeds[0]])
-        best_t = float(times[seeds[0]])
+        best_t = time_at(seeds[0])
         for i in seeds:
-            a = max(0.0, float(times[i]) - step)
-            b = min(span, float(times[i]) + step)
+            a = max(0.0, time_at(i) - step)
+            b = min(span, time_at(i) + step)
             t_ref, v_ref = _golden_min(f, a, b)
             if v_ref < best_val:
                 best_val, best_t = v_ref, t_ref

@@ -129,6 +129,17 @@ def test_exit_code_for_bad_vertex(capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("detail", ["Unable to allocate 74.5 GiB for an array", ""])
+def test_out_of_memory_exits_2(capsys, monkeypatch, detail):
+    def exhausted(args):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr("sedwalk.cli.cmd_spectrum", exhausted)
+    rc, out, err = run(capsys, "spectrum", "--graph", "K(2)")
+    assert rc == 2 and out == ""
+    assert err == "error: out of memory" + (f": {detail}" if detail else "") + "\n"
+
+
 def test_repeated_runs_are_identical(capsys):
     argv = ["analyze", "--graph", "Gamma(2,6)", "--matrix", "L", "--format", "json"]
     rc1 = main(argv)

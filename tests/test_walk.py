@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -174,6 +175,53 @@ def test_infimum_unrecognized_support_is_uncertified():
     assert not est.certified
     assert est.horizon == 80.0
     assert 0.19 < est.value < 0.3
+
+
+SCAN_KINDS = [MatrixKind.adjacency(), MatrixKind.laplacian(), MatrixKind.generalized(-1)]
+
+
+@pytest.mark.parametrize("kind", SCAN_KINDS, ids=lambda k: k.short_name)
+@pytest.mark.parametrize(
+    "points,span", [(2, 1.0), (3, 7.5), (20001, 1e3), (777777, 3e5)]
+)
+def test_grid_kernel_matches_dense_phases(rand_graph, kind, points, span):
+    rng = np.random.default_rng(points)
+    g = rand_graph(rng, n=6, weights=(1, 2, 3))
+    ev = WalkEvaluator(decompose(g, kind))
+    u = int(rng.integers(g.n))
+    got = ev.diagonal_grid_magnitudes(u, span, points)
+    assert got.shape == (points,)
+    times = np.linspace(0.0, span, points)
+    # both kernels round the phase t * lambda, so they differ by about eps * |t lambda|
+    lam = float(np.max(np.abs(ev.dec.eigenvalues)))
+    tol = 8 * np.finfo(float).eps * (1.0 + span * lam)
+    block = 1 << 16
+    for lo in range(0, points, block):
+        ref = np.abs(ev.diagonal_amplitudes(u, times[lo : lo + block]))
+        np.testing.assert_allclose(got[lo : lo + block], ref, rtol=0, atol=tol)
+
+
+def test_bounded_scan_refines_below_the_dense_grid():
+    g = WeightedGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
+    ev = WalkEvaluator(decompose(g))
+    est = ev.infimum_diagonal(0, grid_points=20001, horizon=500.0)
+    grid = np.abs(ev.diagonal_amplitudes(0, np.linspace(0.0, 500.0, 20001)))
+    assert est.mode is InfimumMode.GRID_LOWER_CONFIDENCE
+    assert est.value <= grid.min() + 1e-12
+    assert est.value == pytest.approx(ev.magnitude(0, 0, est.attained_time), abs=1e-12)
+
+
+def test_bounded_scan_memory_is_linear_in_the_grid():
+    ev = WalkEvaluator(decompose(path(16)))
+    tracemalloc.start()
+    try:
+        est = ev.infimum_diagonal(0, grid_points=1_000_001, horizon=3e5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.grid_points == 1_000_001
+    # 1e6 magnitudes take 8 MB; the dense 1e6 x 16 complex phase matrix would take 256 MB
+    assert peak < 40e6
 
 
 def test_join_perturbation_bound_holds(oracle):
