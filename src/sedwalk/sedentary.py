@@ -58,7 +58,7 @@ from .spectral import (
     decompose,
 )
 from .twins import TwinSet, find_twin_sets, twin_dichotomy
-from .walk import InfimumEstimate, WalkEvaluator, _golden_min
+from .walk import InfimumEstimate, WalkEvaluator, _check_grid, _golden_min
 
 __all__ = [
     "Verdict",
@@ -577,8 +577,9 @@ def classify_all(
     ``vertices``.
     Pass ``dec`` or ``twin_sets`` to reuse ones the caller already holds.
     ``grid_points`` and ``horizon`` override the scan of vertices that
-    have no twin.
+    have no twin; they are checked even when no vertex uses them.
     """
+    _check_grid(horizon, grid_points)
     verts = list(range(g.n) if vertices is None else vertices)
     for u in verts:
         if not 0 <= u < g.n:

@@ -217,6 +217,10 @@ def decompose(
     tolerance of grouping_tol * max(1, spectral radius); integer spectra are
     separated by at least 1, so grouping never over-merges on those.
     """
+    if not (math.isfinite(grouping_tol) and grouping_tol >= 0):
+        raise ValueError(
+            f"grouping tolerance must be finite and non-negative, got {grouping_tol!r}"
+        )
     if kind.label == "laplacian" and not g.laplacian_safe:
         raise LaplacianProductUnsupported(
             "Laplacian walk on a direct product with an irregular factor is "

@@ -6,7 +6,7 @@ closed-form evaluators for products of complete graphs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product as iter_product
 from typing import Callable, Sequence
@@ -30,11 +30,34 @@ GOLDEN = (math.sqrt(5) - 1) / 2
 _GRID_BLOCK = 1 << 16
 
 
+def _phase_table(span: float, points: int, eigenvalues: np.ndarray) -> np.ndarray:
+    """exp(i t_m lambda_j) on the grid t_m of np.linspace(0, span, points)."""
+    return np.exp(1j * np.outer(np.linspace(0.0, span, points), eigenvalues))
+
+
+def _check_grid(t_max: float | None, steps: int | None) -> None:
+    """Reject a scan horizon that is not finite and positive, or fewer than 2 grid points."""
+    if t_max is not None:
+        if not math.isfinite(t_max):
+            raise ValueError("t_max must be finite")
+        if t_max <= 0:
+            raise ValueError("t_max must be positive")
+    if steps is not None and steps < 2:
+        raise ValueError("need at least 2 steps")
+
+
 @dataclass(frozen=True)
 class WalkEvaluator:
     """Evaluates U(t) = sum_j exp(i t lambda_j) E_j for one decomposition."""
 
     dec: SpectralDecomposition
+    # The one-period phase table depends only on the grid and the spectrum,
+    # so every vertex scanned over the same period shares it.  One entry,
+    # keyed by (span, points), holds no more than the table a scan builds
+    # anyway; the periodic vertices of a graph seldom alternate periods.
+    _period_table: dict[tuple[float, int], np.ndarray] = field(
+        default_factory=dict, compare=False, hash=False, repr=False
+    )
 
     @property
     def n(self) -> int:
@@ -86,13 +109,19 @@ class WalkEvaluator:
 
     def diagonal_series(self, u: int, t_max: float, steps: int) -> np.ndarray:
         """Uniform (t, |U(t)_{u,u}|) grid including both endpoints; shape (steps, 2)."""
-        if t_max <= 0:
-            raise ValueError("t_max must be positive")
-        if steps < 2:
-            raise ValueError("need at least 2 steps")
+        _check_grid(t_max, steps)
         times = np.linspace(0.0, t_max, steps)
         mags = np.abs(self.diagonal_amplitudes(u, times))
         return np.column_stack([times, mags])
+
+    def _period_phases(self, span: float, points: int) -> np.ndarray:
+        """The phase table of the one-period grid, built once per (span, points)."""
+        key = (span, points)
+        table = self._period_table.get(key)
+        if table is None:
+            self._period_table.clear()
+            table = self._period_table[key] = _phase_table(span, points, self.dec.eigenvalues)
+        return table
 
     def infimum_diagonal(
         self,
@@ -127,16 +156,18 @@ class WalkEvaluator:
             pts = grid_points or max(50001, min(1_000_001, auto))
             mode = InfimumMode.GRID_LOWER_CONFIDENCE
         step = span / (pts - 1)
+        weights = self.dec.diagonal_weights(u)
         if mode is InfimumMode.GRID_LOWER_CONFIDENCE:
             mags = self.diagonal_grid_magnitudes(u, span, pts)
         else:
-            mags = np.abs(self.diagonal_amplitudes(u, np.linspace(0.0, span, pts)))
+            mags = np.abs(self._period_phases(span, pts) @ weights)
         seeds = np.argpartition(mags, min(5, pts) - 1)[:5]
         seeds = seeds[np.argsort(mags[seeds], kind="stable")].tolist()
         # grid time i exactly as np.linspace(0, span, pts) computes it
         time_at = lambda i: span if i == pts - 1 else i * step
-        weights = self.dec.diagonal_weights(u)
-        f = lambda t: abs(complex(np.dot(np.exp(1j * t * self.dec.eigenvalues), weights)))
+        ilam = 1j * self.dec.eigenvalues
+        weights_c = weights.astype(complex)
+        f = lambda t: abs(complex(np.dot(np.exp(t * ilam), weights_c)))
         best_val = float(mags[seeds[0]])
         best_t = time_at(seeds[0])
         for i in seeds:

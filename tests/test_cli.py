@@ -103,11 +103,36 @@ def test_series_endpoint_included(capsys):
     assert float(rows[-1][0]) == pytest.approx(6.2832)
 
 
-@pytest.mark.parametrize("flag,value", [("--tmax", "-1"), ("--tmax", "0"), ("--steps", "1")])
+BAD_GRID_FLAGS = [
+    ("--tmax", "-1"),
+    ("--tmax", "0"),
+    ("--tmax", "nan"),
+    ("--tmax", "inf"),
+    ("--steps", "1"),
+]
+
+
+@pytest.mark.parametrize("flag,value", BAD_GRID_FLAGS)
 def test_series_rejects_bad_grid(capsys, flag, value):
     rc, out, err = run(capsys, "series", "--graph", "K(2)", "--vertex", "0", flag, value)
     assert rc == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag,value", BAD_GRID_FLAGS + [("--steps", "0"), ("--steps", "-3")])
+@pytest.mark.parametrize("command", ["classify", "analyze"])
+def test_scan_rejects_bad_grid(capsys, command, flag, value):
+    rc, out, err = run(capsys, command, "--graph", "P(5)", flag, value)
+    assert rc == 2 and out == ""
+    want = "need at least 2 steps" if flag == "--steps" else "t_max must be"
+    assert err.startswith("error: " + want)
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_spectrum_rejects_bad_tolerance(capsys, value):
+    rc, out, err = run(capsys, "spectrum", "--graph", "C(4)", "--vertex", "0", "--tol", value)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: grouping tolerance")
 
 
 def test_exit_code_for_unsupported_laplacian(capsys):

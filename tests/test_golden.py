@@ -18,16 +18,20 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sedwalk import (
+    InfimumMode,
     MatrixKind,
+    WalkEvaluator,
     WeightedGraph,
     blow_up,
     classify_all,
     cocktail_party,
     complete,
     complete_multipartite,
+    decompose,
     direct_product,
     parse_graph,
     star,
@@ -132,6 +136,30 @@ def test_classify_all_matches_golden(golden, name, kind):
 
 def test_golden_covers_every_graph(golden):
     assert set(golden) == {_key(name, kind) for name in GRAPHS for kind in KINDS}
+
+
+# the golden list already holds Gamma(2,1,1,2)
+SHARED_TABLE_GRAPHS = [*GRAPHS, "CP(8)", "KM(3,3,2)"]
+SHARED_TABLE_KINDS = (*KINDS, MatrixKind.parse("Mq:-1"))
+
+
+@pytest.mark.parametrize("kind", SHARED_TABLE_KINDS, ids=lambda k: k.short_name)
+@pytest.mark.parametrize("name", SHARED_TABLE_GRAPHS)
+def test_shared_period_table_changes_no_bits(name, kind):
+    """Vertices scanned through one shared phase table get the exact bits
+    of a scan on its own, and the table gives the grid of a direct evaluation."""
+    g = GRAPHS[name]() if name in GRAPHS else parse_graph(name)
+    dec = decompose(g, kind)
+    shared = WalkEvaluator(dec)
+    for u, rec in enumerate(classify_all(g, kind, dec)):
+        scan = rec.evidence
+        if scan.mode is not InfimumMode.EXACT_ON_PERIOD or scan.grid_points == 1:
+            continue
+        assert scan == WalkEvaluator(dec).infimum_diagonal(u), u
+        span, pts = scan.horizon, scan.grid_points
+        got = np.abs(shared._period_phases(span, pts) @ dec.diagonal_weights(u))
+        want = np.abs(shared.diagonal_amplitudes(u, np.linspace(0.0, span, pts)))
+        assert np.array_equal(got, want), u
 
 
 def main() -> None:

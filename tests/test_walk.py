@@ -13,6 +13,7 @@ from sedwalk import (
     InfimumMode,
     MatrixKind,
     WalkEvaluator,
+    classify_all,
     cocktail_party,
     complete,
     complete_product_cosine_terms,
@@ -24,6 +25,7 @@ from sedwalk import (
     path,
     product_diagonal_km_y,
 )
+from sedwalk import walk as walk_module
 from sedwalk.graphs import WeightedGraph
 from sedwalk.walk import _golden_min
 
@@ -254,3 +256,20 @@ def test_golden_min_stops_where_doubles_outgrow_the_tolerance():
     t, v = _golden_min(lambda s: (s - 6e5) ** 2, 6e5 - 0.1, 6e5 + 0.1)
     assert abs(t - 6e5) < 1e-9
     assert v < 1e-18
+
+
+def test_period_table_built_once_per_period(monkeypatch):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return phase_table(*args)
+
+    phase_table = walk_module._phase_table
+    monkeypatch.setattr(walk_module, "_phase_table", counted)
+    records = classify_all(cocktail_party(12), MatrixKind.laplacian())
+    scans = {(r.evidence.mode, r.evidence.horizon, r.evidence.grid_points) for r in records}
+    assert len(records) == 24 and len(scans) == 1
+    assert next(iter(scans))[0] is InfimumMode.EXACT_ON_PERIOD
+    assert calls == 1
