@@ -528,7 +528,7 @@ def _add_output(sp: argparse.ArgumentParser, formats: tuple[str, ...], default: 
 
 def _add_numeric_knobs(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--tmax", type=float, help="time horizon for scans/series")
-    sp.add_argument("--steps", type=int, help="grid resolution for scans/series")
+    sp.add_argument("--steps", type=int, help="grid points of series and of bounded-horizon scans")
     sp.add_argument("--tol", type=float, help="eigenvalue grouping tolerance override")
 
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .numtheory import QuadraticIntegerForm, is_perfect_square, nu2, square_free_part
 from .sedentary import (
     EqualityTime,
@@ -30,7 +28,7 @@ from .sedentary import (
     equality_time_criterion,
     real_diagonal_zero_search,
 )
-from .walk import _golden_min, complete_product_cosine_terms
+from .walk import _cosine_minimum, complete_product_cosine_terms
 
 __all__ = [
     "FamilyVerdict",
@@ -612,24 +610,15 @@ def complete_product_verdict(factors: Sequence[int]) -> FamilyVerdict:
         zero = real_diagonal_zero_search(terms, 2.0 * math.pi)
         if zero is not None:
             return FamilyVerdict(Verdict.NOT_SEDENTARY, "product-cosine-zero", time=zero)
-        # no sign change over a full period: the diagonal is a known real
-        # function, so its minimum is an honest constant
-        grid = np.linspace(0.0, 2.0 * math.pi, 20001)
-        f = np.zeros_like(grid)
-        for coeff, freq in terms:
-            f += coeff * np.cos(freq * grid)
-        absf = np.abs(f)
-        k = int(np.argmin(absf))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, len(grid) - 1)]
-        t_min, val = _golden_min(
-            lambda t: abs(sum(c * math.cos(w * t) for c, w in terms)), lo, hi
-        )
+        # no sign change: the least value at the critical points is an honest constant
+        found = _cosine_minimum(terms)
+        if found is None:
+            return FamilyVerdict(Verdict.UNDETERMINED, "product-over-cap", certified=False)
         return FamilyVerdict(
             Verdict.SEDENTARY,
             "product-cosine-min",
-            constant=val,
-            time=t_min,
+            constant=found[1],
+            time=found[0],
             tight=True,
             sharp=False,
         )

@@ -22,8 +22,8 @@ and each stage appends its step to the certificate trail:
    whether the floor is approached in the limit (sharp) or stays strictly
    below the infimum.
 
-Grid scans over one period (or a declared horizon) supply the numeric
-evidence attached to every verdict.
+The exact one-period minimum, or else a bounded-horizon grid scan, is the
+numeric evidence attached to every verdict.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .numtheory import (
     RelationParity,
     RelationParityResult,
     fraction_gcd,
-    gcd_set,
     integer_relation_parity,
     nu2,
     nu2_fraction,
@@ -58,7 +57,9 @@ from .spectral import (
     decompose,
 )
 from .twins import TwinSet, find_twin_sets, twin_dichotomy
-from .walk import InfimumEstimate, WalkEvaluator, _check_grid, _golden_min
+from .walk import (
+    InfimumEstimate, WalkEvaluator, _bounded_grid, _check_grid, _cosine_minimum, _grid_minimum
+)
 
 __all__ = [
     "Verdict",
@@ -394,7 +395,7 @@ def _period_minimum(
 
     The minimum may not dip below a certified floor.  When it matches a
     dip that the equality mechanism certifies, the exact dip and its first
-    time replace the sampled ones, earliest time first.
+    time replace the computed ones, earliest time first.
     """
     if floor is not None and scan.value < floor - MATCH_TOL:
         raise ValueError("period minimum dipped below the certified floor")
@@ -454,16 +455,11 @@ def _pst_partner_scan(
     return None
 
 
-def _classify(
-    facts: _GraphFacts, u: int, grid_points: int | None, horizon: float | None
-) -> VertexClassification:
+def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassification:
     """The staged decision tree for one vertex; see the module docstring."""
     dec, ev = facts.dec, facts.evaluator
     sup = dec.support(u)
     twin_set = facts.twin_of.get(u)
-    if twin_set is not None:
-        grid_points = horizon = None  # the scan overrides reach only vertices without a twin
-    scan = ev.infimum_diagonal(u, grid_points=grid_points, horizon=horizon)
     trail: list[str] = []
 
     def record(verdict: Verdict, certified: bool = True, **fields) -> VertexClassification:
@@ -574,10 +570,10 @@ def classify_all(
 
     The graph-level facts are computed once and shared by every vertex:
     the decomposition and its walk evaluator, and the twin sets that meet
-    ``vertices``.
+    ``vertices``, and one scan per twin set (twins share their diagonal).
     Pass ``dec`` or ``twin_sets`` to reuse ones the caller already holds.
-    ``grid_points`` and ``horizon`` override the scan of vertices that
-    have no twin; they are checked even when no vertex uses them.
+    ``grid_points`` and ``horizon`` size the scan of vertices with neither a
+    twin nor a period; they are checked even when no vertex uses them.
     """
     _check_grid(horizon, grid_points)
     verts = list(range(g.n) if vertices is None else vertices)
@@ -590,7 +586,13 @@ def classify_all(
         twin_sets = find_twin_sets(g, verts)
     twin_of = {m: ts for ts in twin_sets for m in ts.members}
     facts = _GraphFacts(g, kind, dec, WalkEvaluator(dec), twin_of)
-    return [_classify(facts, u, grid_points, horizon) for u in verts]
+    scans: dict[object, InfimumEstimate] = {}
+    for u in verts:
+        key = twin_of.get(u, u)
+        if key not in scans:
+            overrides = () if u in twin_of else (grid_points, horizon)
+            scans[key] = facts.evaluator.infimum_diagonal(u, *overrides)
+    return [_classify(facts, u, scans[twin_of.get(u, u)]) for u in verts]
 
 
 def classify_vertex(
@@ -682,43 +684,30 @@ def bipartite_double_sedentary(
 ) -> RealDiagonalInfimum:
     """Infimum of |Re U_Y(t)_{v,v}|, the double's diagonal through vertex v.
 
-    An integer support gives an exact answer over one full period of the
-    real part; otherwise the scan is bounded-horizon evidence, except
-    that a sign change still proves a zero.
+    An integer support gives the exact minimum over one period of the real
+    part; otherwise, or above the degree cap, a grid scan is uncertified
+    evidence, except that a sign change still proves a zero.
     """
+    _check_grid(horizon, grid_points)
     sup = dec_y.support(v)
     terms = [(float(w), float(lam)) for w, lam in zip(sup.weights, sup.values)]
     form, _ = _exact_support(sup.values)
-    certified = False
-    if form is not None and form.all_integer:
-        ints = [abs(form.a + b) // 2 for b in form.b if form.a + b != 0]
-        if not ints:
-            return RealDiagonalInfimum(1.0, 0.0, True, None)
-        span = 2.0 * math.pi / gcd_set(ints)
-        certified = True
-    else:
-        gap = dec_y.min_gap()
-        span = horizon if horizon is not None else 200.0 * 2.0 * math.pi / gap
+    freqs = [abs(b) // 2 for b in form.b] if form is not None and form.all_integer else []
+    if freqs and not any(freqs):
+        return RealDiagonalInfimum(1.0, 0.0, True, None)
+    period = 2.0 * math.pi / math.gcd(*freqs) if freqs else None  # of the real part
+    span, pts = _bounded_grid(dec_y, grid_points, period or horizon)
     zero = real_diagonal_zero_search(terms, span)
     if zero is not None:
         return RealDiagonalInfimum(0.0, zero, True, zero)
-
-    def f(t: float) -> float:
-        return abs(sum(c * math.cos(fr * t) for c, fr in terms))
-
-    pts = grid_points or 20001
+    found = _cosine_minimum(list(zip(sup.weights, freqs))) if freqs else None
+    if found is not None:
+        return RealDiagonalInfimum(found[1], found[0], True, None)
     times = np.linspace(0.0, span, pts)
-    lam = np.array([fr for _, fr in terms])
-    coef = np.array([c for c, _ in terms])
-    mags = np.abs(np.cos(np.outer(times, lam)) @ coef)
-    i = int(np.argmin(mags))
-    best_t, best_v = float(times[i]), float(mags[i])
-    step = span / (pts - 1)
-    lo, hi = max(0.0, best_t - step), min(span, best_t + step)
-    t_ref, v_ref = _golden_min(f, lo, hi)
-    if v_ref < best_v:
-        best_t, best_v = t_ref, v_ref
-    return RealDiagonalInfimum(best_v, best_t, certified, None)
+    mags = np.abs(sum(c * np.cos(fr * times) for c, fr in terms))
+    f = lambda t: abs(sum(c * math.cos(fr * t) for c, fr in terms))
+    t, value = _grid_minimum(mags, f, span)
+    return RealDiagonalInfimum(value, t, False, None)
 
 
 def double_cone_real_minimum(d: int, s: int) -> tuple[float, float]:

@@ -6,7 +6,7 @@ closed-form evaluators for products of complete graphs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product as iter_product
 from typing import Callable, Sequence
@@ -28,11 +28,8 @@ __all__ = [
 GOLDEN = (math.sqrt(5) - 1) / 2
 # Grid values per block of the baby-step/giant-step product.
 _GRID_BLOCK = 1 << 16
-
-
-def _phase_table(span: float, points: int, eigenvalues: np.ndarray) -> np.ndarray:
-    """exp(i t_m lambda_j) on the grid t_m of np.linspace(0, span, points)."""
-    return np.exp(1j * np.outer(np.linspace(0.0, span, points), eigenvalues))
+# Highest degree minimized exactly: the O(D^3) root solve takes 0.24 s at 512.
+_MAX_DEGREE = 512
 
 
 def _check_grid(t_max: float | None, steps: int | None) -> None:
@@ -46,18 +43,78 @@ def _check_grid(t_max: float | None, steps: int | None) -> None:
         raise ValueError("need at least 2 steps")
 
 
+def _critical_angles(coefficients: np.ndarray) -> np.ndarray | None:
+    """Ascending angles in [0, pi] holding every minimizer over a period of
+    p(cos theta), p = sum_d coefficients[d] T_d; None above ``_MAX_DEGREE``.
+
+    They are 0, pi, the roots of p' (colleague-matrix eigenvalues projected onto
+    the real axis) and the mean of each cluster of roots within 1e-3, into which
+    the solver scatters a multiple root."""
+    if len(coefficients) - 1 > _MAX_DEGREE:
+        return None
+    from numpy.polynomial import chebyshev  # about 1 MB: loaded only where a period is solved
+    roots = np.sort_complex(chebyshev.chebroots(chebyshev.chebder(coefficients)))
+    clusters = np.split(roots, np.flatnonzero(np.abs(np.diff(roots)) > 1e-3) + 1)
+    means = [c.mean().real for c in clusters if len(c) > 1]
+    xs = np.concatenate([roots.real, means, [-1.0, 1.0]])
+    return np.unique(np.arccos(np.clip(xs, -1.0, 1.0)))
+
+
+def _earliest_minimum(times: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """(time, least value), the time earliest among values tied within 32 ulps of 1."""
+    least = values.min()
+    return float(times[np.argmax(values <= least + 32 * np.finfo(float).eps)]), float(least)
+
+
+def _cosine_minimum(terms: Sequence[tuple[float, int]]) -> tuple[float, float] | None:
+    """Earliest (time, value) minimum over a period of |sum c cos(f t)|, the
+    Chebyshev series sum c T_{f/omega}(cos omega t) with omega = gcd(f), for
+    (c, f) in ``terms``, integers f >= 0 not all zero; None above the cap.
+    A sign change is no critical point, so the caller rules it out first."""
+    coefficients, frequencies = zip(*terms)
+    omega = math.gcd(*frequencies)
+    angles = _critical_angles(np.bincount([f // omega for f in frequencies], coefficients))
+    if angles is None:
+        return None
+    times = angles / omega
+    return _earliest_minimum(times, np.abs(np.cos(np.outer(times, frequencies)) @ coefficients))
+
+
+def _bounded_grid(
+    dec: SpectralDecomposition, grid_points: int | None, horizon: float | None
+) -> tuple[float, int]:
+    """(span, points) of a bounded scan: by default 200 periods of the least
+    eigenvalue gap, 16 points per period of the spread, 50,001 to 1,000,001."""
+    span = horizon if horizon is not None else 200.0 * 2.0 * math.pi / dec.min_gap()
+    spread = float(dec.eigenvalues[0] - dec.eigenvalues[-1])
+    auto = int(span * max(spread, 1.0) * 16 / (2 * math.pi))
+    return span, grid_points or max(50001, min(1_000_001, auto))
+
+
+def _grid_minimum(
+    mags: np.ndarray, f: Callable[[float], float], span: float
+) -> tuple[float, float]:
+    """Least (time, f) from the five lowest ``mags`` on np.linspace(0, span, len(mags)),
+    each refined by golden section within one grid step."""
+    pts = len(mags)
+    step = span / (pts - 1)
+    seeds = np.argpartition(mags, min(5, pts) - 1)[:5]
+    seeds = seeds[np.argsort(mags[seeds], kind="stable")].tolist()
+    # grid time i exactly as np.linspace(0, span, pts) computes it
+    time_at = lambda i: span if i == pts - 1 else i * step
+    best_t, best_val = time_at(seeds[0]), float(mags[seeds[0]])
+    for i in seeds:
+        t_ref, v_ref = _golden_min(f, max(0.0, time_at(i) - step), min(span, time_at(i) + step))
+        if v_ref < best_val:
+            best_t, best_val = t_ref, v_ref
+    return best_t, best_val
+
+
 @dataclass(frozen=True)
 class WalkEvaluator:
     """Evaluates U(t) = sum_j exp(i t lambda_j) E_j for one decomposition."""
 
     dec: SpectralDecomposition
-    # The one-period phase table depends only on the grid and the spectrum,
-    # so every vertex scanned over the same period shares it.  One entry,
-    # keyed by (span, points), holds no more than the table a scan builds
-    # anyway; the periodic vertices of a graph seldom alternate periods.
-    _period_table: dict[tuple[float, int], np.ndarray] = field(
-        default_factory=dict, compare=False, hash=False, repr=False
-    )
 
     @property
     def n(self) -> int:
@@ -114,75 +171,42 @@ class WalkEvaluator:
         mags = np.abs(self.diagonal_amplitudes(u, times))
         return np.column_stack([times, mags])
 
-    def _period_phases(self, span: float, points: int) -> np.ndarray:
-        """The phase table of the one-period grid, built once per (span, points)."""
-        key = (span, points)
-        table = self._period_table.get(key)
-        if table is None:
-            self._period_table.clear()
-            table = self._period_table[key] = _phase_table(span, points, self.dec.eigenvalues)
-        return table
-
     def infimum_diagonal(
         self,
         u: int,
         grid_points: int | None = None,
         horizon: float | None = None,
     ) -> "InfimumEstimate":
-        """Estimate inf_{t>0} |U(t)_{u,u}|.
+        """inf_{t>0} |U(t)_{u,u}|.
 
-        Periodic vertices get the exact minimum over one period (dense grid
-        plus golden-section refinement); everything else gets a bounded-horizon
-        scan whose value is an upper bound on the infimum, never a certificate.
-        """
+        A periodic vertex has lambda_j = lambda_min + m_j omega, omega =
+        g sqrt(delta), integers m_j, so |U|^2 = |sum_j w_j e^{i m_j omega t}|^2
+        = r_0 + 2 sum_d r_d T_d(cos omega t), r the autocorrelation of the
+        weights at the m_j; |U| at its critical angles is the exact minimum
+        over one period.  Other vertices, and series above ``_MAX_DEGREE``,
+        get a bounded scan sized by ``grid_points`` and ``horizon``, which
+        only upper-bounds the infimum."""
         per = self.dec.periodicity(u)
         if per.constant_diagonal:
-            return InfimumEstimate(
-                value=1.0,
-                attained_time=0.0,
-                mode=InfimumMode.EXACT_ON_PERIOD,
-                grid_points=1,
-                horizon=0.0,
-            )
+            return InfimumEstimate(1.0, 0.0, InfimumMode.EXACT_ON_PERIOD, 1, 0.0)
+        angles = None
         if per.recognized and per.period is not None:
-            span = per.period
-            pts = grid_points or 20001
-            mode = InfimumMode.EXACT_ON_PERIOD
-        else:
-            gap = self.dec.min_gap()
-            span = horizon if horizon is not None else 200.0 * 2.0 * math.pi / gap
-            spread = float(self.dec.eigenvalues[0] - self.dec.eigenvalues[-1])
-            auto = int(span * max(spread, 1.0) * 16 / (2 * math.pi))
-            pts = grid_points or max(50001, min(1_000_001, auto))
-            mode = InfimumMode.GRID_LOWER_CONFIDENCE
-        step = span / (pts - 1)
-        weights = self.dec.diagonal_weights(u)
-        if mode is InfimumMode.GRID_LOWER_CONFIDENCE:
-            mags = self.diagonal_grid_magnitudes(u, span, pts)
-        else:
-            mags = np.abs(self._period_phases(span, pts) @ weights)
-        seeds = np.argpartition(mags, min(5, pts) - 1)[:5]
-        seeds = seeds[np.argsort(mags[seeds], kind="stable")].tolist()
-        # grid time i exactly as np.linspace(0, span, pts) computes it
-        time_at = lambda i: span if i == pts - 1 else i * step
-        ilam = 1j * self.dec.eigenvalues
-        weights_c = weights.astype(complex)
-        f = lambda t: abs(complex(np.dot(np.exp(t * ilam), weights_c)))
-        best_val = float(mags[seeds[0]])
-        best_t = time_at(seeds[0])
-        for i in seeds:
-            a = max(0.0, time_at(i) - step)
-            b = min(span, time_at(i) + step)
-            t_ref, v_ref = _golden_min(f, a, b)
-            if v_ref < best_val:
-                best_val, best_t = v_ref, t_ref
-        return InfimumEstimate(
-            value=best_val,
-            attained_time=best_t,
-            mode=mode,
-            grid_points=pts,
-            horizon=span,
-        )
+            form, g = per.form, per.g
+            base = form.b.index(min(form.b))
+            exponents = [int(form.scaled_difference(j, base) / g) for j in range(len(form))]
+            q = np.bincount(exponents, self.dec.support(u).weights)
+            r = np.correlate(q, q, "full")[len(q) - 1 :]
+            angles = _critical_angles(np.concatenate([r[:1], 2.0 * r[1:]]))
+        if angles is None:
+            span, pts = _bounded_grid(self.dec, grid_points, horizon)
+            ilam = 1j * self.dec.eigenvalues
+            weights = self.dec.diagonal_weights(u).astype(complex)
+            f = lambda t: abs(complex(np.dot(np.exp(t * ilam), weights)))
+            t, value = _grid_minimum(self.diagonal_grid_magnitudes(u, span, pts), f, span)
+            return InfimumEstimate(value, t, InfimumMode.GRID_LOWER_CONFIDENCE, pts, span)
+        times = angles / (float(g) * math.sqrt(form.delta))
+        t, value = _earliest_minimum(times, np.abs(self.diagonal_amplitudes(u, times)))
+        return InfimumEstimate(value, t, InfimumMode.EXACT_ON_PERIOD, len(times), per.period)
 
 
 class InfimumMode(Enum):
@@ -192,12 +216,9 @@ class InfimumMode(Enum):
 
 @dataclass(frozen=True)
 class InfimumEstimate:
-    """Minimum of the diagonal magnitude found by sampling.
-
-    With mode EXACT_ON_PERIOD the search covered one full period, so the value
-    is the true infimum up to the refinement error; GRID_LOWER_CONFIDENCE only
-    upper-bounds the infimum.
-    """
+    """Minimum of the diagonal magnitude and a time attaining it: the infimum
+    itself with EXACT_ON_PERIOD (least |U| over ``grid_points`` critical times of
+    one period, the ``horizon``), an upper bound with GRID_LOWER_CONFIDENCE."""
 
     value: float
     attained_time: float | None
@@ -280,7 +301,7 @@ def complete_product_diagonal(m_list: Sequence[int], t: float) -> complex:
     return total / math.prod(ms)
 
 
-def complete_product_cosine_terms(m_list: Sequence[int]) -> list[tuple[float, float]] | None:
+def complete_product_cosine_terms(m_list: Sequence[int]) -> list[tuple[float, int]] | None:
     """Cosine form of the product diagonal when some factor equals 2.
 
     Pairing subsets through a fixed m = 2 factor collapses the phases into
@@ -297,7 +318,7 @@ def complete_product_cosine_terms(m_list: Sequence[int]) -> list[tuple[float, fl
         return None
     rest = [m for i, m in enumerate(ms) if i != pivot]
     denom = math.prod(ms)
-    terms: dict[float, float] = {}
+    terms: dict[int, float] = {}
     for mask in iter_product((0, 1), repeat=len(rest)):
         coeff = 1
         outside = 1
@@ -306,8 +327,7 @@ def complete_product_cosine_terms(m_list: Sequence[int]) -> list[tuple[float, fl
                 coeff *= m - 1
             else:
                 outside *= m - 1
-        freq = float(outside)
-        terms[freq] = terms.get(freq, 0.0) + 2.0 * coeff / denom
+        terms[outside] = terms.get(outside, 0.0) + 2.0 * coeff / denom
     return sorted(((c, f) for f, c in terms.items()), reverse=True)
 
 

@@ -21,6 +21,27 @@ def oracle():
     return evolve
 
 
+@pytest.fixture(scope="session")
+def period_reference():
+    """Checks an exact one-period minimum of |U(t)_{u,u}| against the grid
+    np.linspace(0, period, points), sampled by the baby-step/giant-step
+    kernel (itself checked against direct phases in test_walk).  The value
+    may not lie above the grid minimum, nor below it by more than half the
+    step times the Lipschitz bound sum_j w_j (lambda_j - lambda_min), and |U|
+    at the reported time must equal it."""
+
+    def check(ev, u: int, scan, points: int = 200_001) -> None:
+        grid_min = float(ev.diagonal_grid_magnitudes(u, scan.horizon, points).min())
+        lam = ev.dec.eigenvalues
+        slope = float(ev.dec.diagonal_weights(u) @ (lam - lam.min()))
+        step = scan.horizon / (points - 1)
+        assert scan.value <= grid_min + 1e-12, (u, scan.value, grid_min)
+        assert scan.value >= grid_min - slope * step / 2, (u, scan.value, grid_min)
+        assert abs(ev.magnitude(u, u, scan.attained_time) - scan.value) <= 1e-12, u
+
+    return check
+
+
 def _connected(g: WeightedGraph) -> bool:
     seen = {0}
     stack = [0]

@@ -23,11 +23,13 @@ from sedwalk import (
     classify_vertex,
     cocktail_party,
     complete,
+    complete_product_cosine_terms,
     cycle,
     decompose,
     equality_time_criterion,
     join,
     join_sedentary_transfer,
+    parse_graph,
     path,
     pgst_parity_criterion,
     projection_sum_bound,
@@ -243,6 +245,33 @@ def test_classify_plain_vertex_honors_grid_knobs():
     assert cls.evidence.grid_points == 5001
 
 
+@pytest.mark.parametrize("kind", [A, L], ids=lambda k: k.short_name)
+def test_cube_zeros_sit_at_a_quarter_period(kind):
+    # every diagonal of the 3-cube is cos(t)^3 up to a phase: a triple zero at pi/2
+    cube = parse_graph("cprod(cprod(K(2),K(2)),K(2))")
+    for rec in classify_all(cube, kind):
+        (step,) = [s for s in rec.certificate if s.startswith("zero-at-minimum:t=")]
+        assert abs(float(step.split("=")[1]) - math.pi / 2) <= 1e-6, rec.vertex
+
+
+def test_mirror_minima_report_the_earliest_time():
+    # |U(t)| of a leaf is even about each period, so its minimum recurs at 2pi - t
+    records = classify_all(star(4), L)
+    for rec in records[1:]:
+        assert rec.tightness_time == pytest.approx(4 * math.pi / 5, abs=1e-9), rec.vertex
+
+
+def test_twin_free_orbit_reports_the_earliest_of_equal_zeros():
+    # a vertex-transitive, twin-free product: every diagonal is Re U(t) of K3 x K3,
+    # with two zeros per half period
+    g = parse_graph("dprod(K(2),dprod(K(3),K(3)))")
+    terms = complete_product_cosine_terms([2, 3, 3])
+    first = real_diagonal_zero_search(terms, 2 * math.pi)
+    for rec in classify_all(g, A):
+        (step,) = [s for s in rec.certificate if s.startswith("zero-at-minimum:t=")]
+        assert float(step.split("=")[1]) == pytest.approx(first, abs=1e-6), rec.vertex
+
+
 def test_classify_all_shares_decomposition():
     g = complete(3)
     out = classify_all(g, A)
@@ -345,6 +374,16 @@ def test_double_diagonal_uncertified_when_irrational():
     assert not est.certified
     assert est.value > 0
     assert est.sedentary is None
+
+
+@pytest.mark.parametrize(
+    "horizon,grid_points",
+    [(math.inf, None), (math.nan, None), (0.0, None), (-1.0, None), (None, 0), (None, 1)],
+)
+def test_double_diagonal_rejects_bad_grid(horizon, grid_points):
+    dec = decompose(path(5))
+    with pytest.raises(ValueError):
+        bipartite_double_sedentary(dec, 0, horizon=horizon, grid_points=grid_points)
 
 
 def test_double_cone_closed_form():

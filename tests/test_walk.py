@@ -20,13 +20,16 @@ from sedwalk import (
     complete_product_diagonal,
     decompose,
     direct_product,
+    find_twin_sets,
     join,
     join_perturbation_bound,
     path,
     product_diagonal_km_y,
+    star,
 )
 from sedwalk import walk as walk_module
 from sedwalk.graphs import WeightedGraph
+from sedwalk.spectral import SpectralDecomposition
 from sedwalk.walk import _golden_min
 
 KINDS = [MatrixKind.adjacency(), MatrixKind.laplacian(), MatrixKind.generalized(Fraction(1, 2))]
@@ -258,18 +261,70 @@ def test_golden_min_stops_where_doubles_outgrow_the_tolerance():
     assert v < 1e-18
 
 
-def test_period_table_built_once_per_period(monkeypatch):
+def test_minimizer_runs_once_per_twin_set(monkeypatch):
     calls = 0
 
-    def counted(*args):
+    def counted(coefficients):
         nonlocal calls
         calls += 1
-        return phase_table(*args)
+        return critical_angles(coefficients)
 
-    phase_table = walk_module._phase_table
-    monkeypatch.setattr(walk_module, "_phase_table", counted)
-    records = classify_all(cocktail_party(12), MatrixKind.laplacian())
-    scans = {(r.evidence.mode, r.evidence.horizon, r.evidence.grid_points) for r in records}
-    assert len(records) == 24 and len(scans) == 1
-    assert next(iter(scans))[0] is InfimumMode.EXACT_ON_PERIOD
-    assert calls == 1
+    critical_angles = walk_module._critical_angles
+    monkeypatch.setattr(walk_module, "_critical_angles", counted)
+    g = cocktail_party(6)
+    records = classify_all(g, MatrixKind.laplacian())
+    assert len(records) == 12 and calls == 6
+    assert records[0].evidence.mode is InfimumMode.EXACT_ON_PERIOD
+    for ts in find_twin_sets(g):
+        first = records[ts.members[0]].evidence
+        assert all(records[m].evidence == first for m in ts.members)
+
+
+def _decomposition_with_support(eigenvalues, weights) -> SpectralDecomposition:
+    """One class per eigenvalue, with diagonal weights ``weights`` at vertex 0."""
+    order = np.argsort(eigenvalues)[::-1]
+    lam = np.asarray(eigenvalues, dtype=float)[order]
+    root = np.sqrt(np.asarray(weights, dtype=float)[order])
+    # the Householder reflection swapping e_0 and root: orthogonal, with row 0 = root
+    v = root - np.eye(len(root))[0]
+    vectors = np.eye(len(root)) - 2.0 * np.outer(v, v) / (v @ v)
+    k = len(lam)
+    return SpectralDecomposition(
+        MatrixKind.adjacency(), lam, vectors, (1,) * k, np.arange(k), 1e-7
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_period_minimum_against_dense_grid(period_reference, seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 9))
+    exponents = rng.choice(41, size=k, replace=False)
+    weights = rng.uniform(0.05, 1.0, size=k)
+    offset = int(rng.integers(-5, 6))
+    ev = WalkEvaluator(_decomposition_with_support(exponents + offset, weights / weights.sum()))
+    est = ev.infimum_diagonal(0)
+    assert est.mode is InfimumMode.EXACT_ON_PERIOD
+    period_reference(ev, 0, est)
+
+
+def test_period_minimum_of_a_double_zero():
+    # q(z) = z^12/24 + z/2 + 11/24 has a double root at z = -1, an end of the half period
+    est = WalkEvaluator(decompose(cocktail_party(12))).infimum_diagonal(2)
+    assert est.certified and est.value <= 1e-14
+    assert est.attained_time == pytest.approx(math.pi / 2, abs=1e-6)
+    # q(z) = (1 + z + z^2)^2 / 9 has double roots inside it, at z = exp(+-2 pi i / 3);
+    # the solver scatters the triple root of the derivative, and the cluster mean finds it
+    dec = _decomposition_with_support(np.arange(5), np.array([1, 2, 3, 2, 1]) / 9)
+    est = WalkEvaluator(dec).infimum_diagonal(0)
+    assert est.value <= 1e-14
+    assert est.attained_time == pytest.approx(2 * math.pi / 3, abs=1e-9)
+
+
+def test_series_above_the_degree_cap_is_not_certified(monkeypatch):
+    # a leaf of star(5) under L has support {0, 1, 6}: a series of degree 6
+    ev = WalkEvaluator(decompose(star(5), MatrixKind.laplacian()))
+    assert ev.infimum_diagonal(1).certified
+    monkeypatch.setattr(walk_module, "_MAX_DEGREE", 4)
+    est = ev.infimum_diagonal(1)
+    assert est.mode is InfimumMode.GRID_LOWER_CONFIDENCE
+    assert not est.certified
