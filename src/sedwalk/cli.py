@@ -101,18 +101,59 @@ def _csv_val(x: object) -> str:
     return str(x)
 
 
-def _round_floats(obj: object) -> object:
+# The stdlib encoder's string quoting (ensure_ascii); it raises TypeError on a
+# key that is not a str, where json.dumps would coerce it.
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_num(x: float) -> str:
+    """``json.dumps(float(f"{x:.12g}"))`` without the round trip.
+
+    Without an exponent, s = f"{x:.12g}" holds at most 12 significant digits,
+    so it is the shortest decimal of float(s) (two such decimals lie further
+    apart than the spacing of doubles) and lies where repr is positional;
+    repr differs only by the ``.0`` of an integral value."""
+    s = f"{x:.12g}"
+    if "e" in s or "n" in s:  # exponent form, nan, inf
+        return json.dumps(float(s))
+    return s if "." in s else s + ".0"
+
+
+def _json_lines(obj: object, pad: str) -> str:
+    """``obj`` in the ``indent=2`` layout, nested at ``pad`` (a newline and spaces)."""
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return _json_num(obj)
+    if isinstance(obj, str):
+        return _json_str(obj)
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, obj)) == {float}:
+            items = map(_json_num, obj)
+        else:
+            items = (_json_lines(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = (f"{_json_str(k)}: {_json_lines(v, inner)}" for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return json.dumps(obj)  # raises TypeError on what JSON cannot hold
 
 
 def _dump_json(obj: object) -> str:
-    return json.dumps(_round_floats(obj), indent=2) + "\n"
+    """``obj`` as ``json.dumps(indent=2)`` lays it out, every float rounded to
+    12 significant digits and printed as the shortest decimal of the rounded
+    value; one pass, no rounded copy of the tree."""
+    return _json_lines(obj, "\n") + "\n"
 
 
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -310,11 +351,9 @@ def cmd_series(args: argparse.Namespace) -> str:
     t_max = args.tmax if args.tmax is not None else 2.0 * math.pi
     steps = args.steps if args.steps is not None else 1001
     verts = _select_vertices(args, g.n)
-    series = [ev.diagonal_series(u, t_max, steps) for u in verts]
+    table = ev.diagonal_series(verts, t_max, steps)
     headers = ["t"] + [f"u{u}" for u in verts]
-    rows = []
-    for i, t in enumerate(series[0][:, 0]):
-        rows.append([_num(float(t))] + [_num(float(col[i, 1])) for col in series])
+    rows = [[f"{x:.12g}" for x in row] for row in table.tolist()]
     return _render_csv(headers, rows)
 
 
@@ -343,20 +382,13 @@ def cmd_spectrum(args: argparse.Namespace) -> str:
     supports = [dec.support(u) for u in verts]
     if args.format == "json":
         return _dump_json(
-            [
-                {
-                    "vertex": sup.vertex,
-                    "values": [float(v) for v in sup.values],
-                    "weights": [float(w) for w in sup.weights],
-                }
-                for sup in supports
-            ]
+            [{"vertex": sup.vertex, "values": sup.values, "weights": sup.weights} for sup in supports]
         )
     headers = ("vertex", "eigenvalue", "weight")
     rows = []
     for sup in supports:
-        for v, w in zip(sup.values, sup.weights):
-            rows.append([str(sup.vertex), _num(float(v)), _num(float(w))])
+        vertex = str(sup.vertex)
+        rows.extend([vertex, f"{v:.12g}", f"{w:.12g}"] for v, w in zip(sup.values, sup.weights))
     if args.format == "csv":
         return _render_csv(headers, rows)
     return _render_table(headers, rows)

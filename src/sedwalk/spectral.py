@@ -134,12 +134,12 @@ class SpectralDecomposition:
         if not 0 <= u < self.n:
             raise ValueError(f"vertex {u} out of range")
         weights = self.diagonal_weights(u)
-        idx = tuple(int(j) for j in np.nonzero(np.sqrt(weights) > support_tol)[0])
+        idx = np.flatnonzero(np.sqrt(weights) > support_tol)
         return EigenvalueSupport(
             vertex=u,
-            indices=idx,
-            values=tuple(float(self.eigenvalues[j]) for j in idx),
-            weights=tuple(float(weights[j]) for j in idx),
+            indices=tuple(idx.tolist()),
+            values=tuple(self.eigenvalues[idx].tolist()),
+            weights=tuple(weights[idx].tolist()),
         )
 
     def strongly_cospectral(

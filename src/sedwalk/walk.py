@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 GOLDEN = (math.sqrt(5) - 1) / 2
-# Grid values per block of the baby-step/giant-step product.
+# Entries per row block of a phase product: the baby-step/giant-step scan and series.
 _GRID_BLOCK = 1 << 16
 # Highest degree minimized exactly: the O(D^3) root solve takes 0.24 s at 512.
 _MAX_DEGREE = 512
@@ -164,12 +164,24 @@ class WalkEvaluator:
         phases = np.exp(1j * np.outer(times, self.dec.eigenvalues))
         return phases @ self.dec.entries(u, v)
 
-    def diagonal_series(self, u: int, t_max: float, steps: int) -> np.ndarray:
-        """Uniform (t, |U(t)_{u,u}|) grid including both endpoints; shape (steps, 2)."""
+    def diagonal_series(self, vertices: Sequence[int], t_max: float, steps: int) -> np.ndarray:
+        """Rows (t, |U(t)_{u,u}| for each u in ``vertices``) on np.linspace(0,
+        t_max, steps); shape (steps, 1 + len(vertices)).
+
+        The phase table exp(i t lambda) is built once for all vertices, in
+        row blocks of about ``_GRID_BLOCK`` entries, so beside the result and
+        its times no temporary grows with ``steps``."""
         _check_grid(t_max, steps)
-        times = np.linspace(0.0, t_max, steps)
-        mags = np.abs(self.diagonal_amplitudes(u, times))
-        return np.column_stack([times, mags])
+        lams = self.dec.eigenvalues
+        weights = [self.dec.diagonal_weights(u) for u in vertices]
+        out = np.empty((steps, 1 + len(weights)))
+        out[:, 0] = np.linspace(0.0, t_max, steps)
+        rows = max(1, _GRID_BLOCK // len(lams))
+        for lo in range(0, steps, rows):
+            block = np.exp(1j * np.outer(out[lo : lo + rows, 0], lams))
+            for col, w in enumerate(weights, start=1):
+                out[lo : lo + rows, col] = np.abs(block @ w)
+        return out
 
     def infimum_diagonal(
         self,

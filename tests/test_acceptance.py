@@ -50,16 +50,10 @@ def evaluator(g, kind) -> WalkEvaluator:
 
 
 def grid_min(ev: WalkEvaluator, u: int, span: float, pts: int) -> tuple[float, float]:
-    """Minimum of |U(t)_{u,u}| on a uniform grid, with its argmin."""
-    best_val, best_t = math.inf, 0.0
-    edges = np.linspace(0.0, span, 5)
-    for a, b in zip(edges[:-1], edges[1:]):
-        ts = np.linspace(a, b, pts // 4)
-        mags = np.abs(ev.diagonal_amplitudes(u, ts))
-        k = int(np.argmin(mags))
-        if mags[k] < best_val:
-            best_val, best_t = float(mags[k]), float(ts[k])
-    return best_val, best_t
+    """Minimum of |U(t)_{u,u}| on np.linspace(0, span, pts), with its argmin."""
+    mags = ev.diagonal_grid_magnitudes(u, span, pts)
+    k = int(np.argmin(mags))
+    return float(mags[k]), k * span / (pts - 1)
 
 
 def clique_minus_edge(n: int) -> tuple[WeightedGraph, list[int]]:

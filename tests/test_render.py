@@ -1,4 +1,5 @@
-"""Byte snapshot of the CLI rendering layer.
+"""Byte snapshot of the CLI rendering layer, and property tests of its JSON
+writer against the stdlib encoder.
 
 ``golden/render.json`` maps each command line below to its exact standard
 output.  The commands cover every output format of ``spectrum``, ``series``,
@@ -20,7 +21,10 @@ import shlex
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sedwalk import cli
 
@@ -86,6 +90,72 @@ def test_golden_covers_every_command(golden):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_output_bytes_match_golden(golden, weighted, command):
     assert render(command, weighted) == golden[command]
+
+
+def round_floats(obj: object) -> object:
+    """The rounded copy the JSON writer once built before ``json.dumps``."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(v) for v in obj]
+    return obj
+
+
+def reference_json(obj: object) -> str:
+    return json.dumps(round_floats(obj), indent=2) + "\n"
+
+
+@settings(max_examples=1000)
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(float("nan"))
+@example(float("inf"))
+@example(float("-inf"))
+@example(1e-4)
+@example(9.99999999999949e-5)
+@example(99999999999.99)
+@example(999999999999.4)
+@example(999999999999.6)
+@example(1e12)
+@example(123456789012.0)
+@example(1e16)
+@example(0.1 + 0.2)
+@example(1 / 3)
+def test_json_num_matches_rounded_stdlib(x):
+    assert cli._json_num(x) == json.dumps(float(f"{x:.12g}"))
+
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.text(max_size=8)
+)
+trees = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=6)
+    | st.lists(children, max_size=6).map(tuple)
+    | st.lists(st.floats(), max_size=6)
+    | st.dictionaries(st.text(max_size=6), children, max_size=6),
+    max_leaves=40,
+)
+
+
+@settings(deadline=None)
+@given(trees)
+@example([])
+@example({})
+@example({"a": [], "b": {}, "c": ()})
+@example([[0.0, -0.0, 1.0, 1e-15, 1e300, float("nan")], (True, None, 3)])
+def test_dump_json_matches_stdlib_indent_layout(obj):
+    assert cli._dump_json(obj) == reference_json(obj)
 
 
 def main() -> None:

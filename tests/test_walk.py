@@ -23,6 +23,7 @@ from sedwalk import (
     find_twin_sets,
     join,
     join_perturbation_bound,
+    parse_graph,
     path,
     product_diagonal_km_y,
     star,
@@ -73,16 +74,53 @@ def test_vectorized_amplitudes(rand_graph):
 
 def test_diagonal_series_grid():
     ev = WalkEvaluator(decompose(complete(2)))
-    series = ev.diagonal_series(0, 2 * math.pi, 101)
+    series = ev.diagonal_series([0], 2 * math.pi, 101)
     assert series.shape == (101, 2)
     assert series[0, 0] == 0.0 and series[0, 1] == pytest.approx(1.0)
     assert series[-1, 0] == pytest.approx(2 * math.pi)
     # K_2 diagonal is |cos t|
     np.testing.assert_allclose(series[:, 1], np.abs(np.cos(series[:, 0])), atol=1e-12)
     with pytest.raises(ValueError):
-        ev.diagonal_series(0, -1.0, 10)
+        ev.diagonal_series([0], -1.0, 10)
     with pytest.raises(ValueError):
-        ev.diagonal_series(0, 1.0, 1)
+        ev.diagonal_series([0], 1.0, 1)
+
+
+@pytest.mark.parametrize(
+    "expr,kind,steps",
+    [
+        ("P(200)", MatrixKind.adjacency(), 1001),
+        ("cprod(C(13),C(13))", MatrixKind.laplacian(), 5001),
+        ("P(400)", MatrixKind.generalized(-1), 1001),
+    ],
+)
+def test_series_shares_one_phase_table(expr, kind, steps):
+    """The blocked table equals, bit for bit, one product of the full phase
+    matrix per vertex, over several blocks and a partial last one."""
+    ev = WalkEvaluator(decompose(parse_graph(expr), kind))
+    verts = list(range(0, ev.n, 7))
+    table = ev.diagonal_series(verts, 23.5, steps)
+    times = np.linspace(0.0, 23.5, steps)
+    phases = np.exp(1j * np.outer(times, ev.dec.eigenvalues))
+    assert steps > 2 * walk_module._GRID_BLOCK // ev.dec.k
+    assert np.array_equal(table[:, 0], times)
+    for col, u in enumerate(verts, start=1):
+        assert np.array_equal(table[:, col], np.abs(phases @ ev.dec.diagonal_weights(u))), u
+    assert np.array_equal(table[:, 1], np.abs(ev.diagonal_amplitudes(verts[0], times)))
+
+
+def test_series_memory_is_linear_in_the_steps():
+    ev = WalkEvaluator(decompose(path(16)))
+    tracemalloc.start()
+    try:
+        table = ev.diagonal_series([0], 3e5, 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (1_000_000, 2)
+    # the table takes 16 MB and np.linspace 8 MB more; phase blocks hold about 1 MB
+    # each, where the dense 1e6 x 16 complex phase matrix would take 256 MB
+    assert peak < table.nbytes + 12e6
 
 
 @pytest.mark.parametrize("ms", [[2, 3], [3, 4], [2, 2, 3], [5, 5]])
