@@ -9,10 +9,14 @@ Vertex order is part of every constructor's contract:
 * ``blow_up`` is copy-major: copy ``j`` of vertex ``u`` is ``j * x.n + u``,
 * ``direct_product`` / ``cartesian_product`` are row-major: ``(u, v) -> u * y.n + v``,
 * ``threshold`` appends each new cell after the vertices already present.
+
+Every constructor refuses more than ``MAX_VERTICES`` vertices before it
+builds an edge, because each graph holds an n-by-n weight matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -24,6 +28,7 @@ Weight = Fraction | float
 
 __all__ = [
     "Weight",
+    "MAX_VERTICES",
     "MatrixKind",
     "ADJACENCY",
     "LAPLACIAN",
@@ -45,6 +50,20 @@ __all__ = [
     "from_edge_list_text",
     "to_edge_list_text",
 ]
+
+
+# Largest vertex count any constructor accepts.  A graph holds its n-by-n
+# weight matrix (128 MB of int64 at the cap) and a decomposition holds n-by-n
+# eigenvectors, so larger inputs are refused before any edge is built.
+MAX_VERTICES = 4096
+
+# Integers below this convert to float64 exactly.
+_EXACT_FLOAT = 2**53
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph on {n} vertices exceeds the cap of {MAX_VERTICES} vertices")
 
 
 def _coerce_weight(w) -> Weight:
@@ -129,16 +148,19 @@ class WeightedGraph:
 
     ``edges`` holds canonical ``(u, v, w)`` triples with ``u <= v`` sorted
     lexicographically; a triple with ``u == v`` is a loop.  All weights must
-    be positive.
+    be positive.  ``memo`` holds structures other modules derive from the
+    graph once (the twin partition); it takes no part in equality.
     """
 
     n: int
     edges: tuple[tuple[int, int, Weight], ...]
     laplacian_safe: bool = True
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
+        _check_order(self.n)
         seen = set()
         for u, v, w in self.edges:
             if not (0 <= u <= v < self.n):
@@ -158,6 +180,7 @@ class WeightedGraph:
         edges: Iterable[tuple[int, int, object]] | Mapping[tuple[int, int], object] = (),
         laplacian_safe: bool = True,
     ) -> "WeightedGraph":
+        _check_order(n)
         if isinstance(edges, Mapping):
             items = [(u, v, w) for (u, v), w in edges.items()]
         else:
@@ -201,24 +224,51 @@ class WeightedGraph:
         """Neighbors of ``u`` mapped to edge weights; a loop appears under key ``u``."""
         return dict(self._incidence[u])
 
+    @cached_property
+    def scaled_adjacency(self) -> tuple[np.ndarray, int]:
+        """``(M, s)`` with ``M = s * A``, built once per graph; ``M`` is read-only.
+
+        On an exact graph ``s`` is the least common denominator of the
+        weights and ``M`` holds the integer numerators: int64 while ``s`` and
+        every degree numerator stay below 2**53, so that ``M / s`` rounds
+        each entry exactly as ``float(Fraction)`` does, and Python ints
+        beyond that.  On a float graph ``M`` is the float matrix and ``s = 1``.
+        """
+        if self.exact:
+            s = math.lcm(*(w.denominator for _, _, w in self.edges))
+            nums = [w.numerator * (s // w.denominator) for _, _, w in self.edges]
+            # a degree numerator is at most (n + 1) times the largest entry
+            fits = s < _EXACT_FLOAT and 2 * self.n * max(nums, default=0) < _EXACT_FLOAT
+            dtype = np.int64 if fits else object
+        else:
+            s, nums, dtype = 1, [float(w) for _, _, w in self.edges], np.float64
+        m = np.zeros((self.n, self.n), dtype=dtype)
+        if self.edges:
+            u, v, _ = zip(*self.edges)
+            m[u, v] = m[v, u] = np.array(nums, dtype=dtype)
+        m.flags.writeable = False
+        return m, s
+
     def degree(self, u: int) -> Weight:
         """Weighted degree: a loop counts twice, every other edge once."""
-        total: Weight = Fraction(0)
-        for v, w in self._incidence[u].items():
-            total = total + (2 * w if v == u else w)
-        return total
+        return self.degrees[u]
 
     @cached_property
     def degrees(self) -> tuple[Weight, ...]:
-        return tuple(self.degree(u) for u in range(self.n))
+        if not self.exact:
+            # left to right from Fraction(0), as Python adds mixed Fraction/float weights
+            return tuple(
+                sum((2 * w if v == u else w for v, w in inc.items()), Fraction(0))
+                for u, inc in enumerate(self._incidence)
+            )
+        m, s = self.scaled_adjacency
+        return tuple(Fraction(int(d), s) for d in m.sum(axis=1) + m.diagonal())
 
     # -- matrices ------------------------------------------------------
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for u, v, w in self.edges:
-            a[u, v] = a[v, u] = float(w)
-        return a
+        m, s = self.scaled_adjacency
+        return np.asarray(m / s, dtype=np.float64)
 
     def degree_matrix(self) -> np.ndarray:
         return np.diag([float(d) for d in self.degrees])
@@ -241,15 +291,12 @@ class WeightedGraph:
         graphs this is the weighted degree.  Exact graphs are compared
         exactly, float graphs within a relative 1e-9 tolerance.
         """
-        sums = []
-        for u in range(self.n):
-            s: Weight = Fraction(0)
-            for v, w in self._incidence[u].items():
-                s = s + w
-            sums.append(s)
-        first = sums[0]
         if self.exact:
-            return first if all(s == first for s in sums) else None
+            m, s = self.scaled_adjacency
+            sums = m.sum(axis=1)
+            return Fraction(int(sums[0]), s) if (sums == sums[0]).all() else None
+        sums = [sum(inc.values(), Fraction(0)) for inc in self._incidence]
+        first = sums[0]
         scale = max(1.0, max(abs(float(s)) for s in sums))
         if all(abs(float(s) - float(first)) <= 1e-9 * scale for s in sums):
             return first
@@ -275,30 +322,35 @@ class WeightedGraph:
 
 
 def _simple(n: int, pairs: Iterable[tuple[int, int]]) -> WeightedGraph:
-    return WeightedGraph.from_edges(n, [(u, v, 1) for u, v in pairs])
+    one = Fraction(1)  # immutable, so every edge shares it
+    return WeightedGraph.from_edges(n, ((u, v, one) for u, v in pairs))
 
 
 def empty(n: int) -> WeightedGraph:
     if n < 1:
         raise ValueError("empty(n) needs n >= 1")
+    _check_order(n)
     return WeightedGraph.from_edges(n, [])
 
 
 def complete(n: int) -> WeightedGraph:
     if n < 1:
         raise ValueError("complete(n) needs n >= 1")
+    _check_order(n)
     return _simple(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def path(n: int) -> WeightedGraph:
     if n < 1:
         raise ValueError("path(n) needs n >= 1")
+    _check_order(n)
     return _simple(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> WeightedGraph:
     if n < 3:
         raise ValueError("cycle(n) needs n >= 3 to stay a simple graph")
+    _check_order(n)
     return _simple(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -306,6 +358,7 @@ def star(n: int) -> WeightedGraph:
     """Star with ``n`` leaves: vertex 0 is the center, n+1 vertices total."""
     if n < 1:
         raise ValueError("star(n) needs n >= 1")
+    _check_order(n + 1)
     return _simple(n + 1, ((0, i) for i in range(1, n + 1)))
 
 
@@ -313,6 +366,7 @@ def star(n: int) -> WeightedGraph:
 
 
 def disjoint_union(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
+    _check_order(x.n + y.n)
     edges = list(x.edges) + [(u + x.n, v + x.n, w) for u, v, w in y.edges]
     return WeightedGraph.from_edges(x.n + y.n, edges)
 
@@ -322,8 +376,10 @@ def join(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
 
     Vertices of ``x`` come first.
     """
+    _check_order(x.n + y.n)
     edges = list(x.edges) + [(u + x.n, v + x.n, w) for u, v, w in y.edges]
-    edges += [(u, v + x.n, Fraction(1)) for u in range(x.n) for v in range(y.n)]
+    one = Fraction(1)
+    edges += [(u, v + x.n, one) for u in range(x.n) for v in range(y.n)]
     return WeightedGraph.from_edges(x.n + y.n, edges)
 
 
@@ -333,6 +389,7 @@ def complete_multipartite(parts: Sequence[int]) -> WeightedGraph:
         raise ValueError("need at least one part")
     if any(p < 1 for p in parts):
         raise ValueError("part sizes must be positive")
+    _check_order(sum(parts))
     offsets = np.cumsum([0] + list(parts))
     n = int(offsets[-1])
     pairs = []
@@ -351,6 +408,7 @@ def cocktail_party(k: int) -> WeightedGraph:
     """
     if k < 1:
         raise ValueError("cocktail_party(k) needs k >= 1")
+    _check_order(2 * k)
     return complete_multipartite([2] * k)
 
 
@@ -366,6 +424,7 @@ def threshold(parts: Sequence[int], starts_empty: bool = True) -> WeightedGraph:
         raise ValueError("need at least one cell")
     if any(m < 1 for m in parts):
         raise ValueError("cell sizes must be positive")
+    _check_order(sum(parts))
     g: WeightedGraph | None = None
     for j, m in enumerate(parts, start=1):
         is_clique = (j % 2 == 0) if starts_empty else (j % 2 == 1)
@@ -405,6 +464,7 @@ def direct_product(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     to be weighted-regular the result is tagged ``laplacian_safe=False``:
     Laplacian walks on such products are not supported by the analyzers.
     """
+    _check_order(x.n * y.n)
     safe = x.is_weighted_regular() is not None and y.is_weighted_regular() is not None
     acc: dict[tuple[int, int], Weight] = {}
     for a, b, w1 in _ordered_entries(x):
@@ -417,6 +477,7 @@ def direct_product(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
 
 def cartesian_product(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     """Cartesian product; adjacency is ``A(x) (x) I + I (x) A(y)``."""
+    _check_order(x.n * y.n)
     acc: dict[tuple[int, int], Weight] = {}
     for u, v, w in x.edges:
         for t in range(y.n):
@@ -439,6 +500,7 @@ def blow_up(m: int, x: WeightedGraph) -> WeightedGraph:
     """
     if m < 1:
         raise ValueError("blow_up needs m >= 1")
+    _check_order(m * x.n)
     acc: dict[tuple[int, int], Weight] = {}
     for a, b, w in _ordered_entries(x):
         for j in range(m):
@@ -489,6 +551,7 @@ def from_edge_list_text(text: str) -> WeightedGraph:
         n = int(head[1])
     except ValueError as exc:
         raise ValueError(f"bad vertex count {head[1]!r}") from exc
+    _check_order(n)
     edges = []
     for ln in lines[1:]:
         toks = ln.split()

@@ -56,7 +56,7 @@ from .spectral import (
     StrongCospectrality,
     decompose,
 )
-from .twins import TwinSet, find_twin_sets, twin_dichotomy
+from .twins import ThetaEigenspaceSplit, TwinSet, find_twin_sets, theta_split, twin_dichotomy
 from .walk import (
     InfimumEstimate, WalkEvaluator, _bounded_grid, _check_grid, _cosine_minimum, _grid_minimum
 )
@@ -357,6 +357,7 @@ class _GraphFacts:
     dec: SpectralDecomposition
     evaluator: WalkEvaluator
     twin_of: dict[int, TwinSet]
+    splits: dict[TwinSet, ThetaEigenspaceSplit]
 
 
 def _twin_stage(
@@ -364,7 +365,9 @@ def _twin_stage(
 ) -> tuple[int | None, tuple[int, StrongCospectrality] | None]:
     """Route a twin vertex: its twin class as the floor source (sedentary
     branch), or its partner with the sign split (strongly cospectral pair)."""
-    branch = twin_dichotomy(facts.g, facts.kind, twin_set, u, dec=facts.dec)
+    branch = twin_dichotomy(
+        facts.g, facts.kind, twin_set, u, dec=facts.dec, split=facts.splits[twin_set]
+    )
     split = branch.split
     size = len(twin_set)
     a_theta = float(facts.dec.diagonal_weights(u)[split.eigen_index])
@@ -569,8 +572,9 @@ def classify_all(
     """Classify ``vertices`` (default: every vertex) in order.
 
     The graph-level facts are computed once and shared by every vertex:
-    the decomposition and its walk evaluator, and the twin sets that meet
-    ``vertices``, and one scan per twin set (twins share their diagonal).
+    the decomposition and its walk evaluator, the twin sets that meet
+    ``vertices`` with one eigenspace split and one scan per twin set (twins
+    share their diagonal).
     Pass ``dec`` or ``twin_sets`` to reuse ones the caller already holds.
     ``grid_points`` and ``horizon`` size the scan of vertices with neither a
     twin nor a period; they are checked even when no vertex uses them.
@@ -585,7 +589,9 @@ def classify_all(
     if twin_sets is None:
         twin_sets = find_twin_sets(g, verts)
     twin_of = {m: ts for ts in twin_sets for m in ts.members}
-    facts = _GraphFacts(g, kind, dec, WalkEvaluator(dec), twin_of)
+    met = dict.fromkeys(twin_of[u] for u in verts if u in twin_of)
+    splits = {ts: theta_split(g, kind, ts, dec) for ts in met}
+    facts = _GraphFacts(g, kind, dec, WalkEvaluator(dec), twin_of, splits)
     scans: dict[object, InfimumEstimate] = {}
     for u in verts:
         key = twin_of.get(u, u)

@@ -11,7 +11,6 @@ what the sedentariness bounds consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -88,40 +87,74 @@ class TwinSet:
         return self.members[1] if self.members[0] == u else self.members[0]
 
 
-def twin_set_of(g: WeightedGraph, u: int) -> TwinSet | None:
-    """The maximal twin set containing ``u``, or None when ``u`` has no twin.
+def _mix(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, elementwise on uint64 (wrapping mod 2**64)."""
+    x = x ^ (x >> 30)
+    x *= 0xBF58476D1CE4E5B9
+    x ^= x >> 27
+    x *= 0x94D049BB133111EB
+    return x ^ (x >> 31)
 
-    On vertices possessing a twin the twin relation is an equivalence, so
-    ``u`` and its twins form the set; a pairwise re-check of the twins
-    guards the implementation anyway.
+
+def _twin_partition(g: WeightedGraph) -> dict[int, TwinSet]:
+    """Every vertex with a twin mapped to its maximal twin set, once per graph.
+
+    u and v are twins with pair weight eta = M[u, v] exactly when their loops
+    agree and their rows of M = s*A agree once each row's own entry is set
+    to eta.  A row hash that is linear in the positions, H(u) = sum_w
+    h(M[u, w]) r_w, gives that modified row's hash for every eta at once:
+    key[u, v] = H(u) + (h(M[u, v]) - h(M[u, u])) r_u.  So twins satisfy
+    key[u, v] == key[v, u], one O(n^2) pass for all pair weights.  Each
+    candidate is confirmed exactly: by its rows of M on an exact graph, by
+    :func:`are_twins` otherwise, where M holds rounded floats.
     """
-    twins = [v for v in range(g.n) if v != u and are_twins(g, u, v)]
-    if not twins:
-        return None
-    for a, b in combinations(twins, 2):
-        if not are_twins(g, a, b):
-            raise ValueError("twin relation failed to be transitive")
-    members = sorted([u, *twins])
-    return TwinSet(
-        members=tuple(members),
-        omega=g.weight(u, u),
-        eta=g.weight(members[0], members[1]),
-    )
+    if "twins" in g.memo:
+        return g.memo["twins"]
+    m, _ = g.scaled_adjacency
+    bits = np.fromiter(map(hash, m.flat), np.int64, m.size) if m.dtype == object else m
+    h = _mix(bits.reshape(m.shape).view(np.uint64))
+    r = _mix(np.arange(1, g.n + 1, dtype=np.uint64)) | 1
+    loops = h.diagonal().copy()
+    row = h @ r
+    key = h  # reused in place: key[u, v] as above
+    key -= loops[:, None]
+    key *= r[:, None]
+    key += row[:, None]
+    candidate = (key == key.T) & (loops[:, None] == loops[None, :])
+
+    def confirmed(u: int, v: int) -> bool:
+        if not g.exact:
+            return are_twins(g, u, v)
+        differ = np.flatnonzero(m[u] != m[v]).tolist()
+        return bool(m[u, u] == m[v, v]) and set(differ) <= {u, v}
+
+    part: dict[int, TwinSet] = {}
+    for u in range(g.n):
+        if u in part:
+            continue
+        # twins of u with a smaller index were reached first
+        twins = [v for v in np.flatnonzero(candidate[u]).tolist() if v > u and confirmed(u, v)]
+        if twins:
+            ts = TwinSet(members=(u, *twins), omega=g.weight(u, u), eta=g.weight(u, twins[0]))
+            part.update(dict.fromkeys(ts.members, ts))
+    g.memo["twins"] = part
+    return part
+
+
+def twin_set_of(g: WeightedGraph, u: int) -> TwinSet | None:
+    """The maximal twin set containing ``u``, or None when ``u`` has no twin."""
+    return _twin_partition(g).get(u)
 
 
 def find_twin_sets(g: WeightedGraph, vertices: Iterable[int] | None = None) -> list[TwinSet]:
     """The maximal twin sets meeting ``vertices`` (default: all), in the
-    order the vertices first reach them; covered vertices are skipped."""
-    assigned: set[int] = set()
-    sets: list[TwinSet] = []
+    order the vertices first reach them."""
+    part = _twin_partition(g)
+    sets: dict[int, TwinSet] = {}
     for u in range(g.n) if vertices is None else vertices:
-        if u in assigned:
-            continue
-        ts = twin_set_of(g, u)
-        if ts is not None:
-            assigned.update(ts.members)
-            sets.append(ts)
-    return sets
+        if u in part:
+            sets.setdefault(part[u].members[0], part[u])
+    return list(sets.values())
 
 
 @dataclass(frozen=True)
@@ -211,13 +244,18 @@ def twin_dichotomy(
     twin_set: TwinSet,
     u: int,
     dec: SpectralDecomposition | None = None,
+    split: ThetaEigenspaceSplit | None = None,
 ) -> TwinBranch:
-    """Route a twin vertex to the sedentary or the transfer branch."""
+    """Route a twin vertex to the sedentary or the transfer branch.
+
+    Pass the set's ``split`` to share one :func:`theta_split` among its members.
+    """
     if u not in twin_set:
         raise ValueError("vertex is not in the twin set")
     if dec is None:
         dec = decompose(g, kind)
-    split = theta_split(g, kind, twin_set, dec=dec)
+    if split is None:
+        split = theta_split(g, kind, twin_set, dec=dec)
     if len(twin_set) >= 3:
         return TwinBranch("sedentary", u, None, split, None)
     v = twin_set.partner_of(u)

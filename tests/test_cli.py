@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -152,6 +153,25 @@ def test_exit_code_for_bad_vertex(capsys):
     rc, _, err = run(capsys, "classify", "--graph", "K(2)", "--vertex", "5")
     assert rc == 2
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("expr", ["K(100000)", "dprod(K(300),K(300))", "blowup(1000,K(100))"])
+def test_oversized_graph_exits_2_quickly(capsys, expr):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "analyze", "--graph", expr)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert "exceeds the cap of 4096 vertices" in err
+
+
+def test_oversized_edge_list_exits_2_quickly(capsys, tmp_path):
+    listing = tmp_path / "big.txt"
+    listing.write_text("n 100000\n0 1\n1 2 3\n", encoding="utf-8")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "analyze", "--file", str(listing))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert "exceeds the cap of 4096 vertices" in err
 
 
 @pytest.mark.parametrize("detail", ["Unable to allocate 74.5 GiB for an array", ""])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sedwalk.graphs import (
     ADJACENCY,
     LAPLACIAN,
+    MAX_VERTICES,
     MatrixKind,
     WeightedGraph,
     blow_up,
@@ -220,6 +221,31 @@ def test_edge_list_parse_errors():
         from_edge_list_text("n 3\n0 1 1 1 1")
     with pytest.raises(ValueError):
         from_edge_list_text("n 2\n0 1 bad")
+
+
+def test_vertex_cap_checked_before_edges():
+    big = MAX_VERTICES + 1
+    for build in (
+        lambda: complete(big),
+        lambda: path(big),
+        lambda: cycle(big),
+        lambda: empty(big),
+        lambda: star(MAX_VERTICES),
+        lambda: cocktail_party(big // 2 + 1),
+        lambda: complete_multipartite([MAX_VERTICES, 1]),
+        lambda: threshold([MAX_VERTICES, 1]),
+        lambda: join(empty(MAX_VERTICES), empty(1)),
+        lambda: disjoint_union(empty(MAX_VERTICES), empty(1)),
+        lambda: direct_product(complete(65), complete(64)),
+        lambda: cartesian_product(path(65), path(64)),
+        lambda: blow_up(MAX_VERTICES, complete(2)),
+        lambda: WeightedGraph.from_edges(big),
+        lambda: from_edge_list_text(f"n {big}\n0 1\n"),
+    ):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            build()
+    assert empty(MAX_VERTICES).n == MAX_VERTICES
+    assert direct_product(complete(2), empty(MAX_VERTICES // 2)).n == MAX_VERTICES
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sedwalk import (
     MatrixKind,
     TwinSet,
     are_twins,
+    classify_all,
     cocktail_party,
     complete,
     cycle,
@@ -24,6 +27,7 @@ from sedwalk import (
     twin_dichotomy,
     twin_set_of,
 )
+from sedwalk import sedentary as sedentary_module
 from sedwalk import twins as twins_module
 from sedwalk.graphs import WeightedGraph
 
@@ -207,3 +211,164 @@ def test_dichotomy_laplacian_pair():
     branch = twin_dichotomy(g, L, ts, 0)
     assert branch.branch == "pgst-pair"
     assert branch.split.theta == pytest.approx(float(ts.theta(g, L)))
+
+
+def test_classify_all_splits_each_twin_set_once(monkeypatch):
+    calls = 0
+    real = twins_module.theta_split
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(twins_module, "theta_split", counted)
+    monkeypatch.setattr(sedentary_module, "theta_split", counted)
+    results = classify_all(cocktail_party(6), L)
+    assert len(results) == 12
+    assert calls == 6
+
+
+# -- the twin partition and the weight matrix against Fraction references --
+
+
+def _reference_twin_sets(g: WeightedGraph) -> list[TwinSet]:
+    """Maximal twin sets from the pairwise definition, first-reached order."""
+    sets, seen = [], set()
+    for u in range(g.n):
+        twins = [v for v in range(g.n) if v != u and are_twins(g, u, v)]
+        if u in seen or not twins:
+            continue
+        members = tuple(sorted([u, *twins]))
+        seen.update(members)
+        sets.append(TwinSet(members, g.weight(u, u), g.weight(members[0], members[1])))
+    return sets
+
+
+def _reference_row(g: WeightedGraph, u: int) -> list:
+    """(neighbour, weight) pairs of ``u`` in increasing neighbour order."""
+    return [
+        (v, g.edge_map[min(u, v), max(u, v)])
+        for v in range(g.n)
+        if (min(u, v), max(u, v)) in g.edge_map
+    ]
+
+
+def _reference_degrees(g: WeightedGraph) -> list:
+    """Left-to-right sums from Fraction(0), a loop counted twice."""
+    out = []
+    for u in range(g.n):
+        total = Fraction(0)
+        for v, w in _reference_row(g, u):
+            total = total + (2 * w if v == u else w)
+        out.append(total)
+    return out
+
+
+def _reference_matrix(g: WeightedGraph, kind: str) -> np.ndarray:
+    a = np.zeros((g.n, g.n))
+    for u, v, w in g.edges:
+        a[u, v] = a[v, u] = float(w)
+    if kind == "A":
+        return a
+    d = np.diag([float(x) for x in _reference_degrees(g)])
+    return d - a if kind == "L" else -1.0 * d + a
+
+
+def _reference_regular(g: WeightedGraph):
+    sums = []
+    for u in range(g.n):
+        total = Fraction(0)
+        for _, w in _reference_row(g, u):
+            total = total + w
+        sums.append(total)
+    first = sums[0]
+    if g.exact:
+        return first if all(s == first for s in sums) else None
+    scale = max(1.0, max(abs(float(s)) for s in sums))
+    return first if all(abs(float(s) - float(first)) <= 1e-9 * scale for s in sums) else None
+
+
+# Weight pools: ints, small fractions, floats, both (1/3 and Fraction(1, 3)
+# differ exactly but round to one float; 0.5 and Fraction(1, 2) are equal),
+# and denominators whose lcm passes 2**53.
+WEIGHT_POOLS = {
+    "int": [1, 2, 3],
+    "fraction": [Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(1)],
+    "float": [0.1, 0.5, 1 / 3, 2.0],
+    "mixed": [Fraction(1, 3), 1 / 3, Fraction(1, 2), 0.5, 1, 0.1, Fraction(1, 10)],
+    "huge": [Fraction(1, 2**31 - 1), Fraction(1, 2**61 - 1), Fraction(2, 3**40), 1],
+}
+
+
+@st.composite
+def weighted_graphs(draw) -> WeightedGraph:
+    """Up to 9 vertices, loops allowed, with a planted twin set."""
+    n = draw(st.integers(1, 9))
+    pool = WEIGHT_POOLS[draw(st.sampled_from(sorted(WEIGHT_POOLS)))]
+    weight = st.one_of(st.none(), st.sampled_from(pool))
+    w = {(u, v): draw(weight) for u in range(n) for v in range(u, n)}
+    size = draw(st.integers(0, n))
+    eta = draw(weight)
+    for i in range(1, size):
+        w[i, i] = w[0, 0]
+        for x in range(size, n):
+            w[i, x] = w[0, x]
+        for j in range(i):
+            w[j, i] = eta
+    perm = draw(st.permutations(range(n)))
+    edges = [(perm[u], perm[v], x) for (u, v), x in w.items() if x is not None]
+    return WeightedGraph.from_edges(n, edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(weighted_graphs(), st.data())
+def test_twin_partition_matches_pairwise_definition(g, data):
+    want = _reference_twin_sets(g)
+    assert find_twin_sets(g) == want
+    for u in range(g.n):
+        assert twin_set_of(g, u) == next((ts for ts in want if u in ts), None)
+    order = data.draw(st.permutations(range(g.n)))
+    reached = []
+    for u in order:
+        ts = next((ts for ts in want if u in ts), None)
+        if ts is not None and ts not in reached:
+            reached.append(ts)
+    assert find_twin_sets(g, order) == reached
+
+
+@settings(max_examples=400, deadline=None)
+@given(weighted_graphs())
+def test_weight_matrix_matches_fraction_reference(g):
+    assert list(map(repr, g.degrees)) == list(map(repr, _reference_degrees(g)))
+    assert [repr(g.degree(u)) for u in range(g.n)] == list(map(repr, _reference_degrees(g)))
+    for kind in ("A", "L", "Mq:-1"):
+        assert g.matrix(MatrixKind.parse(kind)).tobytes() == _reference_matrix(g, kind).tobytes()
+    assert repr(g.is_weighted_regular()) == repr(_reference_regular(g))
+
+
+def test_weight_matrix_dtype_follows_the_53_bit_bound():
+    small = WeightedGraph.from_edges(3, [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 6)), (2, 2, 5)])
+    m, s = small.scaled_adjacency
+    assert m.dtype == np.int64 and s == 6 and m[1, 2] == 1 and m[2, 2] == 30
+    assert not m.flags.writeable
+    huge = WeightedGraph.from_edges(
+        3, [(0, 1, Fraction(1, 2**31 - 1)), (1, 2, Fraction(1, 2**61 - 1)), (0, 0, 1)]
+    )
+    m, s = huge.scaled_adjacency
+    assert m.dtype == object and s == (2**31 - 1) * (2**61 - 1)
+    assert list(map(repr, huge.degrees)) == list(map(repr, _reference_degrees(huge)))
+    for kind in ("A", "L", "Mq:-1"):
+        assert huge.matrix(MatrixKind.parse(kind)).tobytes() == _reference_matrix(huge, kind).tobytes()
+    floats = WeightedGraph.from_edges(2, [(0, 1, 0.25)])
+    m, s = floats.scaled_adjacency
+    assert m.dtype == np.float64 and s == 1
+
+
+def test_mixed_weights_keep_exact_twin_equality():
+    # 1/3 as a float rounds to the same double as Fraction(1, 3) but is not
+    # equal to it, so 0 and 1 are no twins; 0.5 equals Fraction(1, 2) exactly
+    g = WeightedGraph.from_edges(3, [(0, 2, Fraction(1, 3)), (1, 2, 1 / 3)])
+    assert find_twin_sets(g) == []
+    h = WeightedGraph.from_edges(3, [(0, 2, Fraction(1, 2)), (1, 2, 0.5)])
+    assert [ts.members for ts in find_twin_sets(h)] == [(0, 1)]
