@@ -29,7 +29,7 @@ numeric evidence attached to every verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -322,7 +322,7 @@ def _support_positions(sup: EigenvalueSupport, class_indices) -> tuple[int, ...]
 
 
 def _exact_dips(
-    sup: EigenvalueSupport, form: QuadraticIntegerForm
+    facts: _GraphFacts, sup: EigenvalueSupport, form: QuadraticIntegerForm
 ) -> list[tuple[float, EqualityTime]]:
     """Every (dip value, time) the equality mechanism certifies.
 
@@ -339,7 +339,7 @@ def _exact_dips(
             a = float(sum(sup.weights[i] for i in combo))
             if a < 0.5 - 1e-9:
                 continue
-            eq = equality_time_criterion(form, combo)
+            eq = facts.equality_time(form, combo)
             if eq is not None:
                 dips.append((2.0 * a - 1.0, eq))
     return dips
@@ -358,6 +358,19 @@ class _GraphFacts:
     evaluator: WalkEvaluator
     twin_of: dict[int, TwinSet]
     splits: dict[TwinSet, ThetaEigenspaceSplit]
+    equality_times: dict[tuple, EqualityTime | None] = field(
+        default_factory=dict, compare=False, hash=False, repr=False
+    )
+
+    def equality_time(
+        self, form: QuadraticIntegerForm, positions: tuple[int, ...]
+    ) -> EqualityTime | None:
+        """``equality_time_criterion(form, positions)``, computed once per graph:
+        it reads the form alone, and twins share their support's form."""
+        key = (form, positions)
+        if key not in self.equality_times:
+            self.equality_times[key] = equality_time_criterion(form, positions)
+        return self.equality_times[key]
 
 
 def _twin_stage(
@@ -388,6 +401,7 @@ def _twin_stage(
 
 
 def _period_minimum(
+    facts: _GraphFacts,
     sup: EigenvalueSupport,
     form: QuadraticIntegerForm | None,
     scan: InfimumEstimate,
@@ -403,7 +417,7 @@ def _period_minimum(
     if floor is not None and scan.value < floor - MATCH_TOL:
         raise ValueError("period minimum dipped below the certified floor")
     trail.append("period-minimum")
-    dips = _exact_dips(sup, form) if form is not None else []
+    dips = _exact_dips(facts, sup, form) if form is not None else []
     hits = [(value, eq) for value, eq in dips if abs(value - scan.value) <= MATCH_TOL]
     if not hits:
         return scan.value, scan.attained_time
@@ -434,15 +448,12 @@ def _parity_stage(
 
 
 def _pst_partner_scan(
-    dec: SpectralDecomposition,
-    ev: WalkEvaluator,
-    u: int,
-    sup: EigenvalueSupport,
-    form: QuadraticIntegerForm | None,
+    facts: _GraphFacts, u: int, sup: EigenvalueSupport, form: QuadraticIntegerForm | None
 ) -> tuple[int, float] | None:
     """Perfect-transfer partner for a periodic vertex whose diagonal dies."""
     if form is None:
         return None
+    dec, ev = facts.dec, facts.evaluator
     for v in range(dec.n):
         if v == u:
             continue
@@ -452,7 +463,7 @@ def _pst_partner_scan(
         plus_pos = _support_positions(sup, sc.plus)
         if not plus_pos or len(plus_pos) == len(sup):
             continue
-        eq = equality_time_criterion(form, plus_pos)
+        eq = facts.equality_time(form, plus_pos)
         if eq is not None and ev.magnitude(u, v, eq.t1) >= 1.0 - PST_TOL:
             return v, eq.t1
     return None
@@ -504,7 +515,7 @@ def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassi
         plus_pos = _support_positions(sup, sc.plus)
         if len(plus_pos) + len(_support_positions(sup, sc.minus)) != len(sup):
             raise ValueError("strong cospectrality split does not cover the support")
-        eq = equality_time_criterion(form, plus_pos) if form is not None else None
+        eq = facts.equality_time(form, plus_pos) if form is not None else None
         if eq is not None:
             if ev.magnitude(u, v, eq.t1) < 1.0 - PST_TOL:
                 raise ValueError("equality time failed to deliver the full transfer")
@@ -532,13 +543,13 @@ def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassi
         if twin_set is None and scan.value <= ZERO_TOL:
             trail.append("period-minimum")
             trail.append(f"zero-at-minimum:t={scan.attained_time:.12g}")
-            found = _pst_partner_scan(dec, ev, u, sup, form)
+            found = _pst_partner_scan(facts, u, sup, form)
             if found is None:
                 return record(Verdict.NOT_SEDENTARY)
             v, t1 = found
             trail.append(f"pst:time={t1:.12g}")
             return record(Verdict.PST, partner=v, pst_time=t1)
-        constant, t_time = _period_minimum(sup, form, scan, floor, trail)
+        constant, t_time = _period_minimum(facts, sup, form, scan, floor, trail)
         # a minimum over one closed period is always attained
         return record(
             Verdict.SEDENTARY, constant=constant, tight=True, sharp=False, tightness_time=t_time

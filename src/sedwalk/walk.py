@@ -28,6 +28,8 @@ __all__ = [
 GOLDEN = (math.sqrt(5) - 1) / 2
 # Entries per row block of a phase product: the baby-step/giant-step scan and series.
 _GRID_BLOCK = 1 << 16
+# Entries per chunk of the two-level selection of refinement seeds.
+_SEED_CHUNK = 1 << 10
 # Highest degree minimized exactly: the O(D^3) root solve takes 0.24 s at 512.
 _MAX_DEGREE = 512
 
@@ -91,15 +93,30 @@ def _bounded_grid(
     return span, grid_points or max(50001, min(1_000_001, auto))
 
 
+def _least_indices(values: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` least ``values``, ordered by (value, index).
+
+    Two-level selection: take the minimum of each full chunk of ``_SEED_CHUNK``
+    entries and keep the ``count`` chunks first in (minimum, chunk) order.
+    A dropped chunk holds none of the wanted entries, since each kept chunk
+    holds an entry ordered before all of the dropped one's.  Only the kept
+    chunks and the ragged tail are sorted."""
+    full = len(values) - len(values) % _SEED_CHUNK
+    minima = values[:full].reshape(-1, _SEED_CHUNK).min(axis=1)
+    heads = np.sort(np.argsort(minima, kind="stable")[:count]) * _SEED_CHUNK
+    kept = (heads[:, None] + np.arange(_SEED_CHUNK)).ravel()
+    candidates = np.concatenate([kept, np.arange(full, len(values))])
+    return candidates[np.argsort(values[candidates], kind="stable")[:count]]
+
+
 def _grid_minimum(
     mags: np.ndarray, f: Callable[[float], float], span: float
 ) -> tuple[float, float]:
     """Least (time, f) from the five lowest ``mags`` on np.linspace(0, span, len(mags)),
-    each refined by golden section within one grid step."""
+    lowest index first among ties, each refined by golden section within one grid step."""
     pts = len(mags)
     step = span / (pts - 1)
-    seeds = np.argpartition(mags, min(5, pts) - 1)[:5]
-    seeds = seeds[np.argsort(mags[seeds], kind="stable")].tolist()
+    seeds = _least_indices(mags, 5).tolist()
     # grid time i exactly as np.linspace(0, span, pts) computes it
     time_at = lambda i: span if i == pts - 1 else i * step
     best_t, best_val = time_at(seeds[0]), float(mags[seeds[0]])

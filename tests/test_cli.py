@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from sedwalk import cli
 from sedwalk.cli import main
 
 
@@ -183,6 +184,43 @@ def test_out_of_memory_exits_2(capsys, monkeypatch, detail):
     rc, out, err = run(capsys, "spectrum", "--graph", "K(2)")
     assert rc == 2 and out == ""
     assert err == "error: out of memory" + (f": {detail}" if detail else "") + "\n"
+
+
+def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch):
+    commands = (
+        ["classify", "--graph", "P(5)", "--vertex", "0", "--steps", "2001", "--format", "json"],
+        ["classify", "--graph", "P(5)", "--vertex", "x"],
+        ["analyze", "--graph", "KM(2,2,2)", "--matrix", "L"],
+        ["spectrum", "--graph", "P(5)", "--format", "csv"],
+        ["classify", "--graph", "K(3)", "--vertex", "1"],
+    )
+
+    def outcome(argv: list[str]) -> tuple[int, str, str]:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            rc = exc.code
+        cap = capsys.readouterr()
+        return rc, cap.out, cap.err
+
+    builds = 0
+    build_parser = cli.build_parser
+
+    def counted() -> object:
+        nonlocal builds
+        builds += 1
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    shared = [outcome(argv) for argv in commands]
+    assert builds == 1
+    assert [rc for rc, _, _ in shared] == [0, 2, 0, 0, 0]
+    assert "invalid int value: 'x'" in shared[1][2]
+    for argv, seen in zip(commands, shared):
+        cli._parser.cache_clear()
+        assert outcome(argv) == seen, argv
+    assert builds == 1 + len(commands)
 
 
 def test_repeated_runs_are_identical(capsys):

@@ -59,6 +59,7 @@ COMMANDS = (
     "analyze --graph P(4) --steps 2001 --format json",
     "analyze --graph K(1) --format json",
     "classify --graph join(O(2),K(6)) --matrix Mq:-1 --vertex 0 --format json",
+    "classify --graph P(30) --matrix L --vertex 0 --format json",
 )
 
 
