@@ -60,6 +60,11 @@ COMMANDS = (
     "analyze --graph K(1) --format json",
     "classify --graph join(O(2),K(6)) --matrix Mq:-1 --vertex 0 --format json",
     "classify --graph P(30) --matrix L --vertex 0 --format json",
+    "spectrum --graph P(40) --format json",
+    "spectrum --graph P(40) --format csv",
+    "spectrum --graph P(40)",
+    "spectrum --graph C(12) --matrix L --format csv",
+    "series --graph C(9) --steps 50 --tmax 7.5",
 )
 
 
