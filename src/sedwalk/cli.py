@@ -29,6 +29,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -107,6 +108,10 @@ def _csv_val(x: object) -> str:
 _json_str = json.encoder.encode_basestring_ascii
 
 
+# How json.dumps writes the values that %-formatting prints as nan and inf.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json_num(x: float) -> str:
     """``json.dumps(float(f"{x:.12g}"))`` without the round trip.
 
@@ -115,57 +120,87 @@ def _json_num(x: float) -> str:
     apart than the spacing of doubles) and lies where repr is positional;
     repr differs only by the ``.0`` of an integral value."""
     s = f"{x:.12g}"
-    if "e" in s or "n" in s:  # exponent form, nan, inf
-        return json.dumps(float(s))
+    if "e" in s:
+        return float.__repr__(float(s))  # what json.dumps writes for a finite float
+    if "n" in s:
+        return _JSON_NONFINITE[s]
     return s if "." in s else s + ".0"
 
 
-def _json_lines(obj: object, pad: str) -> str:
-    """``obj`` in the ``indent=2`` layout, nested at ``pad`` (a newline and spaces)."""
+def _json_floats(values: Sequence[float], sep: str) -> str:
+    """``sep.join(map(_json_num, values))`` with one ``%`` for the whole list.
+
+    A ``%.12g`` token with a point and no exponent is already what
+    :func:`_json_num` writes.  Any other token (integral, exponent form, nan,
+    inf) goes through ``_json_num(float(token))``, which is exact: the token
+    holds at most 12 significant digits, so it reads back to a float that
+    formats to the same token.  ``sep`` holds no ``e``, ``a`` or ``i``."""
+    n = len(values)
+    text = sep.join(["%.12g"] * n) % tuple(values)
+    if text.count(".") == n and "e" not in text and "a" not in text and "i" not in text:
+        return text
+    return sep.join(
+        tok if "." in tok and "e" not in tok else _json_num(float(tok))
+        for tok in text.split(sep)
+    )
+
+
+def _write_json(obj: object, pad: str, out: list[str]) -> None:
+    """Append ``obj`` in the ``indent=2`` layout, nested at ``pad`` (a newline
+    and spaces), to ``out`` piece by piece; no nested value is copied into
+    its parent's text."""
     if isinstance(obj, float):
-        return _json_num(obj)
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+        out.append(_json_num(obj))
+    elif isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif isinstance(obj, (list, tuple)):
         inner = pad + "  "
-        if set(map(type, obj)) == {float}:
-            items = map(_json_num, obj)
+        if not obj:
+            out.append("[]")
+        elif set(map(type, obj)) == {float}:
+            out += ("[", inner, _json_floats(obj, "," + inner), pad, "]")
         else:
-            items = (_json_lines(v, inner) for v in obj)
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+            lead = "[" + inner
+            for v in obj:
+                out.append(lead)
+                _write_json(v, inner, out)
+                lead = "," + inner
+            out.append(pad + "]")
+    elif isinstance(obj, dict):
         inner = pad + "  "
-        items = (f"{_json_str(k)}: {_json_lines(v, inner)}" for k, v in obj.items())
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    return json.dumps(obj)  # raises TypeError on what JSON cannot hold
+        if not obj:
+            out.append("{}")
+        else:
+            lead = "{" + inner
+            for k, v in obj.items():
+                out.append(f"{lead}{_json_str(k)}: ")
+                _write_json(v, inner, out)
+                lead = "," + inner
+            out.append(pad + "}")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        out.append(json.dumps(obj))  # raises TypeError on what JSON cannot hold
 
 
 def _dump_json(obj: object) -> str:
     """``obj`` as ``json.dumps(indent=2)`` lays it out, every float rounded to
     12 significant digits and printed as the shortest decimal of the rounded
-    value; one pass, no rounded copy of the tree."""
-    return _json_lines(obj, "\n") + "\n"
+    value; one pass, no rounded copy of the tree, and one join of the pieces."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, c in enumerate(row):
-            widths[i] = max(widths[i], len(c))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    template = "  ".join(f"%-{w}s" for w in widths)
+    return "\n".join([(template % tuple(row)).rstrip() for row in chain((headers,), rows)]) + "\n"
 
 
 def _render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -174,6 +209,26 @@ def _render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     writer.writerow(headers)
     writer.writerows(rows)
     return sio.getvalue()
+
+
+# Cells of a numeric table formatted by one ``%``, rounded to whole rows.
+_CSV_BLOCK_CELLS = 1 << 15
+
+
+def _render_numeric_csv(headers: Sequence[str], line: str, table: np.ndarray) -> str:
+    """CSV of a 2-D numeric array, each row formatted by ``line`` (one
+    ``%.12g`` or ``%d`` per column, comma separated, newline ended).
+
+    The bytes equal :func:`_render_csv` of the formatted cells: such a cell
+    never holds a comma, a quote or a newline, so ``csv.writer`` quotes
+    none of them.  Rows are formatted a block at a time, so the Python
+    floats and their tuple exist for one block only."""
+    rows = max(1, _CSV_BLOCK_CELLS // table.shape[1])
+    parts = [_render_csv(headers, ())]
+    for lo in range(0, len(table), rows):
+        block = table[lo : lo + rows]
+        parts.append((line * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 # -- shared plumbing --------------------------------------------------------
@@ -354,8 +409,7 @@ def cmd_series(args: argparse.Namespace) -> str:
     verts = _select_vertices(args, g.n)
     table = ev.diagonal_series(verts, t_max, steps)
     headers = ["t"] + [f"u{u}" for u in verts]
-    rows = [[f"{x:.12g}" for x in row] for row in table.tolist()]
-    return _render_csv(headers, rows)
+    return _render_numeric_csv(headers, ",".join(["%.12g"] * len(headers)) + "\n", table)
 
 
 def cmd_twins(args: argparse.Namespace) -> str:
@@ -380,19 +434,27 @@ def cmd_spectrum(args: argparse.Namespace) -> str:
     kind = MatrixKind.parse(args.matrix)
     dec = _decompose(g, kind, args)
     verts = _select_vertices(args, g.n)
-    supports = [dec.support(u) for u in verts]
+    supports = dec.supports(verts)
     if args.format == "json":
         return _dump_json(
             [{"vertex": sup.vertex, "values": sup.values, "weights": sup.weights} for sup in supports]
         )
     headers = ("vertex", "eigenvalue", "weight")
-    rows = []
-    for sup in supports:
-        vertex = str(sup.vertex)
-        rows.extend([vertex, f"{v:.12g}", f"{w:.12g}"] for v, w in zip(sup.values, sup.weights))
-    if args.format == "csv":
-        return _render_csv(headers, rows)
-    return _render_table(headers, rows)
+    if args.format == "table":
+        rows = [
+            [str(sup.vertex), f"{v:.12g}", f"{w:.12g}"]
+            for sup in supports
+            for v, w in zip(sup.values, sup.weights)
+        ]
+        return _render_table(headers, rows)
+    table = np.column_stack(
+        (
+            np.repeat([sup.vertex for sup in supports], [len(sup) for sup in supports]),
+            np.concatenate([sup.values for sup in supports]),
+            np.concatenate([sup.weights for sup in supports]),
+        )
+    )
+    return _render_numeric_csv(headers, "%d,%.12g,%.12g\n", table)
 
 
 # -- family sweeps ------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -131,16 +132,26 @@ class SpectralDecomposition:
         return self.entries(u, u)
 
     def support(self, u: int, support_tol: float = DEFAULT_SUPPORT_TOL) -> EigenvalueSupport:
+        self._check_vertex(u)
+        return _threshold(u, self.diagonal_weights(u), self.eigenvalues, support_tol)
+
+    def supports(
+        self, vertices: Sequence[int], support_tol: float = DEFAULT_SUPPORT_TOL
+    ) -> list[EigenvalueSupport]:
+        """:meth:`support` of each vertex in ``vertices``, from one reduction
+        of their eigenvector rows (the sums :meth:`diagonal_weights` takes
+        row by row).  The supports share one float object per eigenvalue."""
+        verts = list(vertices)
+        for u in verts:
+            self._check_vertex(u)
+        rows = self.vectors[verts]
+        weights = np.add.reduceat(rows * rows, self.starts, axis=1)
+        values = self.eigenvalues.astype(object)
+        return [_threshold(u, w, values, support_tol) for u, w in zip(verts, weights)]
+
+    def _check_vertex(self, u: int) -> None:
         if not 0 <= u < self.n:
             raise ValueError(f"vertex {u} out of range")
-        weights = self.diagonal_weights(u)
-        idx = np.flatnonzero(np.sqrt(weights) > support_tol)
-        return EigenvalueSupport(
-            vertex=u,
-            indices=tuple(idx.tolist()),
-            values=tuple(self.eigenvalues[idx].tolist()),
-            weights=tuple(weights[idx].tolist()),
-        )
 
     def strongly_cospectral(
         self, u: int, v: int, support_tol: float = DEFAULT_SUPPORT_TOL
@@ -206,6 +217,19 @@ class SpectralDecomposition:
         return j
 
 
+def _threshold(
+    u: int, weights: np.ndarray, values: np.ndarray, support_tol: float
+) -> EigenvalueSupport:
+    """The classes j of vertex u with sqrt(weights[j]) > support_tol."""
+    idx = np.flatnonzero(np.sqrt(weights) > support_tol)
+    return EigenvalueSupport(
+        vertex=u,
+        indices=tuple(idx.tolist()),
+        values=tuple(values[idx].tolist()),
+        weights=tuple(weights[idx].tolist()),
+    )
+
+
 def decompose(
     g: WeightedGraph,
     kind: MatrixKind = ADJACENCY,
@@ -235,19 +259,20 @@ def decompose(
         ) from exc
     scale = max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
     tol = grouping_tol * scale
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[groups[-1][-1]] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    groups.reverse()  # descending eigenvalues
-    eigenvalues = np.array([float(np.mean(vals[idx])) for idx in groups])
-    multiplicities = tuple(len(idx) for idx in groups)
+    # A class ends where the gap to the next value is not <= tol (a NaN gap
+    # ends it too); classes of one value keep it, larger ones take the mean.
+    ends = np.append(np.flatnonzero(~(np.diff(vals) <= tol)) + 1, len(vals))
+    lows = np.append(0, ends[:-1])
+    counts = ends - lows
+    means = vals[lows]
+    for j in np.flatnonzero(counts > 1):
+        means[j] = np.mean(vals[lows[j] : ends[j]])
+    class_of = np.repeat(np.arange(len(counts)), counts)
+    multiplicities = tuple(counts[::-1].tolist())  # descending eigenvalues
     return SpectralDecomposition(
         matrix_kind=kind,
-        eigenvalues=eigenvalues,
-        vectors=vecs[:, [i for idx in groups for i in idx]],
+        eigenvalues=means[::-1].copy(),
+        vectors=vecs[:, np.argsort(-class_of, kind="stable")],
         multiplicities=multiplicities,
         starts=np.cumsum((0,) + multiplicities[:-1]),
         grouping_tol=grouping_tol,

@@ -16,6 +16,7 @@ import numpy as np
 from .spectral import SpectralDecomposition
 
 __all__ = [
+    "MAX_SERIES_CELLS",
     "WalkEvaluator",
     "InfimumMode",
     "InfimumEstimate",
@@ -26,6 +27,10 @@ __all__ = [
 ]
 
 GOLDEN = (math.sqrt(5) - 1) / 2
+# Largest steps * (1 + vertices) a time series may hold.  At the cap the
+# float table takes 128 MB and its CSV text about twice that, so larger
+# series are refused before any phase table is built.
+MAX_SERIES_CELLS = 1 << 24
 # Entries per row block of a phase product: the baby-step/giant-step scan and series.
 _GRID_BLOCK = 1 << 16
 # Entries per chunk of the two-level selection of refinement seeds.
@@ -187,8 +192,15 @@ class WalkEvaluator:
 
         The phase table exp(i t lambda) is built once for all vertices, in
         row blocks of about ``_GRID_BLOCK`` entries, so beside the result and
-        its times no temporary grows with ``steps``."""
+        its times no temporary grows with ``steps``.  More than
+        ``MAX_SERIES_CELLS`` entries in the result raise ValueError."""
         _check_grid(t_max, steps)
+        cells = steps * (1 + len(vertices))
+        if cells > MAX_SERIES_CELLS:
+            raise ValueError(
+                f"series of {steps} steps for {len(vertices)} vertices has {cells} "
+                f"cells, above the cap of {MAX_SERIES_CELLS}"
+            )
         lams = self.dec.eigenvalues
         weights = [self.dec.diagonal_weights(u) for u in vertices]
         out = np.empty((steps, 1 + len(weights)))

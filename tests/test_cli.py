@@ -7,10 +7,12 @@ import io
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
 from sedwalk import cli
+from sedwalk import walk as walk_module
 from sedwalk.cli import main
 
 
@@ -119,6 +121,38 @@ def test_series_rejects_bad_grid(capsys, flag, value):
     rc, out, err = run(capsys, "series", "--graph", "K(2)", "--vertex", "0", flag, value)
     assert rc == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("steps", [walk_module.MAX_SERIES_CELLS // 2 + 1, 10**12])
+def test_series_above_the_cell_cap_exits_2(capsys, steps):
+    # one vertex: two cells (t and |U|) per step
+    rc, out, err = run(capsys, "series", "--graph", "K(2)", "--vertex", "0", "--steps", str(steps))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: series of {steps} steps for 1 vertices") and "cap" in err
+
+
+def test_series_cell_cap_counts_the_time_column(capsys, monkeypatch):
+    monkeypatch.setattr(walk_module, "MAX_SERIES_CELLS", 30)
+    rc, out, _ = run(capsys, "series", "--graph", "K(2)", "--steps", "10")
+    assert rc == 0 and len(out.splitlines()) == 11
+    rc, out, err = run(capsys, "series", "--graph", "K(2)", "--steps", "11")
+    assert rc == 2 and out == "" and "33 cells" in err
+
+
+def test_series_memory_is_bounded_by_its_output(tmp_path):
+    path = tmp_path / "series.csv"
+    assert main(["series", "--graph", "K(2)", "--steps", "3", "--out", str(path)]) == 0
+    tracemalloc.start()
+    try:
+        rc = main(["series", "--graph", "P(60)", "--steps", "5000", "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    size = path.stat().st_size
+    # 4.6 MB of text: the float table (2.4 MB), the row blocks and their join
+    # take 11.7 MB; a list of cell strings per row took 34.7 MB
+    assert peak < 3 * size
 
 
 @pytest.mark.parametrize("flag,value", BAD_GRID_FLAGS + [("--steps", "0"), ("--steps", "-3")])

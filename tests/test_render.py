@@ -136,6 +136,23 @@ def test_json_num_matches_rounded_stdlib(x):
     assert cli._json_num(x) == json.dumps(float(f"{x:.12g}"))
 
 
+@settings(max_examples=500)
+@given(
+    st.lists(st.floats(), min_size=1, max_size=40),
+    st.sampled_from([",\n  ", ",\n      ", ", "]),
+)
+@example([-0.0], ", ")
+@example([0.0, 1.0, -3.0, 1e11], ", ")
+@example([5e-324, -2.2250738585072014e-308, 1e-300], ", ")
+@example([float("nan")], ", ")
+@example([float("inf"), float("-inf"), 0.5], ", ")
+@example([1.5e-05, 2.0], ", ")  # as many points as values, yet an exponent
+@example([1.5e12, 0.5], ", ")  # a point inside an exponent token
+@example([9.99999999999949e-5, 999999999999.6, 0.1 + 0.2], ", ")
+def test_json_floats_match_one_number_at_a_time(values, sep):
+    assert cli._json_floats(values, sep) == sep.join(map(cli._json_num, values))
+
+
 scalars = (
     st.none()
     | st.booleans()

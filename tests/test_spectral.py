@@ -20,7 +20,9 @@ from sedwalk import (
     path,
     star,
 )
+from sedwalk.dsl import parse_graph
 from sedwalk.graphs import WeightedGraph
+from sedwalk.spectral import DEFAULT_GROUPING_TOL, DEFAULT_SUPPORT_TOL
 
 KINDS = [MatrixKind.adjacency(), MatrixKind.laplacian(), MatrixKind.generalized(Fraction(1, 2))]
 
@@ -51,6 +53,58 @@ def test_eigenvalue_grouping_multiplicities():
     dec_l = decompose(complete(4), MatrixKind.laplacian())
     assert dec_l.multiplicities == (3, 1)
     np.testing.assert_allclose(dec_l.eigenvalues, [4.0, 0.0], atol=1e-9)
+
+
+def single_linkage_groups(vals: np.ndarray, tol: float) -> list[list[int]]:
+    """Ascending eigenvalue indices grouped one comparison at a time."""
+    groups = [[0]]
+    for i in range(1, len(vals)):
+        if vals[i] - vals[groups[-1][-1]] <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
+GROUPING_CASES = ["P(60)", "C(28)", "cprod(C(6),C(6))", "KM(2,1,1)", "dprod(K(3),K(4))", "CP(8)", "K(1)"]
+
+
+@pytest.mark.parametrize("expr", GROUPING_CASES)
+@pytest.mark.parametrize("kind", KINDS[:2], ids=lambda k: k.short_name)
+def test_grouping_matches_the_single_linkage_loop(expr, kind):
+    g = parse_graph(expr)
+    dec = decompose(g, kind)
+    vals, vecs = np.linalg.eigh(g.matrix(kind))
+    groups = single_linkage_groups(vals, DEFAULT_GROUPING_TOL * max(1.0, float(np.max(np.abs(vals)))))
+    groups.reverse()
+    assert dec.multiplicities == tuple(len(idx) for idx in groups)
+    assert np.array_equal(dec.eigenvalues, [float(np.mean(vals[idx])) for idx in groups])
+    assert np.array_equal(dec.vectors, vecs[:, [i for idx in groups for i in idx]])
+
+
+@pytest.mark.parametrize(
+    "expr", ["P(240)", "C(200)", "cprod(C(11),C(11))", "cprod(P(12),P(12))", "K(20)", "CP(12)"]
+)
+@pytest.mark.parametrize("kind", KINDS[:2], ids=lambda k: k.short_name)
+def test_supports_match_per_vertex_entries(expr, kind):
+    dec = decompose(parse_graph(expr), kind)
+    verts = list(range(dec.n - 1, -1, -3))
+    got = dec.supports(verts)
+    assert got == [dec.support(u) for u in verts]
+    for sup, u in zip(got, verts):
+        weights = dec.entries(u, u)
+        idx = np.flatnonzero(np.sqrt(weights) > DEFAULT_SUPPORT_TOL)
+        assert sup.vertex == u
+        assert sup.indices == tuple(idx.tolist())
+        assert sup.values == tuple(dec.eigenvalues[idx].tolist())
+        assert sup.weights == tuple(weights[idx].tolist())
+
+
+def test_supports_reject_a_vertex_out_of_range():
+    dec = decompose(path(4))
+    for verts in ([0, 4], [-1]):
+        with pytest.raises(ValueError, match="out of range"):
+            dec.supports(verts)
 
 
 def test_support_weights_sum_to_one(rand_graph):
