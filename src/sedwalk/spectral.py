@@ -138,16 +138,13 @@ class SpectralDecomposition:
     def supports(
         self, vertices: Sequence[int], support_tol: float = DEFAULT_SUPPORT_TOL
     ) -> list[EigenvalueSupport]:
-        """:meth:`support` of each vertex in ``vertices``, from one reduction
-        of their eigenvector rows (the sums :meth:`diagonal_weights` takes
-        row by row).  The supports share one float object per eigenvalue."""
+        """:meth:`support` of each vertex in ``vertices``.  The supports
+        share one float object per eigenvalue."""
         verts = list(vertices)
         for u in verts:
             self._check_vertex(u)
-        rows = self.vectors[verts]
-        weights = np.add.reduceat(rows * rows, self.starts, axis=1)
         values = self.eigenvalues.astype(object)
-        return [_threshold(u, w, values, support_tol) for u, w in zip(verts, weights)]
+        return [_threshold(u, self.diagonal_weights(u), values, support_tol) for u in verts]
 
     def _check_vertex(self, u: int) -> None:
         if not 0 <= u < self.n:
