@@ -373,7 +373,7 @@ def cmd_analyze(args: argparse.Namespace) -> str:
                 "graph": {
                     "source": src,
                     "vertices": g.n,
-                    "edges": len(g.edges),
+                    "edges": g.edge_count,
                     "matrix_kind": kind.short_name,
                     "regular_row_sum": None if row_sum is None else float(row_sum),
                 },
@@ -385,7 +385,7 @@ def cmd_analyze(args: argparse.Namespace) -> str:
         return _render_classifications(results, "csv")
     head = [
         f"graph: {src}",
-        f"vertices: {g.n}  edges: {len(g.edges)}  matrix: {kind.short_name}",
+        f"vertices: {g.n}  edges: {g.edge_count}  matrix: {kind.short_name}",
         "regular row sum: " + ("-" if row_sum is None else _num(float(row_sum))),
     ]
     for rec in twins:

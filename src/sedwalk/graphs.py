@@ -1,17 +1,31 @@
 """Weighted undirected graphs (loops allowed) and the constructions the analyzers work on.
 
-Weights are kept as exact ``Fraction`` values whenever the inputs are rational;
-float inputs fall back to floating point for the whole computation chain.
-Vertex order is part of every constructor's contract:
+A graph *is* its n-by-n weight matrix ``M = s * A``, held read-only:
 
-* ``join(x, y)`` keeps the vertices of ``x`` first,
-* ``complete_multipartite`` lays parts out in the given order,
-* ``blow_up`` is copy-major: copy ``j`` of vertex ``u`` is ``j * x.n + u``,
-* ``direct_product`` / ``cartesian_product`` are row-major: ``(u, v) -> u * y.n + v``,
-* ``threshold`` appends each new cell after the vertices already present.
+* on an exact graph (every weight rational) ``s`` is the least common
+  denominator of the weights and ``M`` holds the integer numerators, as
+  int64 (8n^2 bytes) while ``s`` and ``2n * max(M)`` stay below 2**53 and as
+  Python ints beyond that;
+* on a float graph ``M`` is the float64 matrix and ``s = 1``;
+* a graph that mixes ``Fraction`` and float weights keeps them as given in
+  an object matrix with ``s = 1``, so that its sums add them as Python does.
+
+Edges, incidences, weights and degrees are read from ``M`` on demand.  The
+constructors are the matrix identities, with ``J`` the all-ones matrix:
+
+* ``complete``, ``empty``, ``path``, ``cycle``, ``star``,
+  ``complete_multipartite`` (parts laid out in the given order) and
+  ``threshold`` (each new cell after the vertices already present) fill 0/1
+  blocks,
+* ``join(x, y)`` is ``[[A(x), J], [J, A(y)]]`` and ``disjoint_union(x, y)``
+  the block diagonal; both keep the vertices of ``x`` first,
+* ``direct_product`` is ``A(x) (x) A(y)`` and ``cartesian_product``
+  ``A(x) (x) I + I (x) A(y)``, row-major: ``(u, v) -> u * y.n + v``,
+* ``blow_up(m, x)`` is ``J_m (x) A(x)``, copy-major: copy ``j`` of vertex
+  ``u`` is ``j * x.n + u``.
 
 Every constructor refuses more than ``MAX_VERTICES`` vertices before it
-builds an edge, because each graph holds an n-by-n weight matrix.
+allocates its matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,7 +68,7 @@ __all__ = [
 
 # Largest vertex count any constructor accepts.  A graph holds its n-by-n
 # weight matrix (128 MB of int64 at the cap) and a decomposition holds n-by-n
-# eigenvectors, so larger inputs are refused before any edge is built.
+# eigenvectors, so larger inputs are refused before any matrix is built.
 MAX_VERTICES = 4096
 
 # Integers below this convert to float64 exactly.
@@ -142,34 +156,45 @@ ADJACENCY = MatrixKind.adjacency()
 LAPLACIAN = MatrixKind.laplacian()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Immutable weighted graph on vertices ``0..n-1``.
+    """Immutable weighted graph on vertices ``0..n-1``, held as ``M = s * A``.
 
-    ``edges`` holds canonical ``(u, v, w)`` triples with ``u <= v`` sorted
-    lexicographically; a triple with ``u == v`` is a loop.  All weights must
-    be positive.  ``memo`` holds structures other modules derive from the
-    graph once (the twin partition); it takes no part in equality.
+    ``weights`` is the read-only matrix ``M`` and ``scale`` is ``s`` (see the
+    module docstring); build graphs with :meth:`from_edges` or the
+    constructors, which keep that form canonical.  A diagonal entry is a
+    loop.  Two graphs are equal when they have the same ``n``, the same
+    weights and the same ``laplacian_safe`` flag.  ``memo`` holds structures
+    other modules derive from the graph once (the twin partition); it takes
+    no part in equality.
     """
 
     n: int
-    edges: tuple[tuple[int, int, Weight], ...]
+    weights: np.ndarray = field(repr=False)
+    scale: int = 1
     laplacian_safe: bool = True
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         _check_order(self.n)
-        seen = set()
-        for u, v, w in self.edges:
-            if not (0 <= u <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            if not w > 0:
-                raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
-            seen.add((u, v))
+        if self.weights.shape != (self.n, self.n):
+            raise ValueError(f"weight matrix of shape {self.weights.shape} for n={self.n}")
+        self.weights.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightedGraph):
+            return NotImplemented
+        if (self.n, self.laplacian_safe) != (other.n, other.laplacian_safe):
+            return False
+        if self.scale == other.scale and self.weights.dtype == other.weights.dtype:
+            return bool(np.array_equal(self.weights, other.weights))
+        return self.edges == other.edges
+
+    def __hash__(self) -> int:
+        # equal graphs share their edge positions whatever their dtype
+        return hash((self.n, self.laplacian_safe, np.flatnonzero(self.weights).tobytes()))
 
     # -- construction -------------------------------------------------
 
@@ -180,74 +205,104 @@ class WeightedGraph:
         edges: Iterable[tuple[int, int, object]] | Mapping[tuple[int, int], object] = (),
         laplacian_safe: bool = True,
     ) -> "WeightedGraph":
+        """Graph from ``(u, v, w)`` triples (``w`` defaults to 1) or a
+        ``{(u, v): w}`` map.  An edge may repeat with an equal weight."""
+        if n < 1:
+            raise ValueError("graph needs at least one vertex")
         _check_order(n)
         if isinstance(edges, Mapping):
-            items = [(u, v, w) for (u, v), w in edges.items()]
-        else:
-            items = [e if len(e) == 3 else (e[0], e[1], 1) for e in edges]
-        canon: dict[tuple[int, int], Weight] = {}
-        for u, v, w in items:
+            edges = ((u, v, w) for (u, v), w in edges.items())
+        rows: list[int] = []
+        cols: list[int] = []
+        ws: list[Weight] = []
+        for e in edges:
+            u, v, w = e if len(e) == 3 else (e[0], e[1], 1)
             u, v = (int(u), int(v)) if u <= v else (int(v), int(u))
-            weight = _coerce_weight(w)
-            if (u, v) in canon and canon[(u, v)] != weight:
-                raise ValueError(f"conflicting weights for edge ({u},{v})")
-            canon[(u, v)] = weight
-        triples = tuple(sorted((u, v, w) for (u, v), w in canon.items()))
-        return cls(n, triples, laplacian_safe)
+            w = _coerce_weight(w)
+            if not (0 <= u <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            if not w > 0:
+                raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
+            rows.append(u)
+            cols.append(v)
+            ws.append(w)
+        keys = np.array(rows, dtype=np.int64) * n + np.array(cols, dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        repeats = np.flatnonzero(keys[order][1:] == keys[order][:-1]).tolist()
+        if repeats:
+            for i in repeats:
+                a, b = order[i], order[i + 1]
+                if ws[a] != ws[b]:
+                    raise ValueError(f"conflicting weights for edge ({rows[a]},{cols[a]})")
+            # the last copy of an edge wins, as in a dict
+            keep = np.delete(order, repeats).tolist()
+            rows, cols = [rows[i] for i in keep], [cols[i] for i in keep]
+            ws = [ws[i] for i in keep]
+        return _from_entries(n, rows, cols, ws, laplacian_safe)
 
-    # -- basic accessors ----------------------------------------------
+    # -- views derived from M -------------------------------------------
 
-    @cached_property
-    def edge_map(self) -> dict[tuple[int, int], Weight]:
-        return {(u, v): w for u, v, w in self.edges}
+    @property
+    def scaled_adjacency(self) -> tuple[np.ndarray, int]:
+        """``(M, s)`` with ``M = s * A``; ``M`` is read-only.
+
+        On an int64 ``M`` every entry and degree numerator is below 2**53,
+        so ``M / s`` rounds each entry exactly as ``float(Fraction)`` does.
+        """
+        return self.weights, self.scale
 
     @cached_property
     def exact(self) -> bool:
         """True when every weight is a rational number."""
-        return all(isinstance(w, Fraction) for _, _, w in self.edges)
+        m = self.weights
+        if m.dtype != object:
+            return m.dtype == np.int64
+        # exact object matrices hold ints; mixed ones Fractions and floats
+        return all(isinstance(w, int) for w in m.flat)
+
+    def _weight(self, x) -> Weight:
+        """The weight an entry ``x`` of ``M`` (a Python number) stands for."""
+        if not x:
+            return Fraction(0)
+        return Fraction(x, self.scale) if self.exact else x
 
     def weight(self, u: int, v: int) -> Weight:
-        if u > v:
-            u, v = v, u
-        return self.edge_map.get((u, v), Fraction(0))
+        return self._weight(self.weights.item(u, v))
 
-    @cached_property
-    def _incidence(self) -> tuple[dict[int, Weight], ...]:
-        inc: list[dict[int, Weight]] = [dict() for _ in range(self.n)]
-        for u, v, w in self.edges:
-            inc[u][v] = w
-            if u != v:
-                inc[v][u] = w
-        return tuple(inc)
+    @property
+    def edges(self) -> tuple[tuple[int, int, Weight], ...]:
+        """Canonical ``(u, v, w)`` triples with ``u <= v``, sorted
+        lexicographically; a triple with ``u == v`` is a loop."""
+        m = self.weights
+        u, v = np.nonzero(np.triu(m))
+        return tuple(zip(u.tolist(), v.tolist(), map(self._weight, m[u, v].tolist())))
+
+    @property
+    def edge_map(self) -> dict[tuple[int, int], Weight]:
+        return {(u, v): w for u, v, w in self.edges}
+
+    @property
+    def edge_count(self) -> int:
+        m = self.weights
+        return (int(np.count_nonzero(m)) + int(np.count_nonzero(m.diagonal()))) // 2
 
     def incident(self, u: int) -> dict[int, Weight]:
         """Neighbors of ``u`` mapped to edge weights; a loop appears under key ``u``."""
-        return dict(self._incidence[u])
+        row = self.weights[u]
+        cols = np.flatnonzero(row)
+        return dict(zip(cols.tolist(), map(self._weight, row[cols].tolist())))
 
-    @cached_property
-    def scaled_adjacency(self) -> tuple[np.ndarray, int]:
-        """``(M, s)`` with ``M = s * A``, built once per graph; ``M`` is read-only.
-
-        On an exact graph ``s`` is the least common denominator of the
-        weights and ``M`` holds the integer numerators: int64 while ``s`` and
-        every degree numerator stay below 2**53, so that ``M / s`` rounds
-        each entry exactly as ``float(Fraction)`` does, and Python ints
-        beyond that.  On a float graph ``M`` is the float matrix and ``s = 1``.
-        """
-        if self.exact:
-            s = math.lcm(*(w.denominator for _, _, w in self.edges))
-            nums = [w.numerator * (s // w.denominator) for _, _, w in self.edges]
-            # a degree numerator is at most (n + 1) times the largest entry
-            fits = s < _EXACT_FLOAT and 2 * self.n * max(nums, default=0) < _EXACT_FLOAT
-            dtype = np.int64 if fits else object
-        else:
-            s, nums, dtype = 1, [float(w) for _, _, w in self.edges], np.float64
-        m = np.zeros((self.n, self.n), dtype=dtype)
-        if self.edges:
-            u, v, _ = zip(*self.edges)
-            m[u, v] = m[v, u] = np.array(nums, dtype=dtype)
-        m.flags.writeable = False
-        return m, s
+    def _python_row_sums(self, loop_factor: int) -> list[Weight]:
+        """Row sums of a float or mixed graph, each loop times ``loop_factor``:
+        left to right from Fraction(0) in column order, as Python adds
+        mixed Fraction/float weights."""
+        sums = []
+        for u in range(self.n):
+            total: Weight = Fraction(0)
+            for v, w in self.incident(u).items():
+                total = total + (loop_factor * w if v == u else w)
+            sums.append(total)
+        return sums
 
     def degree(self, u: int) -> Weight:
         """Weighted degree: a loop counts twice, every other edge once."""
@@ -256,11 +311,7 @@ class WeightedGraph:
     @cached_property
     def degrees(self) -> tuple[Weight, ...]:
         if not self.exact:
-            # left to right from Fraction(0), as Python adds mixed Fraction/float weights
-            return tuple(
-                sum((2 * w if v == u else w for v, w in inc.items()), Fraction(0))
-                for u, inc in enumerate(self._incidence)
-            )
+            return tuple(self._python_row_sums(2))
         m, s = self.scaled_adjacency
         return tuple(Fraction(int(d), s) for d in m.sum(axis=1) + m.diagonal())
 
@@ -271,6 +322,11 @@ class WeightedGraph:
         return np.asarray(m / s, dtype=np.float64)
 
     def degree_matrix(self) -> np.ndarray:
+        m, s = self.scaled_adjacency
+        if m.dtype == np.int64:
+            # numerators below 2**53: one rounding each, as float(Fraction(d, s)),
+            # with no Fraction per vertex
+            return np.diag((m.sum(axis=1) + m.diagonal()) / s)
         return np.diag([float(d) for d in self.degrees])
 
     def matrix(self, kind: MatrixKind = ADJACENCY) -> np.ndarray:
@@ -295,7 +351,7 @@ class WeightedGraph:
             m, s = self.scaled_adjacency
             sums = m.sum(axis=1)
             return Fraction(int(sums[0]), s) if (sums == sums[0]).all() else None
-        sums = [sum(inc.values(), Fraction(0)) for inc in self._incidence]
+        sums = self._python_row_sums(1)
         first = sums[0]
         scale = max(1.0, max(abs(float(s)) for s in sums))
         if all(abs(float(s) - float(first)) <= 1e-9 * scale for s in sums):
@@ -318,40 +374,138 @@ class WeightedGraph:
         return kind.q * self.degree(u) + w - e
 
 
+# -- canonical forms ------------------------------------------------------
+
+
+def _from_entries(
+    n: int, rows, cols, ws: list[Weight], laplacian_safe: bool = True
+) -> WeightedGraph:
+    """The graph with weight ``ws[i]`` at ``(rows[i], cols[i])`` and its mirror."""
+    if all(isinstance(w, Fraction) for w in ws):
+        s = math.lcm(*(w.denominator for w in ws))
+        vals: list = [w.numerator * (s // w.denominator) for w in ws]
+        # a degree numerator is at most (n + 1) times the largest entry
+        fits = s < _EXACT_FLOAT and 2 * n * max(vals, default=0) < _EXACT_FLOAT
+        dtype = np.int64 if fits else object
+    elif all(isinstance(w, float) for w in ws):
+        s, vals, dtype = 1, ws, np.float64
+    else:
+        s, vals, dtype = 1, ws, object
+    m = np.zeros((n, n), dtype=dtype)
+    if ws:
+        m[rows, cols] = m[cols, rows] = np.array(vals, dtype=dtype)
+    return WeightedGraph(n, m, s, laplacian_safe)
+
+
+def _from_values(m: np.ndarray, laplacian_safe: bool = True) -> WeightedGraph:
+    """The graph of an object matrix of weights (Fractions and floats)."""
+    nz = np.flatnonzero(m)
+    rows, cols = np.divmod(nz, len(m))
+    return _from_entries(len(m), rows, cols, m.flat[nz].tolist(), laplacian_safe)
+
+
+def _exact(m: np.ndarray, s: int, laplacian_safe: bool = True) -> WeightedGraph:
+    """The exact graph ``A = m / s``: reduced to the least common
+    denominator, int64 while the 2**53 bounds hold and Python ints beyond."""
+    n = len(m)
+    if s != 1:
+        g = math.gcd(s, int(np.gcd.reduce(m, axis=None)))
+        if g > 1:
+            m, s = m // g, s // g
+    fits = s < _EXACT_FLOAT and 2 * n * int(m.max()) < _EXACT_FLOAT
+    return WeightedGraph(n, m.astype(np.int64 if fits else object, copy=False), s, laplacian_safe)
+
+
+def _values(g: WeightedGraph) -> np.ndarray:
+    """Object matrix of ``g``'s weights as given, with int 0 off the edges."""
+    m = g.weights
+    if m.dtype == object and not g.exact:
+        return m
+    vals = np.zeros(m.shape, dtype=object)
+    nz = np.flatnonzero(m)
+    vals.flat[nz] = [g._weight(x) for x in m.flat[nz].tolist()]
+    return vals
+
+
+def _combine(
+    x: WeightedGraph,
+    y: WeightedGraph,
+    build: Callable[[np.ndarray, np.ndarray, object], np.ndarray],
+    product: bool = False,
+    laplacian_safe: bool = True,
+) -> WeightedGraph:
+    """The graph of ``build(mx, my, one)`` for matrices of ``x`` and ``y`` in
+    one number system, where ``one`` stands for a unit weight.
+
+    When both are exact these are integer numerators, over the product of
+    the scales if ``build`` multiplies weights (``product``) and over their
+    least common multiple otherwise; int64 when the result cannot overflow.
+    Otherwise they are object matrices of the weights as given, so every
+    entry is the Python sum or product it was edge by edge.
+    """
+    if not (x.exact and y.exact):
+        return _from_values(build(_values(x), _values(y), Fraction(1)), laplacian_safe)
+    (mx, sx), (my, sy) = x.scaled_adjacency, y.scaled_adjacency
+    if product:
+        s, fx, fy = sx * sy, 1, 1
+        top = int(mx.max()) * int(my.max())
+    else:
+        s = math.lcm(sx, sy)
+        fx, fy = s // sx, s // sy
+        # a cartesian entry adds two scaled entries; a join entry is s
+        top = 2 * max(int(mx.max()) * fx, int(my.max()) * fy, s)
+    dtype = np.int64 if mx.dtype == my.dtype == np.int64 and top < 2**63 else object
+    mx, my = mx.astype(dtype, copy=False), my.astype(dtype, copy=False)
+    if fx != 1 or fy != 1:
+        mx, my = mx * fx, my * fy
+    return _exact(build(mx, my, s), s, laplacian_safe)
+
+
+def _block_diagonal(mx: np.ndarray, my: np.ndarray, one: object = None) -> np.ndarray:
+    nx = len(mx)
+    m = np.zeros((nx + len(my),) * 2, dtype=mx.dtype)
+    m[:nx, :nx] = mx
+    m[nx:, nx:] = my
+    return m
+
+
 # -- elementary families ------------------------------------------------
-
-
-def _simple(n: int, pairs: Iterable[tuple[int, int]]) -> WeightedGraph:
-    one = Fraction(1)  # immutable, so every edge shares it
-    return WeightedGraph.from_edges(n, ((u, v, one) for u, v in pairs))
 
 
 def empty(n: int) -> WeightedGraph:
     if n < 1:
         raise ValueError("empty(n) needs n >= 1")
     _check_order(n)
-    return WeightedGraph.from_edges(n, [])
+    return WeightedGraph(n, np.zeros((n, n), dtype=np.int64))
 
 
 def complete(n: int) -> WeightedGraph:
     if n < 1:
         raise ValueError("complete(n) needs n >= 1")
     _check_order(n)
-    return _simple(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+    m = np.ones((n, n), dtype=np.int64)
+    np.fill_diagonal(m, 0)
+    return WeightedGraph(len(m), m)
 
 
 def path(n: int) -> WeightedGraph:
     if n < 1:
         raise ValueError("path(n) needs n >= 1")
     _check_order(n)
-    return _simple(n, ((i, i + 1) for i in range(n - 1)))
+    m = np.zeros((n, n), dtype=np.int64)
+    i = np.arange(n - 1)
+    m[i, i + 1] = m[i + 1, i] = 1
+    return WeightedGraph(len(m), m)
 
 
 def cycle(n: int) -> WeightedGraph:
     if n < 3:
         raise ValueError("cycle(n) needs n >= 3 to stay a simple graph")
     _check_order(n)
-    return _simple(n, [(i, (i + 1) % n) for i in range(n)])
+    m = np.zeros((n, n), dtype=np.int64)
+    i = np.arange(n)
+    m[i, (i + 1) % n] = m[(i + 1) % n, i] = 1
+    return WeightedGraph(len(m), m)
 
 
 def star(n: int) -> WeightedGraph:
@@ -359,7 +513,9 @@ def star(n: int) -> WeightedGraph:
     if n < 1:
         raise ValueError("star(n) needs n >= 1")
     _check_order(n + 1)
-    return _simple(n + 1, ((0, i) for i in range(1, n + 1)))
+    m = np.zeros((n + 1, n + 1), dtype=np.int64)
+    m[0, 1:] = m[1:, 0] = 1
+    return WeightedGraph(len(m), m)
 
 
 # -- graph operations ----------------------------------------------------
@@ -367,8 +523,7 @@ def star(n: int) -> WeightedGraph:
 
 def disjoint_union(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     _check_order(x.n + y.n)
-    edges = list(x.edges) + [(u + x.n, v + x.n, w) for u, v, w in y.edges]
-    return WeightedGraph.from_edges(x.n + y.n, edges)
+    return _combine(x, y, _block_diagonal)
 
 
 def join(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
@@ -377,10 +532,13 @@ def join(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     Vertices of ``x`` come first.
     """
     _check_order(x.n + y.n)
-    edges = list(x.edges) + [(u + x.n, v + x.n, w) for u, v, w in y.edges]
-    one = Fraction(1)
-    edges += [(u, v + x.n, one) for u in range(x.n) for v in range(y.n)]
-    return WeightedGraph.from_edges(x.n + y.n, edges)
+
+    def build(mx: np.ndarray, my: np.ndarray, one: object) -> np.ndarray:
+        m = _block_diagonal(mx, my)
+        m[: x.n, x.n :] = m[x.n :, : x.n] = one
+        return m
+
+    return _combine(x, y, build)
 
 
 def complete_multipartite(parts: Sequence[int]) -> WeightedGraph:
@@ -390,15 +548,8 @@ def complete_multipartite(parts: Sequence[int]) -> WeightedGraph:
     if any(p < 1 for p in parts):
         raise ValueError("part sizes must be positive")
     _check_order(sum(parts))
-    offsets = np.cumsum([0] + list(parts))
-    n = int(offsets[-1])
-    pairs = []
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            for u in range(offsets[i], offsets[i + 1]):
-                for v in range(offsets[j], offsets[j + 1]):
-                    pairs.append((int(u), int(v)))
-    return _simple(n, pairs)
+    part = np.repeat(np.arange(len(parts)), parts)
+    return WeightedGraph(len(part), (part[:, None] != part[None, :]).astype(np.int64))
 
 
 def cocktail_party(k: int) -> WeightedGraph:
@@ -417,26 +568,21 @@ def threshold(parts: Sequence[int], starts_empty: bool = True) -> WeightedGraph:
 
     Cell 1 is empty (``O``) when ``starts_empty`` else complete (``K``); cells
     alternate from there.  Every ``K`` cell is joined to what was built so
-    far, every ``O`` cell is added disjointly.  The result is connected only
-    when the last cell is a ``K`` cell.
+    far, every ``O`` cell is added disjointly, so two distinct vertices are
+    adjacent exactly when the later of their cells is a ``K`` cell.  The
+    result is connected only when the last cell is a ``K`` cell.
     """
     if not parts:
         raise ValueError("need at least one cell")
     if any(m < 1 for m in parts):
         raise ValueError("cell sizes must be positive")
     _check_order(sum(parts))
-    g: WeightedGraph | None = None
-    for j, m in enumerate(parts, start=1):
-        is_clique = (j % 2 == 0) if starts_empty else (j % 2 == 1)
-        cell = complete(m) if is_clique else empty(m)
-        if g is None:
-            g = cell
-        elif is_clique:
-            g = join(g, cell)
-        else:
-            g = disjoint_union(g, cell)
-    assert g is not None
-    return g
+    cell = np.repeat(np.arange(len(parts)), parts)
+    # cell j (from 0) is a K cell when j is odd, or even if it starts with K
+    is_clique = (np.arange(len(parts)) % 2) == (1 if starts_empty else 0)
+    m = is_clique[np.maximum(cell[:, None], cell[None, :])].astype(np.int64)
+    np.fill_diagonal(m, 0)
+    return WeightedGraph(len(m), m)
 
 
 def threshold_cells(parts: Sequence[int]) -> list[range]:
@@ -448,15 +594,6 @@ def threshold_cells(parts: Sequence[int]) -> list[range]:
     return out
 
 
-def _ordered_entries(g: WeightedGraph) -> list[tuple[int, int, Weight]]:
-    entries = []
-    for u, v, w in g.edges:
-        entries.append((u, v, w))
-        if u != v:
-            entries.append((v, u, w))
-    return entries
-
-
 def direct_product(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     """Direct (tensor/categorical) product; adjacency is the Kronecker product.
 
@@ -466,28 +603,22 @@ def direct_product(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     """
     _check_order(x.n * y.n)
     safe = x.is_weighted_regular() is not None and y.is_weighted_regular() is not None
-    acc: dict[tuple[int, int], Weight] = {}
-    for a, b, w1 in _ordered_entries(x):
-        for c, d, w2 in _ordered_entries(y):
-            i, j = a * y.n + c, b * y.n + d
-            if i <= j:
-                acc[(i, j)] = w1 * w2
-    return WeightedGraph.from_edges(x.n * y.n, acc, laplacian_safe=safe)
+    return _combine(x, y, lambda mx, my, one: np.kron(mx, my), product=True, laplacian_safe=safe)
 
 
 def cartesian_product(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     """Cartesian product; adjacency is ``A(x) (x) I + I (x) A(y)``."""
     _check_order(x.n * y.n)
-    acc: dict[tuple[int, int], Weight] = {}
-    for u, v, w in x.edges:
-        for t in range(y.n):
-            i, j = u * y.n + t, v * y.n + t
-            acc[(min(i, j), max(i, j))] = acc.get((min(i, j), max(i, j)), Fraction(0)) + w
-    for u in range(x.n):
-        for a, b, w in y.edges:
-            i, j = u * y.n + a, u * y.n + b
-            acc[(min(i, j), max(i, j))] = acc.get((min(i, j), max(i, j)), Fraction(0)) + w
-    return WeightedGraph.from_edges(x.n * y.n, acc)
+
+    def build(mx: np.ndarray, my: np.ndarray, one: object) -> np.ndarray:
+        # m[u, t, v, t'] is the weight between (u, t) and (v, t')
+        m = np.zeros((x.n, y.n, x.n, y.n), dtype=mx.dtype)
+        t, u = np.arange(y.n), np.arange(x.n)
+        m[:, t, :, t] = mx
+        m[u, :, u, :] += my
+        return m.reshape(x.n * y.n, x.n * y.n)
+
+    return _combine(x, y, build)
 
 
 def blow_up(m: int, x: WeightedGraph) -> WeightedGraph:
@@ -501,14 +632,10 @@ def blow_up(m: int, x: WeightedGraph) -> WeightedGraph:
     if m < 1:
         raise ValueError("blow_up needs m >= 1")
     _check_order(m * x.n)
-    acc: dict[tuple[int, int], Weight] = {}
-    for a, b, w in _ordered_entries(x):
-        for j in range(m):
-            for jj in range(m):
-                i, k = j * x.n + a, jj * x.n + b
-                if i <= k:
-                    acc[(i, k)] = w
-    return WeightedGraph.from_edges(m * x.n, acc)
+    tiled = np.tile(x.weights, (m, m))
+    if x.exact:
+        return _exact(tiled, x.scale)
+    return WeightedGraph(m * x.n, tiled)
 
 
 # -- edge-list text format ------------------------------------------------

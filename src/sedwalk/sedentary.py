@@ -382,12 +382,7 @@ def _twin_stage(
         facts.g, facts.kind, twin_set, u, dec=facts.dec, split=facts.splits[twin_set]
     )
     split = branch.split
-    size = len(twin_set)
-    a_theta = float(facts.dec.diagonal_weights(u)[split.eigen_index])
-    expected = 1.0 - 1.0 / size + split.f_diagonal(u)
-    if abs(a_theta - expected) > 1e-7:
-        raise ValueError("twin eigenvalue weight disagrees with the split")
-    trail.append(f"twin-set:size={size},theta={split.theta:.6g}")
+    trail.append(f"twin-set:size={len(twin_set)},theta={split.theta:.6g}")
     if branch.branch == "sedentary":
         trail.append("twin-branch:sedentary")
         return split.eigen_index, None

@@ -40,14 +40,15 @@ def are_twins(g: WeightedGraph, u: int, v: int) -> bool:
     """Exact combinatorial twin test: equal loops, equal view of the rest."""
     if u == v:
         raise ValueError("a vertex is not its own twin")
-    if g.weight(u, u) != g.weight(v, v):
-        return False
-    for w in range(g.n):
-        if w == u or w == v:
-            continue
-        if g.weight(u, w) != g.weight(v, w):
-            return False
-    return True
+    return _same_view(g.scaled_adjacency[0], u, v)
+
+
+def _same_view(m: np.ndarray, u: int, v: int) -> bool:
+    """Rows u and v of M agree on the loop and off the pair.  M holds the
+    weights exactly (numerators over one scale, floats, or the given
+    Fractions and floats), so this compares weights exactly."""
+    differ = np.flatnonzero(m[u] != m[v]).tolist()
+    return bool(m[u, u] == m[v, v]) and set(differ) <= {u, v}
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,7 @@ def _twin_partition(g: WeightedGraph) -> dict[int, TwinSet]:
     h(M[u, w]) r_w, gives that modified row's hash for every eta at once:
     key[u, v] = H(u) + (h(M[u, v]) - h(M[u, u])) r_u.  So twins satisfy
     key[u, v] == key[v, u], one O(n^2) pass for all pair weights.  Each
-    candidate is confirmed exactly: by its rows of M on an exact graph, by
-    :func:`are_twins` otherwise, where M holds rounded floats.
+    candidate is confirmed exactly by its rows of M.
     """
     if "twins" in g.memo:
         return g.memo["twins"]
@@ -122,18 +122,14 @@ def _twin_partition(g: WeightedGraph) -> dict[int, TwinSet]:
     key += row[:, None]
     candidate = (key == key.T) & (loops[:, None] == loops[None, :])
 
-    def confirmed(u: int, v: int) -> bool:
-        if not g.exact:
-            return are_twins(g, u, v)
-        differ = np.flatnonzero(m[u] != m[v]).tolist()
-        return bool(m[u, u] == m[v, v]) and set(differ) <= {u, v}
-
     part: dict[int, TwinSet] = {}
     for u in range(g.n):
         if u in part:
             continue
         # twins of u with a smaller index were reached first
-        twins = [v for v in np.flatnonzero(candidate[u]).tolist() if v > u and confirmed(u, v)]
+        twins = [
+            v for v in np.flatnonzero(candidate[u]).tolist() if v > u and _same_view(m, u, v)
+        ]
         if twins:
             ts = TwinSet(members=(u, *twins), omega=g.weight(u, u), eta=g.weight(u, twins[0]))
             part.update(dict.fromkeys(ts.members, ts))
@@ -159,11 +155,13 @@ def find_twin_sets(g: WeightedGraph, vertices: Iterable[int] | None = None) -> l
 
 @dataclass(frozen=True)
 class ThetaEigenspaceSplit:
-    """Split of the twin eigenvalue's projector E = P1 + F.
+    """Split of the twin eigenvalue's projector E = V V^T = P1 + F.
 
     P1 projects onto the span of the difference vectors of the twin set
     (dimension ``b1_dim`` = |T| - 1) and F onto whatever else the
-    eigenspace holds.  F vanishes exactly when the eigenvalue has the
+    eigenspace holds.  ``vectors`` is V, the eigenvalue's orthonormal block
+    of the decomposition (a view), so F is read one diagonal entry at a time
+    and never formed.  F vanishes exactly when the eigenvalue has the
     minimal multiplicity |T| - 1.
     """
 
@@ -172,10 +170,13 @@ class ThetaEigenspaceSplit:
     eigen_index: int
     theta_multiplicity: int
     b1_dim: int
-    f_matrix: np.ndarray
+    vectors: np.ndarray
 
     def f_diagonal(self, u: int) -> float:
-        return float(self.f_matrix[u, u])
+        """F[u, u] = ||V[u]||^2 - P1[u, u]; P1[u, u] is 1 - 1/|T| on the set, else 0."""
+        row = self.vectors[u]
+        p1 = 1.0 - 1.0 / len(self.twin_set) if u in self.twin_set else 0.0
+        return float(row @ row) - p1
 
     @property
     def f_rank(self) -> int:
@@ -190,25 +191,28 @@ def theta_split(
 ) -> ThetaEigenspaceSplit:
     """Locate the twin eigenvalue in the spectrum and split its projector.
 
-    Raises if the formula eigenvalue is missing from the computed
-    spectrum or if the residual F fails to be a projector; both signal
-    numerical trouble upstream rather than a recoverable condition.
+    F = E - P1 is a projector exactly when every difference e_u - e_v of
+    the set lies in the eigenspace, that is when ||V^T (e_u - e_v)||^2 =
+    ||V[u] - V[v]||^2 equals ||e_u - e_v||^2 = 2; the differences of
+    consecutive members span P1's range, so they are the ones checked.
+    Raises if the formula eigenvalue is missing from the computed spectrum,
+    if a difference leaves the eigenspace or if the multiplicity is below
+    |T| - 1; all signal numerical trouble upstream rather than a
+    recoverable condition.
     """
     if dec is None:
         dec = decompose(g, kind)
     theta = float(twin_set.theta(g, kind))
     idx = dec.eigenvalue_index(theta)
-    proj = dec.projector(idx)
-    size = len(twin_set)
-    ix = np.asarray(twin_set.members)
-    p1 = np.zeros((g.n, g.n))
-    p1[np.ix_(ix, ix)] = np.eye(size) - 1.0 / size
-    f = proj - p1
-    if np.max(np.abs(f @ f - f)) > F_PROJECTOR_TOL * max(1.0, g.n):
-        raise ValueError("twin eigenspace split is not a projector")
     mult = int(dec.multiplicities[idx])
-    b1 = size - 1
-    if abs(float(np.trace(f)) - (mult - b1)) > 1e-6:
+    start = int(dec.starts[idx])
+    block = dec.vectors[:, start : start + mult]
+    members = list(twin_set.members)
+    diff = block[members[:-1]] - block[members[1:]]
+    if np.max(np.abs(np.einsum("ij,ij->i", diff, diff) - 2.0)) > F_PROJECTOR_TOL * max(1.0, g.n):
+        raise ValueError("twin eigenspace split is not a projector")
+    b1 = len(members) - 1
+    if mult < b1:
         raise ValueError("twin eigenspace multiplicity mismatch")
     return ThetaEigenspaceSplit(
         twin_set=twin_set,
@@ -216,7 +220,7 @@ def theta_split(
         eigen_index=idx,
         theta_multiplicity=mult,
         b1_dim=b1,
-        f_matrix=f,
+        vectors=block,
     )
 
 

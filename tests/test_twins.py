@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -141,7 +142,8 @@ def test_theta_split_star_leaves():
     assert split.b1_dim == 2
     assert split.theta_multiplicity == 2
     assert split.f_rank == 0
-    np.testing.assert_allclose(split.f_matrix, 0.0, atol=1e-9)
+    # F is positive semidefinite, so a zero diagonal means F = 0
+    np.testing.assert_allclose([split.f_diagonal(u) for u in range(g.n)], 0.0, atol=1e-9)
 
 
 def test_theta_split_cocktail_party():
@@ -154,6 +156,32 @@ def test_theta_split_cocktail_party():
     # extra kernel directions live on the other pairs, not on this one
     assert split.f_diagonal(0) == pytest.approx(0.0, abs=1e-9)
     assert split.f_diagonal(2) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_theta_split_rejects_a_difference_outside_the_eigenspace():
+    # rotate the theta block so its first column is (e_0 - e_1)/sqrt(2), then
+    # swap that column with one of another eigenvalue: both the new check
+    # (||V[0] - V[1]||^2 = 2) and the old projector test on F must fail
+    g = cocktail_party(3)
+    ts = find_twin_sets(g)[0]
+    dec = decompose(g, A)
+    idx = dec.eigenvalue_index(0.0)
+    start, mult = int(dec.starts[idx]), int(dec.multiplicities[idx])
+    block = dec.vectors[:, start : start + mult]
+    c = block[0] - block[1]
+    basis, _ = np.linalg.qr(np.column_stack([c / np.linalg.norm(c), np.eye(mult)]))
+    vectors = dec.vectors.copy()
+    vectors[:, start : start + mult] = block @ basis
+    other = 0 if start > 0 else start + mult
+    vectors[:, [start, other]] = vectors[:, [other, start]]
+    moved = dataclasses.replace(dec, vectors=vectors)
+    moved_block = vectors[:, start : start + mult]
+    f = moved_block @ moved_block.T
+    f[np.ix_([0, 1], [0, 1])] -= np.eye(2) - 0.5
+    assert np.max(np.abs(f @ f - f)) > twins_module.F_PROJECTOR_TOL * g.n
+    with pytest.raises(ValueError, match="not a projector"):
+        theta_split(g, A, ts, dec=moved)
+    assert theta_split(g, A, ts, dec=dataclasses.replace(dec, vectors=dec.vectors.copy()))
 
 
 def test_theta_split_rejects_missing_eigenvalue():
