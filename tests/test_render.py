@@ -65,6 +65,11 @@ COMMANDS = (
     "spectrum --graph P(40)",
     "spectrum --graph C(12) --matrix L --format csv",
     "series --graph C(9) --steps 50 --tmax 7.5",
+    "spectrum --graph P(40) --vertex 7 --format json",
+    "spectrum --graph P(40) --vertex 7 --format csv",
+    "spectrum --graph P(40) --vertex 7",
+    "spectrum --graph KM(1,3) --format csv",
+    f"spectrum --file {WEIGHTED} --format csv",
 )
 
 
