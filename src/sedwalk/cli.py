@@ -30,7 +30,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,19 +130,32 @@ def _json_num(x: float) -> str:
 def _json_floats(values: Sequence[float], sep: str) -> str:
     """``sep.join(map(_json_num, values))`` with one ``%`` for the whole list.
 
-    A ``%.12g`` token with a point and no exponent is already what
-    :func:`_json_num` writes.  Any other token (integral, exponent form, nan,
-    inf) goes through ``_json_num(float(token))``, which is exact: the token
-    holds at most 12 significant digits, so it reads back to a float that
-    formats to the same token.  ``sep`` holds no ``e``, ``a`` or ``i``."""
+    A ``%.12g`` token is already what :func:`_json_num` writes when it has a
+    point and no exponent, or a negative exponent other than ``e-3xx``.  Such
+    a token holds at most 12 significant digits, so it is the shortest
+    decimal of the double it reads back as, which ``repr`` prints; and both
+    ``%g`` and ``repr`` switch to exponent form below 1e-4.  Subnormal
+    doubles break the first step (``%.12g`` of 5e-324 is
+    ``4.94065645841e-324``), so every ``e-3xx`` token is rewritten.  The
+    rewritten tokens (those and the integral, ``e+``, ``nan`` and ``inf``
+    ones) go through ``_json_num(float(token))``, which is exact: the token
+    reads back to a float that formats to the same token.  ``sep`` holds no
+    ``.`` or ``e``."""
     n = len(values)
     text = sep.join(["%.12g"] * n) % tuple(values)
-    if text.count(".") == n and "e" not in text and "a" not in text and "i" not in text:
+    if text.count(".") == n and "e+" not in text and "e-3" not in text:
         return text
     return sep.join(
-        tok if "." in tok and "e" not in tok else _json_num(float(tok))
+        tok
+        if ("." in tok and "e" not in tok) or ("e-" in tok and tok[-5:-2] != "e-3")
+        else _json_num(float(tok))
         for tok in text.split(sep)
     )
+
+
+class _Numbers(str):
+    """A list of JSON numbers already formatted, as their comma-joined text;
+    :func:`_write_json` lays it out as a list."""
 
 
 def _write_json(obj: object, pad: str, out: list[str]) -> None:
@@ -152,7 +165,11 @@ def _write_json(obj: object, pad: str, out: list[str]) -> None:
     if isinstance(obj, float):
         out.append(_json_num(obj))
     elif isinstance(obj, str):
-        out.append(_json_str(obj))
+        if type(obj) is _Numbers:
+            inner = pad + "  "
+            out += ("[", inner, obj.replace(",", "," + inner), pad, "]") if obj else ("[]",)
+        else:
+            out.append(_json_str(obj))
     elif isinstance(obj, (list, tuple)):
         inner = pad + "  "
         if not obj:
@@ -215,20 +232,18 @@ def _render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 _CSV_BLOCK_CELLS = 1 << 15
 
 
-def _render_numeric_csv(headers: Sequence[str], line: str, table: np.ndarray) -> str:
-    """CSV of a 2-D numeric array, each row formatted by ``line`` (one
-    ``%.12g`` or ``%d`` per column, comma separated, newline ended).
+def _render_rows(head: str, line: str, blocks: Iterable[np.ndarray]) -> Iterator[str]:
+    """``head``, then each 2-D block of cells with every row formatted by
+    ``line`` (one ``%`` directive per column, newline ended), one ``%`` and
+    one yielded piece per block, so only one block's text is held.
 
-    The bytes equal :func:`_render_csv` of the formatted cells: such a cell
+    With ``head`` a CSV header and cells that are numbers or number text,
+    the bytes equal :func:`_render_csv` of the formatted cells: such a cell
     never holds a comma, a quote or a newline, so ``csv.writer`` quotes
-    none of them.  Rows are formatted a block at a time, so the Python
-    floats and their tuple exist for one block only."""
-    rows = max(1, _CSV_BLOCK_CELLS // table.shape[1])
-    parts = [_render_csv(headers, ())]
-    for lo in range(0, len(table), rows):
-        block = table[lo : lo + rows]
-        parts.append((line * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+    none of them."""
+    yield head
+    for block in blocks:
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 # -- shared plumbing --------------------------------------------------------
@@ -400,7 +415,7 @@ def cmd_analyze(args: argparse.Namespace) -> str:
     return "\n".join(head) + "\n\n" + table
 
 
-def cmd_series(args: argparse.Namespace) -> str:
+def cmd_series(args: argparse.Namespace) -> Iterator[str]:
     g, _src = _load_graph(args)
     kind = MatrixKind.parse(args.matrix)
     ev = WalkEvaluator(_decompose(g, kind, args))
@@ -409,7 +424,12 @@ def cmd_series(args: argparse.Namespace) -> str:
     verts = _select_vertices(args, g.n)
     table = ev.diagonal_series(verts, t_max, steps)
     headers = ["t"] + [f"u{u}" for u in verts]
-    return _render_numeric_csv(headers, ",".join(["%.12g"] * len(headers)) + "\n", table)
+    rows = max(1, _CSV_BLOCK_CELLS // len(headers))
+    return _render_rows(
+        _render_csv(headers, ()),
+        ",".join(["%.12g"] * len(headers)) + "\n",
+        (table[lo : lo + rows] for lo in range(0, steps, rows)),
+    )
 
 
 def cmd_twins(args: argparse.Namespace) -> str:
@@ -429,32 +449,69 @@ def cmd_twins(args: argparse.Namespace) -> str:
     return _render_table(headers, rows)
 
 
-def cmd_spectrum(args: argparse.Namespace) -> str:
+def _spectrum_cells(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    vertex_text: Callable[[int], str],
+    value_text: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """Per support block, the rows (vertex text, eigenvalue text, weight) of
+    its support entries, vertex by vertex, as an object array."""
+    for rows, weights, mask in blocks:
+        at, cls = np.nonzero(mask)
+        cells = np.empty((len(at), 3), dtype=object)
+        cells[:, 0] = np.array([vertex_text(u) for u in rows.tolist()], dtype=object)[at]
+        cells[:, 1] = value_text[cls]
+        cells[:, 2] = weights[mask]
+        yield cells
+
+
+def cmd_spectrum(args: argparse.Namespace) -> str | Iterator[str]:
+    """Each eigenvalue is formatted once and its text reused for every vertex;
+    weights are formatted one ``%`` per vertex list (JSON) or per block of
+    rows (CSV and table), from :meth:`SpectralDecomposition.support_blocks`."""
     g, _src = _load_graph(args)
     kind = MatrixKind.parse(args.matrix)
     dec = _decompose(g, kind, args)
     verts = _select_vertices(args, g.n)
-    supports = dec.supports(verts)
+    values = dec.eigenvalues.tolist()
     if args.format == "json":
+        tokens = np.array(_json_floats(values, ",").split(","), dtype=object)
         return _dump_json(
-            [{"vertex": sup.vertex, "values": sup.values, "weights": sup.weights} for sup in supports]
+            [
+                {
+                    "vertex": u,
+                    "values": _Numbers(",".join(tokens[m])),
+                    "weights": _Numbers(_json_floats(w[m].tolist(), ",")),
+                }
+                for rows, weights, mask in dec.support_blocks(verts)
+                for u, w, m in zip(rows.tolist(), weights, mask)
+            ]
         )
-    headers = ("vertex", "eigenvalue", "weight")
-    if args.format == "table":
-        rows = [
-            [str(sup.vertex), f"{v:.12g}", f"{w:.12g}"]
-            for sup in supports
-            for v, w in zip(sup.values, sup.weights)
-        ]
-        return _render_table(headers, rows)
-    table = np.column_stack(
-        (
-            np.repeat([sup.vertex for sup in supports], [len(sup) for sup in supports]),
-            np.concatenate([sup.values for sup in supports]),
-            np.concatenate([sup.weights for sup in supports]),
+    text = np.array([f"{v:.12g}" for v in values], dtype=object)
+    if args.format == "csv":
+        head = _render_csv(("vertex", "eigenvalue", "weight"), ())
+        return _render_rows(
+            head, "%s,%s,%.12g\n", _spectrum_cells(dec.support_blocks(verts), str, text)
         )
+    # a table's first two columns are as wide as their widest cell, so a
+    # first pass finds the vertices and eigenvalues that have rows; the last
+    # column is left-aligned at the end of the line, so it needs no padding
+    shown = np.zeros(dec.k, dtype=bool)
+    vertex_width = len("vertex")
+    for rows, _weights, mask in dec.support_blocks(verts):
+        shown |= mask.any(axis=0)
+        vertex_width = max([vertex_width] + [len(str(u)) for u in rows[mask.any(axis=1)].tolist()])
+    value_width = max([len("eigenvalue")] + [len(t) for t in text[shown]])
+    head = f"{'vertex':<{vertex_width}}  {'eigenvalue':<{value_width}}  weight\n"
+    return _render_rows(
+        head,
+        "%s  %s  %.12g\n",
+        _spectrum_cells(
+            dec.support_blocks(verts),
+            lambda u: f"{u:<{vertex_width}}",
+            np.array([f"{t:<{value_width}}" for t in text], dtype=object),
+        ),
     )
-    return _render_numeric_csv(headers, "%d,%.12g,%.12g\n", table)
 
 
 # -- family sweeps ------------------------------------------------------------
@@ -700,7 +757,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     handler = globals()[f"cmd_{args.command}"]
     try:
-        text = handler(args)
+        output = handler(args)
+        pieces = [output] if isinstance(output, str) else output
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
     except LaplacianProductUnsupported as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -711,11 +774,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -28,7 +28,7 @@ from .sedentary import (
     equality_time_criterion,
     real_diagonal_zero_search,
 )
-from .walk import _cosine_minimum, complete_product_cosine_terms
+from .walk import complete_product_cosine_terms
 
 __all__ = [
     "FamilyVerdict",
@@ -593,8 +593,13 @@ def complete_product_verdict(factors: Sequence[int]) -> FamilyVerdict:
     graph is vertex transitive, so one verdict covers all).
 
     The diagonal is an exact exponential sum over factor subsets.  With a
-    factor of two it collapses to a real cosine polynomial, where a sign
-    change proves a zero; otherwise the subset of full size carries weight
+    factor of two it collapses to a real cosine polynomial f(t) = sum c
+    cos(f t) whose frequencies are products of the (m - 1) of the other
+    factors, so each is at least 1: f has mean zero over its period, while
+    f(0) = sum c = 1.  So f is negative on an interval of positive length
+    in its first period, and it has a zero before it; the sign-change
+    search locates that zero, sampling twice as finely each time it misses
+    the interval.  Otherwise the subset of full size carries weight
     prod(m - 1) / prod(m) and dominates when that exceeds one half.
     """
     ms = [int(m) for m in factors]
@@ -607,21 +612,10 @@ def complete_product_verdict(factors: Sequence[int]) -> FamilyVerdict:
     if 2 in ms:
         terms = complete_product_cosine_terms(ms)
         assert terms is not None
-        zero = real_diagonal_zero_search(terms, 2.0 * math.pi)
-        if zero is not None:
-            return FamilyVerdict(Verdict.NOT_SEDENTARY, "product-cosine-zero", time=zero)
-        # no sign change: the least value at the critical points is an honest constant
-        found = _cosine_minimum(terms)
-        if found is None:
-            return FamilyVerdict(Verdict.UNDETERMINED, "product-over-cap", certified=False)
-        return FamilyVerdict(
-            Verdict.SEDENTARY,
-            "product-cosine-min",
-            constant=found[1],
-            time=found[0],
-            tight=True,
-            sharp=False,
-        )
+        samples = 40
+        while (zero := real_diagonal_zero_search(terms, 2.0 * math.pi, samples)) is None:
+            samples *= 2
+        return FamilyVerdict(Verdict.NOT_SEDENTARY, "product-cosine-zero", time=zero)
     c = abs(2 * big_q - big_p) / big_p
     if all(m % 2 == 1 for m in ms):
         return FamilyVerdict(

@@ -625,13 +625,14 @@ def classify_vertex(
 
 
 def real_diagonal_zero_search(
-    cosine_terms: list[tuple[float, float]], horizon: float
+    cosine_terms: list[tuple[float, float]], horizon: float, samples_per_period: int = 40
 ) -> float | None:
     """First zero of ``sum c_k cos(f_k t)`` on (0, horizon].
 
-    Scans for a sign change and bisects it down to |value| < 1e-12; a
-    sign change certifies the zero by continuity, so the result is a
-    proof, unlike a small grid minimum of a modulus.
+    Scans for a sign change, at ``samples_per_period`` points per period of
+    the fastest term (at least 1000 points), and bisects it down to |value|
+    < 1e-12; a sign change certifies the zero by continuity, so the result
+    is a proof, unlike a small grid minimum of a modulus.
     """
     if not cosine_terms:
         raise ValueError("need at least one cosine term")
@@ -644,7 +645,7 @@ def real_diagonal_zero_search(
     def f(t: float) -> float:
         return sum(c * math.cos(fr * t) for c, fr in cosine_terms)
 
-    steps = max(1000, int(40.0 * horizon * fmax / (2.0 * math.pi)))
+    steps = max(1000, int(samples_per_period * horizon * fmax / (2.0 * math.pi)))
     prev_t, prev_v = 0.0, f(0.0)
     for i in range(1, steps + 1):
         t = horizon * i / steps

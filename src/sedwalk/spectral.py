@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +29,8 @@ __all__ = [
 DEFAULT_GROUPING_TOL = 1e-7
 DEFAULT_SUPPORT_TOL = 1e-8
 SIGN_MATCH_TOL = 1e-7
+# Entries of V a run of :meth:`SpectralDecomposition.support_blocks` reads.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class LaplacianProductUnsupported(ValueError):
@@ -132,19 +134,47 @@ class SpectralDecomposition:
         return self.entries(u, u)
 
     def support(self, u: int, support_tol: float = DEFAULT_SUPPORT_TOL) -> EigenvalueSupport:
+        """The classes j with (E_j)_{u,u} above ``support_tol`` squared: the
+        one-row case of :meth:`support_blocks`."""
         self._check_vertex(u)
-        return _threshold(u, self.diagonal_weights(u), self.eigenvalues, support_tol)
+        _, weights, mask = self._support_block(u, support_tol)
+        idx = np.flatnonzero(mask)
+        return EigenvalueSupport(
+            vertex=u,
+            indices=tuple(idx.tolist()),
+            values=tuple(self.eigenvalues[idx].tolist()),
+            weights=tuple(weights[idx].tolist()),
+        )
 
-    def supports(
+    def support_blocks(
         self, vertices: Sequence[int], support_tol: float = DEFAULT_SUPPORT_TOL
-    ) -> list[EigenvalueSupport]:
-        """:meth:`support` of each vertex in ``vertices``.  The supports
-        share one float object per eigenvalue."""
-        verts = list(vertices)
-        for u in verts:
-            self._check_vertex(u)
-        values = self.eigenvalues.astype(object)
-        return [_threshold(u, self.diagonal_weights(u), values, support_tol) for u in verts]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The supports of ``vertices``, a run of them at a time.
+
+        Checks every vertex, then yields ``(rows, weights, mask)`` for
+        consecutive runs ``rows`` of ``vertices``: row i of ``weights`` is
+        :meth:`diagonal_weights` of ``rows[i]`` and row i of ``mask`` its
+        support, sqrt(weights) > support_tol.  A run takes about
+        ``_BLOCK_ENTRIES`` entries of V, so no n x n temporary is formed."""
+        rows = np.asarray(vertices, dtype=np.intp)
+        if len(rows):
+            self._check_vertex(int(rows.min()))
+            self._check_vertex(int(rows.max()))
+        step = max(1, _BLOCK_ENTRIES // self.n)
+        return (
+            self._support_block(rows[lo : lo + step], support_tol)
+            for lo in range(0, len(rows), step)
+        )
+
+    def _support_block(
+        self, rows: np.ndarray | int, support_tol: float
+    ) -> tuple[np.ndarray | int, np.ndarray, np.ndarray]:
+        """(rows, weights, mask) of :meth:`support_blocks` for one run: the
+        weights from one reduction over the rows of V, the mask from one
+        comparison.  A single vertex ``rows`` gives 1-D weights and mask."""
+        block = self.vectors[rows]
+        weights = np.add.reduceat(block * block, self.starts, axis=-1)
+        return rows, weights, np.sqrt(weights) > support_tol
 
     def _check_vertex(self, u: int) -> None:
         if not 0 <= u < self.n:
@@ -212,19 +242,6 @@ class SpectralDecomposition:
                 f"{float(self.eigenvalues[j])!r} (off by {err:.3e})"
             )
         return j
-
-
-def _threshold(
-    u: int, weights: np.ndarray, values: np.ndarray, support_tol: float
-) -> EigenvalueSupport:
-    """The classes j of vertex u with sqrt(weights[j]) > support_tol."""
-    idx = np.flatnonzero(np.sqrt(weights) > support_tol)
-    return EigenvalueSupport(
-        vertex=u,
-        indices=tuple(idx.tolist()),
-        values=tuple(values[idx].tolist()),
-        weights=tuple(weights[idx].tolist()),
-    )
 
 
 def decompose(

@@ -131,12 +131,36 @@ def test_series_above_the_cell_cap_exits_2(capsys, steps):
     assert err.startswith(f"error: series of {steps} steps for 1 vertices") and "cap" in err
 
 
+def test_series_above_the_cell_cap_writes_nothing_to_out(capsys, tmp_path):
+    target = tmp_path / "series.csv"
+    steps = str(walk_module.MAX_SERIES_CELLS // 2 + 1)
+    rc, out, err = run(
+        capsys, "series", "--graph", "K(2)", "--vertex", "0", "--steps", steps, "--out", str(target)
+    )
+    assert rc == 2 and out == "" and "cap" in err
+    assert not target.exists()
+
+
 def test_series_cell_cap_counts_the_time_column(capsys, monkeypatch):
     monkeypatch.setattr(walk_module, "MAX_SERIES_CELLS", 30)
     rc, out, _ = run(capsys, "series", "--graph", "K(2)", "--steps", "10")
     assert rc == 0 and len(out.splitlines()) == 11
     rc, out, err = run(capsys, "series", "--graph", "K(2)", "--steps", "11")
     assert rc == 2 and out == "" and "33 cells" in err
+
+
+def test_series_holds_one_block_of_text(tmp_path):
+    # the float table (2,020,000 cells, 16.2 MB) and one block of text; the
+    # whole text (30.5 MB) held as blocks and joined took 77.6 MB
+    path = tmp_path / "series.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["series", "--graph", "P(100)", "--steps", "20000", "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and path.stat().st_size > 30_000_000
+    assert peak < 40e6
 
 
 def test_series_memory_is_bounded_by_its_output(tmp_path):
@@ -277,6 +301,29 @@ def test_out_writes_file(capsys, tmp_path):
     rc, direct, _ = run(capsys, "classify", "--graph", "K(3)", "--format", "json")
     assert rc == 0
     assert target.read_text(encoding="utf-8") == direct
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--graph", "C(30)", "--steps", "3000"],
+        ["spectrum", "--graph", "P(300)", "--format", "csv"],
+        ["spectrum", "--graph", "P(300)", "--format", "json"],
+        ["spectrum", "--graph", "P(300)", "--matrix", "L"],
+    ],
+)
+def test_out_gets_the_bytes_of_stdout(capsys, tmp_path, argv):
+    target = tmp_path / "out.txt"
+    rc, direct, _ = run(capsys, *argv)
+    assert rc == 0
+    rc, out, _ = run(capsys, *argv, "--out", str(target))
+    assert rc == 0 and out == ""
+    assert target.read_bytes() == direct.encode("utf-8")
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    rc, out, err = run(capsys, "spectrum", "--graph", "K(2)", "--out", str(tmp_path))
+    assert rc == 2 and out == "" and err.startswith("error:")
 
 
 def test_edge_list_file_matches_expression(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ from sedwalk import (
     threshold_support,
     threshold_vertex_verdict,
 )
-from sedwalk.walk import complete_product_diagonal
+from sedwalk import families
+from sedwalk.walk import complete_product_cosine_terms, complete_product_diagonal
 
 L = MatrixKind.laplacian()
 A = MatrixKind.adjacency()
@@ -327,6 +329,41 @@ def test_complete_product_zero_time_is_a_zero():
         fv = complete_product_verdict(ms)
         assert fv.verdict is Verdict.NOT_SEDENTARY
         assert abs(complete_product_diagonal(ms, fv.time)) < 1e-9
+
+
+# every list [2, m_2, ...] with 3 or 4 factors up to 12 and 5 factors up to 6
+FACTOR_TWO_LISTS = [
+    [2, *rest]
+    for size, top in ((2, 12), (3, 12), (4, 6))
+    for rest in itertools.combinations_with_replacement(range(2, top + 1), size)
+]
+
+
+def test_every_factor_two_product_has_an_exact_zero():
+    # the cosine sum has mean zero and f(0) = 1, so a sign change exists
+    assert len(FACTOR_TWO_LISTS) == 422
+    for ms in FACTOR_TWO_LISTS:
+        fv = complete_product_verdict(ms)
+        assert (fv.verdict, fv.case, fv.certified) == (
+            Verdict.NOT_SEDENTARY, "product-cosine-zero", True
+        ), ms
+        terms = complete_product_cosine_terms(ms)
+        assert abs(sum(c * math.cos(f * fv.time) for c, f in terms)) < 1e-12, ms
+
+
+def test_complete_product_zero_search_samples_finer_until_it_finds_the_zero(monkeypatch):
+    search = families.real_diagonal_zero_search
+    seen = []
+
+    def missing_twice(terms, horizon, samples):
+        seen.append(samples)
+        return None if len(seen) < 3 else search(terms, horizon, samples)
+
+    monkeypatch.setattr(families, "real_diagonal_zero_search", missing_twice)
+    fv = complete_product_verdict([2, 3])
+    assert seen == [40, 80, 160]
+    assert fv.case == "product-cosine-zero"
+    assert abs(complete_product_diagonal([2, 3], fv.time)) < 1e-9
 
 
 def test_complete_product_tight_constant_matches_grid():

@@ -26,7 +26,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sedwalk import cli
+import pervertex
+from sedwalk import MatrixKind, cli, decompose
+from sedwalk.dsl import parse_graph
 
 GOLDEN = Path(__file__).parent / "golden" / "render.json"
 
@@ -154,8 +156,29 @@ def test_json_num_matches_rounded_stdlib(x):
 @example([1.5e-05, 2.0], ", ")  # as many points as values, yet an exponent
 @example([1.5e12, 0.5], ", ")  # a point inside an exponent token
 @example([9.99999999999949e-5, 999999999999.6, 0.1 + 0.2], ", ")
+@example([1e-05, 2.5e-07], ", ")  # negative exponents, with and without a point
+@example([5e-324, 1.5e-05], ", ")  # %.12g of a subnormal is not its shortest repr
+@example([1e-05, 1e12], ", ")  # e+ tokens are positional in repr
 def test_json_floats_match_one_number_at_a_time(values, sep):
     assert cli._json_floats(values, sep) == sep.join(map(cli._json_num, values))
+
+
+@pytest.mark.parametrize(
+    "expr,options",
+    [
+        ("P(300)", ""),
+        ("cprod(C(15),C(15))", ""),
+        ("P(300)", " --matrix L --vertex 7"),
+        ("KM(1,3)", " --matrix Mq:-1"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_spectrum_matches_the_per_vertex_reference(expr, options, fmt):
+    argv = cli.build_parser().parse_args(f"spectrum --graph {expr}{options}".split())
+    dec = decompose(parse_graph(expr), MatrixKind.parse(argv.matrix))
+    vertices = range(dec.n) if argv.vertex is None else [argv.vertex]
+    command = f"spectrum --graph {expr}{options} --format {fmt}"
+    assert render(command, "") == pervertex.spectrum_output(dec, vertices, fmt)
 
 
 scalars = (

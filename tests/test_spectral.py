@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sedwalk import (
     LaplacianProductUnsupported,
@@ -20,6 +22,7 @@ from sedwalk import (
     path,
     star,
 )
+from sedwalk import spectral
 from sedwalk.dsl import parse_graph
 from sedwalk.graphs import WeightedGraph
 from sedwalk.spectral import DEFAULT_GROUPING_TOL, DEFAULT_SUPPORT_TOL
@@ -89,11 +92,17 @@ def test_grouping_matches_the_single_linkage_loop(expr, kind):
 def test_supports_match_per_vertex_entries(expr, kind):
     dec = decompose(parse_graph(expr), kind)
     verts = list(range(dec.n - 1, -1, -3))
-    got = dec.supports(verts)
-    assert got == [dec.support(u) for u in verts]
-    for sup, u in zip(got, verts):
+    got = []
+    for rows, weights, mask in dec.support_blocks(verts):
+        assert weights.shape == mask.shape == (len(rows), dec.k)
+        got += zip(rows.tolist(), weights, mask)
+    assert [u for u, _, _ in got] == verts
+    for u, row, m in got:
         weights = dec.entries(u, u)
-        idx = np.flatnonzero(np.sqrt(weights) > DEFAULT_SUPPORT_TOL)
+        assert np.array_equal(row, weights)
+        assert np.array_equal(m, np.sqrt(weights) > DEFAULT_SUPPORT_TOL)
+        idx = np.flatnonzero(m)
+        sup = dec.support(u)
         assert sup.vertex == u
         assert sup.indices == tuple(idx.tolist())
         assert sup.values == tuple(dec.eigenvalues[idx].tolist())
@@ -102,9 +111,71 @@ def test_supports_match_per_vertex_entries(expr, kind):
 
 def test_supports_reject_a_vertex_out_of_range():
     dec = decompose(path(4))
-    for verts in ([0, 4], [-1]):
+    for verts in ([0, 4], [-1], [3, 0, 5]):
         with pytest.raises(ValueError, match="out of range"):
-            dec.supports(verts)
+            dec.support_blocks(verts)  # checked before the first block
+    for u in (4, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            dec.support(u)
+
+
+def test_support_blocks_stay_near_their_entry_budget():
+    dec = decompose(path(300))
+    sizes = [len(rows) for rows, _, _ in dec.support_blocks(range(300))]
+    assert sizes == [218, 82]  # 2^16 entries of V are 218 rows of 300
+    assert [len(rows) for rows, _, _ in dec.support_blocks([])] == []
+
+
+# weights for edge lists: integers, fractions, floats and their mixture
+BLOCK_WEIGHTS = [1, 2, Fraction(1, 3), Fraction(5, 2), 0.5, 1.7, 1e-3, 3.25]
+# graphs with repeated eigenvalues
+BLOCK_EXPRESSIONS = [
+    "K(7)",
+    "CP(8)",
+    "cprod(C(4),C(6))",
+    "blowup(2,C(5))",
+    "KM(1,6)",
+    "cprod(cprod(K(2),K(2)),K(2))",
+    "O(3)",
+]
+
+
+@st.composite
+def block_graphs(draw):
+    if draw(st.booleans()):
+        return parse_graph(draw(st.sampled_from(BLOCK_EXPRESSIONS)))
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]  # loops included
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30))
+    return WeightedGraph.from_edges(n, [(u, v, draw(st.sampled_from(BLOCK_WEIGHTS))) for u, v in chosen])
+
+
+BLOCK_KINDS = KINDS + [MatrixKind.generalized(Fraction(-1))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    block_graphs(),
+    st.sampled_from(BLOCK_KINDS),
+    st.integers(1, 40),
+    st.data(),
+)
+def test_support_block_rows_equal_the_per_vertex_weights(g, kind, budget, data):
+    dec = decompose(g, kind)
+    if data.draw(st.booleans()):
+        verts = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=2 * g.n))
+    else:
+        verts = [data.draw(st.integers(0, g.n - 1))]  # a single --vertex selection
+    # a budget of a few entries of V puts block boundaries inside the selection
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_BLOCK_ENTRIES", budget)
+        blocks = list(dec.support_blocks(verts))
+    assert len(blocks) == -(-len(verts) // max(1, budget // g.n))
+    assert np.concatenate([rows for rows, _, _ in blocks]).tolist() == verts
+    for rows, weights, mask in blocks:
+        for u, row, m in zip(rows.tolist(), weights, mask):
+            assert row.tobytes() == dec.diagonal_weights(u).tobytes()
+            assert tuple(np.flatnonzero(m).tolist()) == dec.support(u).indices
 
 
 def test_support_weights_sum_to_one(rand_graph):
