@@ -164,20 +164,21 @@ def test_json_floats_match_one_number_at_a_time(values, sep):
 
 
 @pytest.mark.parametrize(
-    "expr,options",
+    "expr,matrix,vertex",
     [
-        ("P(300)", ""),
-        ("cprod(C(15),C(15))", ""),
-        ("P(300)", " --matrix L --vertex 7"),
-        ("KM(1,3)", " --matrix Mq:-1"),
+        ("P(300)", "A", None),
+        ("cprod(C(15),C(15))", "A", None),
+        ("P(300)", "L", 7),
+        ("KM(1,3)", "Mq:-1", None),
     ],
 )
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
-def test_spectrum_matches_the_per_vertex_reference(expr, options, fmt):
-    argv = cli.build_parser().parse_args(f"spectrum --graph {expr}{options}".split())
-    dec = decompose(parse_graph(expr), MatrixKind.parse(argv.matrix))
-    vertices = range(dec.n) if argv.vertex is None else [argv.vertex]
-    command = f"spectrum --graph {expr}{options} --format {fmt}"
+def test_spectrum_matches_the_per_vertex_reference(expr, matrix, vertex, fmt):
+    dec = decompose(parse_graph(expr), MatrixKind.parse(matrix))
+    command = f"spectrum --graph {expr} --matrix {matrix} --format {fmt}"
+    if vertex is not None:
+        command += f" --vertex {vertex}"
+    vertices = range(dec.n) if vertex is None else [vertex]
     assert render(command, "") == pervertex.spectrum_output(dec, vertices, fmt)
 
 

@@ -147,7 +147,8 @@ def block_graphs(draw):
     n = draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(n) for v in range(u, n)]  # loops included
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30))
-    return WeightedGraph.from_edges(n, [(u, v, draw(st.sampled_from(BLOCK_WEIGHTS))) for u, v in chosen])
+    weights = [draw(st.sampled_from(BLOCK_WEIGHTS)) for _ in chosen]
+    return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
 
 
 BLOCK_KINDS = KINDS + [MatrixKind.generalized(Fraction(-1))]
