@@ -14,9 +14,9 @@ produce byte-identical output.  Times appear in radians and, when they are a
 small rational multiple of pi, annotated like ``1.5707963268 (pi/2)``.
 
 Exit status: 0 on success (an undetermined verdict is still a success), 2 for
-unusable input (expression, file or flag values, or a graph too large for
-memory), and 3 when a Laplacian walk is requested on a direct product with an
-irregular factor.
+unusable input (expression, file or flag values, a graph too large for
+memory, or a number beyond the float range), and 3 when a Laplacian walk is
+requested on a direct product with an irregular factor.
 """
 
 from __future__ import annotations
@@ -257,12 +257,6 @@ def _load_graph(args: argparse.Namespace) -> tuple[WeightedGraph, str]:
     return from_edge_list_text(text), args.file
 
 
-def _decompose(g: WeightedGraph, kind: MatrixKind, args: argparse.Namespace):
-    if getattr(args, "tol", None) is not None:
-        return decompose(g, kind, grouping_tol=args.tol)
-    return decompose(g, kind)
-
-
 def _select_vertices(args: argparse.Namespace, n: int) -> list[int]:
     v = getattr(args, "vertex", None)
     if v is None:
@@ -357,7 +351,7 @@ def _classify(
     """Classify the selected vertices; ``all_twin_sets`` finds every twin set once."""
     g, src = _load_graph(args)
     kind = MatrixKind.parse(args.matrix)
-    dec = _decompose(g, kind, args)
+    dec = decompose(g, kind)
     vertices = _select_vertices(args, g.n)
     twin_sets = find_twin_sets(g) if all_twin_sets else None
     results = classify_all(
@@ -418,7 +412,7 @@ def cmd_analyze(args: argparse.Namespace) -> str:
 def cmd_series(args: argparse.Namespace) -> Iterator[str]:
     g, _src = _load_graph(args)
     kind = MatrixKind.parse(args.matrix)
-    ev = WalkEvaluator(_decompose(g, kind, args))
+    ev = WalkEvaluator(decompose(g, kind))
     t_max = args.tmax if args.tmax is not None else 2.0 * math.pi
     steps = args.steps if args.steps is not None else 1001
     verts = _select_vertices(args, g.n)
@@ -471,7 +465,7 @@ def cmd_spectrum(args: argparse.Namespace) -> str | Iterator[str]:
     rows (CSV and table), from :meth:`SpectralDecomposition.support_blocks`."""
     g, _src = _load_graph(args)
     kind = MatrixKind.parse(args.matrix)
-    dec = _decompose(g, kind, args)
+    dec = decompose(g, kind)
     verts = _select_vertices(args, g.n)
     values = dec.eigenvalues.tolist()
     if args.format == "json":
@@ -681,7 +675,6 @@ def _add_output(sp: argparse.ArgumentParser, formats: tuple[str, ...], default: 
 def _add_numeric_knobs(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--tmax", type=float, help="time horizon for scans/series")
     sp.add_argument("--steps", type=int, help="grid points of series and of bounded-horizon scans")
-    sp.add_argument("--tol", type=float, help="eigenvalue grouping tolerance override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -721,7 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(sp)
     _add_matrix(sp)
     _add_vertex_selector(sp)
-    sp.add_argument("--tol", type=float, help="eigenvalue grouping tolerance override")
     _add_output(sp, ("table", "json", "csv"), "table")
 
     sp = sub.add_parser("families", help="closed-form verdict sweeps for named families")
@@ -769,6 +761,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a number left the float range: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""

@@ -80,6 +80,14 @@ def _check_order(n: int) -> None:
         raise ValueError(f"graph on {n} vertices exceeds the cap of {MAX_VERTICES} vertices")
 
 
+def _finite(w: Weight) -> bool:
+    """Whether ``float(w)`` is a finite float (a huge Fraction overflows)."""
+    try:
+        return math.isfinite(float(w))
+    except OverflowError:
+        return False
+
+
 def _coerce_weight(w) -> Weight:
     if isinstance(w, bool):
         raise TypeError("edge weight must be a number, not bool")
@@ -121,7 +129,10 @@ class MatrixKind:
 
     @classmethod
     def generalized(cls, q) -> "MatrixKind":
-        return cls("generalized", _coerce_weight(q))
+        q = _coerce_weight(q)
+        if not _finite(q):
+            raise ValueError("generalized matrix kind needs q within the float range")
+        return cls("generalized", q)
 
     @classmethod
     def parse(cls, text: str) -> "MatrixKind":
@@ -650,12 +661,16 @@ def _format_weight(w: Weight) -> str:
 def _parse_weight(token: str) -> Weight:
     try:
         if "/" in token:
-            return Fraction(token)
-        if "." in token or "e" in token.lower():
-            return float(token)
-        return Fraction(int(token))
+            w = Fraction(token)
+        elif "." in token or "e" in token.lower():
+            w = float(token)
+        else:
+            w = Fraction(int(token))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad weight token {token!r}") from exc
+    if not _finite(w):
+        raise ValueError(f"weight {token!r} is not a finite float")
+    return w
 
 
 def to_edge_list_text(g: WeightedGraph) -> str:

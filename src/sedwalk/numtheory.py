@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -26,12 +25,11 @@ __all__ = [
     "recognize_spectrum",
     "recognize_values",
     "integer_kernel_basis",
-    "RelationParity",
-    "RelationParityResult",
     "integer_relation_parity",
 ]
 
-DEFAULT_RECOGNITION_TOL = 1e-7
+# Absolute match tolerance of the recognizers, scaled by max(1, |largest value|).
+RECOGNITION_TOL = 1e-7
 
 
 def nu2(a: int) -> int:
@@ -168,20 +166,17 @@ def _near_fraction(value: float, max_den: int, tol: float) -> Fraction | None:
     return cand if abs(value - float(cand)) <= tol else None
 
 
-def recognize_spectrum(
-    values: Sequence[float], tol: float = DEFAULT_RECOGNITION_TOL
-) -> QuadraticIntegerForm | None:
+def recognize_spectrum(values: Sequence[float]) -> QuadraticIntegerForm | None:
     """Match floating eigenvalues against a shared quadratic-integer form.
 
     Returns None when no consistent form is found; callers must treat that as
-    "inconclusive", never as a negative certificate.  The tolerance is
-    absolute after scaling by the spectral radius.
+    "unrecognized", never as a negative certificate.  The tolerance is
+    ``RECOGNITION_TOL`` after scaling by the spectral radius.
     """
     vals = [float(v) for v in values]
     if not vals:
         return None
-    scale = max(1.0, max(abs(v) for v in vals))
-    atol = tol * scale
+    atol = RECOGNITION_TOL * max(1.0, max(abs(v) for v in vals))
 
     rounded = [round(v) for v in vals]
     if all(abs(v - r) <= atol for v, r in zip(vals, rounded)):
@@ -250,9 +245,7 @@ def _fit_quadratic(vals: list[float], a: int, atol: float) -> QuadraticIntegerFo
     return None
 
 
-def recognize_values(
-    values: Sequence[float], tol: float = DEFAULT_RECOGNITION_TOL
-) -> list[ExactEigenvalue] | None:
+def recognize_values(values: Sequence[float]) -> list[ExactEigenvalue] | None:
     """Per-value exact recognition with a common radical but individual rational parts.
 
     Rationals get ``radical = 0``; irrational values must split into conjugate
@@ -263,8 +256,7 @@ def recognize_values(
     vals = [float(v) for v in values]
     if not vals:
         return None
-    scale = max(1.0, max(abs(v) for v in vals))
-    atol = tol * scale
+    atol = RECOGNITION_TOL * max(1.0, max(abs(v) for v in vals))
 
     out: dict[int, ExactEigenvalue] = {}
     leftovers: list[int] = []
@@ -370,36 +362,22 @@ def integer_kernel_basis(rows: Sequence[Sequence[Fraction | int]]) -> list[list[
     return [[unit[r][c] for r in range(k)] for c in range(pc, k)]
 
 
-class RelationParity(Enum):
-    RELATION_WITH_ODD_SUM = "relation-with-odd-sum"
-    ALL_RELATIONS_EVEN_SUM = "all-relations-even-sum"
-    INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class RelationParityResult:
-    verdict: RelationParity
-    witness: tuple[int, ...] | None = None
-    detail: str = ""
-
-
 def integer_relation_parity(
     plus: Sequence[ExactEigenvalue | int | Fraction],
     minus: Sequence[ExactEigenvalue | int | Fraction],
-    bound: int = 6,
-) -> RelationParityResult:
-    """Parity of the first-block coefficient sum over all integer relations.
+) -> tuple[int, ...] | None:
+    """An integer relation with an odd coefficient sum over ``plus``, or None
+    when every relation's sum there is even.
 
     A relation is an integer vector ``(m, l)`` with
     ``sum m_j plus_j + sum l_j minus_j = 0`` and ``sum m_j + sum l_j = 0``.
-    The relation set is a lattice; its basis is computed exactly, so the
-    even/odd answer is definitive whenever both sides are nonempty.  ``bound``
-    only influences which odd witness is preferred for reporting.
+    The relations form a lattice whose basis is computed exactly, and the
+    parity of the ``plus`` sum is additive, so some relation has an odd sum
+    exactly when some basis vector does; the first such vector is returned.
+    Raises ValueError when a side is empty or the values mix radicals.
     """
     if not plus or not minus:
-        return RelationParityResult(
-            RelationParity.INCONCLUSIVE, detail="degenerate split: one side is empty"
-        )
+        raise ValueError("relation parity needs both sides non-empty")
     pe = [_as_exact(x) for x in plus]
     me = [_as_exact(x) for x in minus]
     deltas = {ev.delta for ev in pe + me if ev.radical != 0}
@@ -410,36 +388,5 @@ def integer_relation_parity(
     if deltas:
         rows.append([ev.radical if ev.delta != 1 else Fraction(0) for ev in all_vals])
     rows.append([Fraction(1)] * len(all_vals))
-    basis = integer_kernel_basis(rows)
-    if not basis:
-        return RelationParityResult(
-            RelationParity.ALL_RELATIONS_EVEN_SUM,
-            detail="no nontrivial relation exists",
-        )
     p = len(pe)
-
-    def parity(vec: Sequence[int]) -> int:
-        return sum(vec[:p]) % 2
-
-    odd = [v for v in basis if parity(v)]
-    if not odd:
-        return RelationParityResult(
-            RelationParity.ALL_RELATIONS_EVEN_SUM,
-            detail=f"relation lattice of rank {len(basis)} has even first-block sums",
-        )
-    # prefer a small witness: basis vectors and +/- pair combinations
-    candidates = list(odd)
-    for i, v in enumerate(basis):
-        for w in basis[i + 1 :]:
-            for s in (1, -1):
-                comb = [a + s * b for a, b in zip(v, w)]
-                if parity(comb):
-                    candidates.append(comb)
-    best = min(candidates, key=lambda v: (max(abs(c) for c in v), sum(abs(c) for c in v)))
-    if max(abs(c) for c in best) > bound:
-        detail = f"odd witness exceeds coefficient bound {bound}"
-    else:
-        detail = "odd witness within coefficient bound"
-    if sum(best) != 0:  # defensive: the kernel rows enforce this already
-        raise AssertionError("relation witness violates the zero-sum constraint")
-    return RelationParityResult(RelationParity.RELATION_WITH_ODD_SUM, tuple(best), detail)
+    return next((tuple(v) for v in integer_kernel_basis(rows) if sum(v[:p]) % 2), None)

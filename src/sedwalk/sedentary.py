@@ -41,8 +41,6 @@ from .graphs import ADJACENCY, MatrixKind, WeightedGraph, blow_up
 from .numtheory import (
     ExactEigenvalue,
     QuadraticIntegerForm,
-    RelationParity,
-    RelationParityResult,
     fraction_gcd,
     integer_relation_parity,
     nu2,
@@ -65,13 +63,10 @@ __all__ = [
     "Verdict",
     "SedentaryBound",
     "EqualityTime",
-    "ParityVerdict",
-    "ParityOutcome",
     "VertexClassification",
     "RealDiagonalInfimum",
     "projection_sum_bound",
     "equality_time_criterion",
-    "pgst_parity_criterion",
     "classify_vertex",
     "classify_all",
     "real_diagonal_zero_search",
@@ -203,40 +198,6 @@ def equality_time_criterion(
             raise AssertionError("scaled-difference parity disagrees with the split")
     t1 = math.pi / (float(g) * math.sqrt(form.delta))
     return EqualityTime(t1=t1, g=g, delta=form.delta)
-
-
-class ParityVerdict(Enum):
-    APPROACHES_EQUALITY = "approaches-equality"
-    BLOCKED = "blocked"
-    INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class ParityOutcome:
-    verdict: ParityVerdict
-    parity: RelationParityResult
-
-
-_PARITY_MAP = {
-    RelationParity.ALL_RELATIONS_EVEN_SUM: ParityVerdict.APPROACHES_EQUALITY,
-    RelationParity.RELATION_WITH_ODD_SUM: ParityVerdict.BLOCKED,
-    RelationParity.INCONCLUSIVE: ParityVerdict.INCONCLUSIVE,
-}
-
-
-def pgst_parity_criterion(
-    plus: list[ExactEigenvalue],
-    minus: list[ExactEigenvalue],
-) -> ParityOutcome:
-    """Whether phases can drift arbitrarily close to +1 on ``plus`` and -1 on
-    ``minus`` simultaneously.
-
-    Possible exactly when every integer relation with zero coefficient sum
-    has an even coefficient sum over the ``plus`` block; a single odd-sum
-    relation blocks the approach for all time.
-    """
-    res = integer_relation_parity(plus, minus)
-    return ParityOutcome(_PARITY_MAP[res.verdict], res)
 
 
 @dataclass(frozen=True)
@@ -421,25 +382,33 @@ def _period_minimum(
     return value, eq.t1
 
 
-_PARITY_STEPS = {
-    ParityVerdict.APPROACHES_EQUALITY: "parity:all-even",
-    ParityVerdict.BLOCKED: "parity:odd-relation",
-    ParityVerdict.INCONCLUSIVE: "parity:inconclusive",
-}
-
-
 def _parity_stage(
     exacts: list[ExactEigenvalue], plus_pos: tuple[int, ...], trail: list[str]
-) -> ParityVerdict:
-    """Relation parity of the ``plus_pos`` block against the rest of the support."""
+) -> bool:
+    """Whether phases can drift arbitrarily close to +1 on the ``plus_pos``
+    block and to -1 on the rest of the support at once: exactly when every
+    integer relation with zero coefficient sum has an even sum over the
+    block; one odd-sum relation blocks the approach for all time.
+
+    :func:`integer_relation_parity` raises on an empty side or on mixed
+    radicals, and no call here reaches either:
+
+    * On the floor stage the block is the floor class alone, which
+      :func:`projection_sum_bound` has checked to be a proper part of the
+      support, so both sides are non-empty.
+    * On a twin pair the block is the classes with E_j e_u = E_j e_v.  Their
+      weights at u sum to ||(e_u + e_v)/2||^2 = 1/2, so the block meets the
+      support.  The twin eigenvalue theta lies on the other side, as
+      :func:`_twin_stage` checks, and in the support: e_u - e_v is a
+      theta-eigenvector, so theta's weight at u is at least 1/2.
+    * The exact values come from one :class:`QuadraticIntegerForm` or from
+      :func:`recognize_values`, which admits one radical ``delta_common``.
+    """
     plus = [exacts[i] for i in plus_pos]
     minus = [e for i, e in enumerate(exacts) if i not in plus_pos]
-    try:
-        verdict = pgst_parity_criterion(plus, minus).verdict
-    except ValueError:  # the exact values mix distinct radicals
-        verdict = ParityVerdict.INCONCLUSIVE
-    trail.append(_PARITY_STEPS[verdict])
-    return verdict
+    approaches = integer_relation_parity(plus, minus) is None
+    trail.append("parity:all-even" if approaches else "parity:odd-relation")
+    return approaches
 
 
 def _pst_partner_scan(
@@ -519,10 +488,7 @@ def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassi
         if exacts is None:
             trail.append("unrecognized-support")
             return record(Verdict.UNDETERMINED, certified=False)
-        parity = _parity_stage(exacts, plus_pos, trail)
-        if parity is ParityVerdict.INCONCLUSIVE:
-            return record(Verdict.UNDETERMINED, certified=False)
-        if parity is ParityVerdict.APPROACHES_EQUALITY:
+        if _parity_stage(exacts, plus_pos, trail):
             if form is not None:
                 # periodic vertices attain what they approach, contradicting
                 # the failed equality test above
@@ -555,14 +521,11 @@ def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassi
 
     # relation parity: the floor holds by the triangle inequality alone; an
     # odd relation keeps the infimum strictly above it, all-even approaches it
-    tight = sharp = None
     if exacts is None:
         trail.append("grid-evidence")
-    else:
-        parity = _parity_stage(exacts, _support_positions(sup, (floor_class,)), trail)
-        if parity is not ParityVerdict.INCONCLUSIVE:
-            tight, sharp = False, parity is ParityVerdict.APPROACHES_EQUALITY
-    return record(Verdict.SEDENTARY, constant=floor, tight=tight, sharp=sharp)
+        return record(Verdict.SEDENTARY, constant=floor)
+    sharp = _parity_stage(exacts, _support_positions(sup, (floor_class,)), trail)
+    return record(Verdict.SEDENTARY, constant=floor, tight=False, sharp=sharp)
 
 
 def classify_all(
@@ -786,27 +749,24 @@ def blowup_bound(
 
 def blowup_pair_parity(
     g: WeightedGraph, u: int, dec: SpectralDecomposition | None = None
-) -> ParityOutcome:
+) -> bool | None:
     """Two-copy blow-up decision at a vertex whose base support misses zero.
 
     The doubled copies are twins sharing the eigenvalue 0; the pair is
-    sedentary exactly when some integer relation over the base support
-    has an odd coefficient sum, which is the blocked outcome here.
+    sedentary (True) exactly when some integer relation over the base
+    support has an odd coefficient sum, and admits pretty good state
+    transfer (False) otherwise.  None means the base support has no exact
+    form.
     """
     if dec is None:
         dec = decompose(g, ADJACENCY)
     sup = dec.support(u)
     _, exacts = _exact_support(sup.values)
     if exacts is None:
-        return ParityOutcome(
-            ParityVerdict.INCONCLUSIVE,
-            RelationParityResult(
-                RelationParity.INCONCLUSIVE, detail="unrecognized support"
-            ),
-        )
+        return None
     plus = [e for e in exacts if not (e.rational == 0 and e.radical == 0)]
     minus = [ExactEigenvalue(Fraction(0), Fraction(0), 1)]
-    return pgst_parity_criterion(plus, minus)
+    return integer_relation_parity(plus, minus) is not None
 
 
 def join_sedentary_transfer(c_x: float, nx: int) -> float | None:

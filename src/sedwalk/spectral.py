@@ -16,8 +16,8 @@ from .graphs import ADJACENCY, MatrixKind, WeightedGraph
 from .numtheory import QuadraticIntegerForm, fraction_gcd, recognize_spectrum
 
 __all__ = [
-    "DEFAULT_GROUPING_TOL",
-    "DEFAULT_SUPPORT_TOL",
+    "GROUPING_TOL",
+    "SUPPORT_TOL",
     "LaplacianProductUnsupported",
     "EigenvalueSupport",
     "StrongCospectrality",
@@ -26,8 +26,12 @@ __all__ = [
     "decompose",
 ]
 
-DEFAULT_GROUPING_TOL = 1e-7
-DEFAULT_SUPPORT_TOL = 1e-8
+# Neighbouring eigenvalues closer than GROUPING_TOL * max(1, spectral radius)
+# share a class; a class is in a vertex's support when ||E_j e_u|| exceeds
+# SUPPORT_TOL; E_j e_u = +/- E_j e_v when ||E_j (e_u -/+ e_v)|| is at most
+# SIGN_MATCH_TOL.
+GROUPING_TOL = 1e-7
+SUPPORT_TOL = 1e-8
 SIGN_MATCH_TOL = 1e-7
 # Entries of V a run of :meth:`SpectralDecomposition.support_blocks` reads.
 _BLOCK_ENTRIES = 1 << 16
@@ -102,7 +106,6 @@ class SpectralDecomposition:
     vectors: np.ndarray
     multiplicities: tuple[int, ...]
     starts: np.ndarray
-    grouping_tol: float
 
     @property
     def n(self) -> int:
@@ -133,11 +136,11 @@ class SpectralDecomposition:
         """(E_j)_{u,u} = ||E_j e_u||^2 for every eigenvalue class j."""
         return self.entries(u, u)
 
-    def support(self, u: int, support_tol: float = DEFAULT_SUPPORT_TOL) -> EigenvalueSupport:
-        """The classes j with (E_j)_{u,u} above ``support_tol`` squared: the
+    def support(self, u: int) -> EigenvalueSupport:
+        """The classes j with (E_j)_{u,u} above ``SUPPORT_TOL`` squared: the
         one-row case of :meth:`support_blocks`."""
         self._check_vertex(u)
-        _, weights, mask = self._support_block(u, support_tol)
+        _, weights, mask = self._support_block(u)
         idx = np.flatnonzero(mask)
         return EigenvalueSupport(
             vertex=u,
@@ -147,14 +150,14 @@ class SpectralDecomposition:
         )
 
     def support_blocks(
-        self, vertices: Sequence[int], support_tol: float = DEFAULT_SUPPORT_TOL
+        self, vertices: Sequence[int]
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The supports of ``vertices``, a run of them at a time.
 
         Checks every vertex, then yields ``(rows, weights, mask)`` for
         consecutive runs ``rows`` of ``vertices``: row i of ``weights`` is
         :meth:`diagonal_weights` of ``rows[i]`` and row i of ``mask`` its
-        support, sqrt(weights) > support_tol.  A run takes about
+        support, sqrt(weights) > SUPPORT_TOL.  A run takes about
         ``_BLOCK_ENTRIES`` entries of V, so no n x n temporary is formed."""
         rows = np.asarray(vertices, dtype=np.intp)
         if len(rows):
@@ -162,27 +165,25 @@ class SpectralDecomposition:
             self._check_vertex(int(rows.max()))
         step = max(1, _BLOCK_ENTRIES // self.n)
         return (
-            self._support_block(rows[lo : lo + step], support_tol)
+            self._support_block(rows[lo : lo + step])
             for lo in range(0, len(rows), step)
         )
 
     def _support_block(
-        self, rows: np.ndarray | int, support_tol: float
+        self, rows: np.ndarray | int
     ) -> tuple[np.ndarray | int, np.ndarray, np.ndarray]:
         """(rows, weights, mask) of :meth:`support_blocks` for one run: the
         weights from one reduction over the rows of V, the mask from one
         comparison.  A single vertex ``rows`` gives 1-D weights and mask."""
         block = self.vectors[rows]
         weights = np.add.reduceat(block * block, self.starts, axis=-1)
-        return rows, weights, np.sqrt(weights) > support_tol
+        return rows, weights, np.sqrt(weights) > SUPPORT_TOL
 
     def _check_vertex(self, u: int) -> None:
         if not 0 <= u < self.n:
             raise ValueError(f"vertex {u} out of range")
 
-    def strongly_cospectral(
-        self, u: int, v: int, support_tol: float = DEFAULT_SUPPORT_TOL
-    ) -> StrongCospectrality | None:
+    def strongly_cospectral(self, u: int, v: int) -> StrongCospectrality | None:
         """Sign partition when E_j e_u = +/- E_j e_v holds for every class."""
         if u == v:
             raise ValueError("strong cospectrality needs two distinct vertices")
@@ -192,7 +193,7 @@ class SpectralDecomposition:
         plus: list[int] = []
         minus: list[int] = []
         for j in range(self.k):
-            if norm_u[j] <= support_tol and norm_v[j] <= support_tol:
+            if norm_u[j] <= SUPPORT_TOL and norm_v[j] <= SUPPORT_TOL:
                 continue
             if norm_minus[j] <= SIGN_MATCH_TOL:
                 plus.append(j)
@@ -209,13 +210,13 @@ class SpectralDecomposition:
             minus_values=tuple(float(self.eigenvalues[j]) for j in minus),
         )
 
-    def periodicity(self, u: int, tol: float = 1e-7) -> Periodicity:
+    def periodicity(self, u: int) -> Periodicity:
         sup = self.support(u)
         if len(sup) == 1:
             lam = sup.values[0]
             period = 2 * math.pi / abs(lam) if abs(lam) > 1e-12 else None
             return Periodicity(recognized=True, period=period, constant_diagonal=True)
-        form = recognize_spectrum(sup.values, tol)
+        form = recognize_spectrum(sup.values)
         if form is None:
             return Periodicity(recognized=False)
         g = fraction_gcd(form.scaled_difference(0, j) for j in range(1, len(form)))
@@ -229,11 +230,10 @@ class SpectralDecomposition:
             return math.inf
         return float(np.min(np.abs(np.diff(self.eigenvalues))))
 
-    def eigenvalue_index(self, value: float, tol: float | None = None) -> int:
-        """Index of the eigenvalue class matching ``value`` exactly (within tolerance)."""
-        if tol is None:
-            scale = max(1.0, float(np.max(np.abs(self.eigenvalues))))
-            tol = 1e-6 * scale
+    def eigenvalue_index(self, value: float) -> int:
+        """Index of the eigenvalue class within 1e-6 * max(1, spectral radius)
+        of ``value``."""
+        tol = 1e-6 * max(1.0, float(np.max(np.abs(self.eigenvalues))))
         j = int(np.argmin(np.abs(self.eigenvalues - value)))
         err = abs(float(self.eigenvalues[j]) - value)
         if err > tol:
@@ -244,21 +244,13 @@ class SpectralDecomposition:
         return j
 
 
-def decompose(
-    g: WeightedGraph,
-    kind: MatrixKind = ADJACENCY,
-    grouping_tol: float = DEFAULT_GROUPING_TOL,
-) -> SpectralDecomposition:
+def decompose(g: WeightedGraph, kind: MatrixKind = ADJACENCY) -> SpectralDecomposition:
     """Eigendecompose M(g) and group near-equal eigenvalues into classes.
 
     Grouping is single-linkage on the sorted eigenvalues with an absolute
-    tolerance of grouping_tol * max(1, spectral radius); integer spectra are
+    tolerance of GROUPING_TOL * max(1, spectral radius); integer spectra are
     separated by at least 1, so grouping never over-merges on those.
     """
-    if not (math.isfinite(grouping_tol) and grouping_tol >= 0):
-        raise ValueError(
-            f"grouping tolerance must be finite and non-negative, got {grouping_tol!r}"
-        )
     if kind.label == "laplacian" and not g.laplacian_safe:
         raise LaplacianProductUnsupported(
             "Laplacian walk on a direct product with an irregular factor is "
@@ -272,10 +264,13 @@ def decompose(
             f"eigendecomposition failed for n={g.n} {kind.short_name} matrix: {exc}"
         ) from exc
     scale = max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
-    tol = grouping_tol * scale
-    # A class ends where the gap to the next value is not <= tol (a NaN gap
-    # ends it too); classes of one value keep it, larger ones take the mean.
-    ends = np.append(np.flatnonzero(~(np.diff(vals) <= tol)) + 1, len(vals))
+    tol = GROUPING_TOL * scale
+    # A class ends where the gap to the next value is not <= tol (a NaN gap,
+    # or one past the float range, ends it too); classes of one value keep
+    # it, larger ones take the mean.
+    with np.errstate(over="ignore"):
+        gaps = np.diff(vals)
+    ends = np.append(np.flatnonzero(~(gaps <= tol)) + 1, len(vals))
     lows = np.append(0, ends[:-1])
     counts = ends - lows
     means = vals[lows]
@@ -289,5 +284,4 @@ def decompose(
         vectors=vecs[:, np.argsort(-class_of, kind="stable")],
         multiplicities=multiplicities,
         starts=np.cumsum((0,) + multiplicities[:-1]),
-        grouping_tol=grouping_tol,
     )

@@ -50,15 +50,14 @@ def _check_grid(t_max: float | None, steps: int | None) -> None:
         raise ValueError("need at least 2 steps")
 
 
-def _critical_angles(coefficients: np.ndarray) -> np.ndarray | None:
+def _critical_angles(coefficients: np.ndarray) -> np.ndarray:
     """Ascending angles in [0, pi] holding every minimizer over a period of
-    p(cos theta), p = sum_d coefficients[d] T_d; None above ``_MAX_DEGREE``.
+    p(cos theta), p = sum_d coefficients[d] T_d, of degree at most
+    ``_MAX_DEGREE``: callers check the degree before they build the series.
 
     They are 0, pi, the roots of p' (colleague-matrix eigenvalues projected onto
     the real axis) and the mean of each cluster of roots within 1e-3, into which
     the solver scatters a multiple root."""
-    if len(coefficients) - 1 > _MAX_DEGREE:
-        return None
     from numpy.polynomial import chebyshev  # about 1 MB: loaded only where a period is solved
     roots = np.sort_complex(chebyshev.chebroots(chebyshev.chebder(coefficients)))
     clusters = np.split(roots, np.flatnonzero(np.abs(np.diff(roots)) > 1e-3) + 1)
@@ -80,9 +79,10 @@ def _cosine_minimum(terms: Sequence[tuple[float, int]]) -> tuple[float, float] |
     A sign change is no critical point, so the caller rules it out first."""
     coefficients, frequencies = zip(*terms)
     omega = math.gcd(*frequencies)
-    angles = _critical_angles(np.bincount([f // omega for f in frequencies], coefficients))
-    if angles is None:
+    degrees = [f // omega for f in frequencies]
+    if max(degrees) > _MAX_DEGREE:
         return None
+    angles = _critical_angles(np.bincount(degrees, coefficients))
     times = angles / omega
     return _earliest_minimum(times, np.abs(np.cos(np.outer(times, frequencies)) @ coefficients))
 
@@ -235,9 +235,10 @@ class WalkEvaluator:
             form, g = per.form, per.g
             base = form.b.index(min(form.b))
             exponents = [int(form.scaled_difference(j, base) / g) for j in range(len(form))]
-            q = np.bincount(exponents, self.dec.support(u).weights)
-            r = np.correlate(q, q, "full")[len(q) - 1 :]
-            angles = _critical_angles(np.concatenate([r[:1], 2.0 * r[1:]]))
+            if max(exponents) <= _MAX_DEGREE:
+                q = np.bincount(exponents, self.dec.support(u).weights)
+                r = np.correlate(q, q, "full")[len(q) - 1 :]
+                angles = _critical_angles(np.concatenate([r[:1], 2.0 * r[1:]]))
         if angles is None:
             span, pts = _bounded_grid(self.dec, grid_points, horizon)
             ilam = 1j * self.dec.eigenvalues

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from sedwalk.spectral import DEFAULT_SUPPORT_TOL, SpectralDecomposition
+from sedwalk.spectral import SUPPORT_TOL, SpectralDecomposition
 
 HEADERS = ("vertex", "eigenvalue", "weight")
 
@@ -24,7 +24,7 @@ def spectrum_output(dec: SpectralDecomposition, vertices: Iterable[int], fmt: st
     supports = []
     for u in vertices:
         weights = dec.diagonal_weights(u)
-        idx = np.flatnonzero(np.sqrt(weights) > DEFAULT_SUPPORT_TOL)
+        idx = np.flatnonzero(np.sqrt(weights) > SUPPORT_TOL)
         supports.append((u, dec.eigenvalues[idx].tolist(), weights[idx].tolist()))
     if fmt == "json":
         records = [

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import edgewise as ref
@@ -42,10 +42,10 @@ MAX_N = 30
 
 
 @st.composite
-def edge_lists(draw, max_n: int = 4) -> tuple[int, list]:
-    """Up to ``max_n`` vertices, loops allowed, weights from one pool."""
+def edge_lists(draw, max_n: int = 4, pools: tuple[str, ...] = tuple(WEIGHT_POOLS)) -> tuple[int, list]:
+    """Up to ``max_n`` vertices, loops allowed, weights from one of ``pools``."""
     n = draw(st.integers(1, max_n))
-    pool = WEIGHT_POOLS[draw(st.sampled_from(sorted(WEIGHT_POOLS)))]
+    pool = WEIGHT_POOLS[draw(st.sampled_from(sorted(pools)))]
     pairs = [(u, v) for u in range(n) for v in range(u, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return n, [(u, v, draw(st.sampled_from(pool))) for u, v in chosen]
@@ -82,18 +82,18 @@ def _size(t) -> int:
 
 
 @st.composite
-def trees(draw, depth: int = 2):
+def trees(draw, depth: int = 2, pools: tuple[str, ...] = tuple(WEIGHT_POOLS)):
     """A leaf, or an operation on trees of lower depth; a product larger
     than MAX_N vertices falls back to the disjoint union of its operands."""
     if depth == 0 or draw(st.integers(0, 3)) == 0:
         if draw(st.booleans()):
             return draw(_dsl_leaves())
-        return ("edges", *draw(edge_lists(max_n=3)))
+        return ("edges", *draw(edge_lists(max_n=3, pools=pools)))
     op = draw(st.sampled_from(["join", "union", "dprod", "cprod", "blowup"]))
     if op == "blowup":
-        inner = draw(trees(depth - 1))
+        inner = draw(trees(depth - 1, pools))
         return ("blowup", draw(st.integers(1, max(1, MAX_N // _size(inner)))), inner)
-    t = (op, draw(trees(depth - 1)), draw(trees(depth - 1)))
+    t = (op, draw(trees(depth - 1, pools)), draw(trees(depth - 1, pools)))
     return t if _size(t) <= MAX_N else ("union", t[1], t[2])
 
 
@@ -275,3 +275,25 @@ def test_twin_splits_hold_no_projector():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
+
+
+PARITY_STEPS = {"parity:all-even", "parity:odd-relation"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees(pools=("int", "fraction", "float", "mixed")), st.sampled_from(["A", "L", "Mq:-1"]))
+def test_relation_parity_always_decides_on_graphs_with_twins(tree, matrix):
+    """Relation parity raises on an empty side or on mixed radicals; the
+    classifier never hands it either, so on every graph with a twin each
+    vertex classifies and each parity step is one of the two outcomes.
+
+    The "huge" weights are left out: near 2**50 the float check of an exact
+    equality time can fail and raise, a fault of its own that
+    ``test_sedentary.test_huge_loop_classifies`` pins."""
+    g = _build(tree, graphs)
+    kind = MatrixKind.parse(matrix)
+    twin_sets = find_twin_sets(g)
+    assume(twin_sets and (kind.label != "laplacian" or g.laplacian_safe))
+    results = classify_all(g, kind, twin_sets=twin_sets, grid_points=2001)
+    steps = [s for c in results for s in c.certificate if s.startswith("parity:")]
+    assert set(steps) <= PARITY_STEPS

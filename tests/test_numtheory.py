@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from sedwalk import (
     ExactEigenvalue,
     QuadraticIntegerForm,
-    RelationParity,
     fraction_gcd,
     gcd_set,
     integer_kernel_basis,
@@ -274,9 +273,7 @@ def _brute_relations(plus, minus, bound=3):
 
 def test_relation_parity_odd_witness():
     # support {6, 4, 0} split as plus={6, 0}, minus={4}: lattice k*(-2, -1, 3)
-    res = integer_relation_parity([6, 0], [4])
-    assert res.verdict is RelationParity.RELATION_WITH_ODD_SUM
-    m = res.witness
+    m = integer_relation_parity([6, 0], [4])
     assert m is not None
     assert 6 * m[0] + 0 * m[1] + 4 * m[2] == 0
     assert sum(m) == 0
@@ -285,17 +282,16 @@ def test_relation_parity_odd_witness():
 
 def test_relation_parity_all_even():
     # support {8, 6, 0} split as plus={8, 0}, minus={6}: lattice k*(-3, -1, 4)
-    res = integer_relation_parity([8, 0], [6])
-    assert res.verdict is RelationParity.ALL_RELATIONS_EVEN_SUM
-    assert res.witness is None
+    assert integer_relation_parity([8, 0], [6]) is None
 
 
 def test_relation_parity_degenerate_and_trivial():
-    res = integer_relation_parity([1], [])
-    assert res.verdict is RelationParity.INCONCLUSIVE
-    res = integer_relation_parity([1], [ExactEigenvalue(Fraction(0), Fraction(1), 2)])
-    assert res.verdict is RelationParity.ALL_RELATIONS_EVEN_SUM
-    assert "no nontrivial relation" in res.detail
+    with pytest.raises(ValueError, match="both sides"):
+        integer_relation_parity([1], [])
+    with pytest.raises(ValueError, match="both sides"):
+        integer_relation_parity([], [1])
+    # 1 and sqrt(2) admit no nontrivial relation, so none has an odd sum
+    assert integer_relation_parity([1], [ExactEigenvalue(Fraction(0), Fraction(1), 2)]) is None
 
 
 def test_relation_parity_mixed_radicals_rejected():
@@ -309,9 +305,8 @@ def test_relation_parity_mixed_radicals_rejected():
 def test_relation_parity_radical_pairs():
     # {sqrt(2), 0} vs {-sqrt(2)}: lattice k*(1, -2, 1), plus-sum odd
     rt2 = ExactEigenvalue(Fraction(0), Fraction(1), 2)
-    res = integer_relation_parity([rt2, 0], [ExactEigenvalue(Fraction(0), Fraction(-1), 2)])
-    assert res.verdict is RelationParity.RELATION_WITH_ODD_SUM
-    assert res.witness is not None and abs(res.witness[1]) == 2
+    m = integer_relation_parity([rt2, 0], [ExactEigenvalue(Fraction(0), Fraction(-1), 2)])
+    assert m is not None and abs(m[1]) == 2
 
 
 @settings(max_examples=120, deadline=None)
@@ -320,17 +315,17 @@ def test_relation_parity_radical_pairs():
     minus=st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=2),
 )
 def test_relation_parity_matches_brute_force(plus, minus):
-    res = integer_relation_parity(plus, minus)
+    witness = integer_relation_parity(plus, minus)
     p = len(plus)
     brute_odd = [
         vec for vec in _brute_relations(plus, minus) if sum(vec[:p]) % 2 == 1
     ]
     if brute_odd:
-        assert res.verdict is RelationParity.RELATION_WITH_ODD_SUM
-    if res.verdict is RelationParity.ALL_RELATIONS_EVEN_SUM:
+        assert witness is not None
+    if witness is None:
         assert not brute_odd
-    if res.witness is not None:
+    else:
         vals = list(plus) + list(minus)
-        assert sum(res.witness) == 0
-        assert sum(c * v for c, v in zip(res.witness, vals)) == 0
-        assert sum(res.witness[:p]) % 2 == 1
+        assert sum(witness) == 0
+        assert sum(c * v for c, v in zip(witness, vals)) == 0
+        assert sum(witness[:p]) % 2 == 1

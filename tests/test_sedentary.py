@@ -11,7 +11,6 @@ import pytest
 from sedwalk import (
     EqualityTime,
     MatrixKind,
-    ParityVerdict,
     QuadraticIntegerForm,
     Verdict,
     VertexClassification,
@@ -26,12 +25,13 @@ from sedwalk import (
     complete_product_cosine_terms,
     cycle,
     decompose,
+    direct_product,
+    empty,
     equality_time_criterion,
     join,
     join_sedentary_transfer,
     parse_graph,
     path,
-    pgst_parity_criterion,
     projection_sum_bound,
     real_diagonal_zero_search,
     star,
@@ -39,6 +39,7 @@ from sedwalk import (
 )
 from sedwalk.graphs import WeightedGraph
 from sedwalk.numtheory import ExactEigenvalue
+from sedwalk.sedentary import _parity_stage
 
 A = MatrixKind.adjacency()
 L = MatrixKind.laplacian()
@@ -156,12 +157,13 @@ def test_parity_criterion_verdict_mapping():
     four = ExactEigenvalue(Fraction(4), Fraction(0), 1)
     zero = ExactEigenvalue(Fraction(0), Fraction(0), 1)
     eight = ExactEigenvalue(Fraction(8), Fraction(0), 1)
-    blocked = pgst_parity_criterion([six, zero], [four])
-    assert blocked.verdict is ParityVerdict.BLOCKED
-    approaches = pgst_parity_criterion([eight, zero], [six])
-    assert approaches.verdict is ParityVerdict.APPROACHES_EQUALITY
-    inconclusive = pgst_parity_criterion([six], [])
-    assert inconclusive.verdict is ParityVerdict.INCONCLUSIVE
+    trail: list[str] = []
+    assert _parity_stage([six, zero, four], (0, 1), trail) is False
+    assert _parity_stage([eight, zero, six], (0, 1), trail) is True
+    assert trail == ["parity:odd-relation", "parity:all-even"]
+    with pytest.raises(ValueError):
+        _parity_stage([six], (0,), trail)
+    assert len(trail) == 2
 
 
 # -- classification smoke ----------------------------------------------------
@@ -438,12 +440,21 @@ def test_blowup_bound_with_zero_weight():
 
 
 def test_blowup_pair_parity_outcomes():
-    assert blowup_pair_parity(complete(3), 0).verdict is ParityVerdict.BLOCKED
-    assert (
-        blowup_pair_parity(complete(4), 0).verdict
-        is ParityVerdict.APPROACHES_EQUALITY
-    )
-    assert blowup_pair_parity(_p5_prime(), 0).verdict is ParityVerdict.INCONCLUSIVE
+    assert blowup_pair_parity(complete(3), 0) is True
+    assert blowup_pair_parity(complete(4), 0) is False
+    assert blowup_pair_parity(_p5_prime(), 0) is None
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a loop of weight 2**50 puts the spectral radius at 3.4e15, so eigh's "
+    "eigenvalues are off by up to about 0.75; at the exact equality time pi the float "
+    "|U(t)_{7,11}| is 0.90, and the 1 - PST_TOL check raises",
+)
+def test_huge_loop_classifies():
+    loop = WeightedGraph.from_edges(1, [(0, 0, 2**50)])
+    g = direct_product(join(empty(1), empty(2)), join(complete(3), loop))
+    classify_all(g, MatrixKind.parse("Mq:-1"), grid_points=2001)
 
 
 def test_join_transfer_constant():

@@ -25,7 +25,7 @@ from sedwalk import (
 from sedwalk import spectral
 from sedwalk.dsl import parse_graph
 from sedwalk.graphs import WeightedGraph
-from sedwalk.spectral import DEFAULT_GROUPING_TOL, DEFAULT_SUPPORT_TOL
+from sedwalk.spectral import GROUPING_TOL, SUPPORT_TOL
 
 KINDS = [MatrixKind.adjacency(), MatrixKind.laplacian(), MatrixKind.generalized(Fraction(1, 2))]
 
@@ -78,7 +78,7 @@ def test_grouping_matches_the_single_linkage_loop(expr, kind):
     g = parse_graph(expr)
     dec = decompose(g, kind)
     vals, vecs = np.linalg.eigh(g.matrix(kind))
-    groups = single_linkage_groups(vals, DEFAULT_GROUPING_TOL * max(1.0, float(np.max(np.abs(vals)))))
+    groups = single_linkage_groups(vals, GROUPING_TOL * max(1.0, float(np.max(np.abs(vals)))))
     groups.reverse()
     assert dec.multiplicities == tuple(len(idx) for idx in groups)
     assert np.array_equal(dec.eigenvalues, [float(np.mean(vals[idx])) for idx in groups])
@@ -100,7 +100,7 @@ def test_supports_match_per_vertex_entries(expr, kind):
     for u, row, m in got:
         weights = dec.entries(u, u)
         assert np.array_equal(row, weights)
-        assert np.array_equal(m, np.sqrt(weights) > DEFAULT_SUPPORT_TOL)
+        assert np.array_equal(m, np.sqrt(weights) > SUPPORT_TOL)
         idx = np.flatnonzero(m)
         sup = dec.support(u)
         assert sup.vertex == u

@@ -353,9 +353,7 @@ def _decomposition_with_support(eigenvalues, weights) -> SpectralDecomposition:
     v = root - np.eye(len(root))[0]
     vectors = np.eye(len(root)) - 2.0 * np.outer(v, v) / (v @ v)
     k = len(lam)
-    return SpectralDecomposition(
-        MatrixKind.adjacency(), lam, vectors, (1,) * k, np.arange(k), 1e-7
-    )
+    return SpectralDecomposition(MatrixKind.adjacency(), lam, vectors, (1,) * k, np.arange(k))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -392,3 +390,18 @@ def test_series_above_the_degree_cap_is_not_certified(monkeypatch):
     est = ev.infimum_diagonal(1)
     assert est.mode is InfimumMode.GRID_LOWER_CONFIDENCE
     assert not est.certified
+
+
+def test_degree_cap_is_checked_before_the_series_is_built():
+    # the end vertices of this triangle have a series of degree 3.1e12: its
+    # coefficient array alone would take 25 TB
+    g = WeightedGraph.from_edges(3, [(0, 1, 2**40), (1, 2, 2**40), (0, 2, 1)])
+    tracemalloc.start()
+    try:
+        est = WalkEvaluator(decompose(g)).infimum_diagonal(0, grid_points=2001)
+        assert walk_module._cosine_minimum([(0.5, 1), (0.5, 2**40)]) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.mode is InfimumMode.GRID_LOWER_CONFIDENCE
+    assert peak < 2**20, peak
