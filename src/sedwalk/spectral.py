@@ -29,10 +29,12 @@ __all__ = [
 # Neighbouring eigenvalues closer than GROUPING_TOL * max(1, spectral radius)
 # share a class; a class is in a vertex's support when ||E_j e_u|| exceeds
 # SUPPORT_TOL; E_j e_u = +/- E_j e_v when ||E_j (e_u -/+ e_v)|| is at most
-# SIGN_MATCH_TOL.
+# SIGN_MATCH_TOL; a value names the class within INDEX_TOL * max(1, spectral
+# radius) of it.
 GROUPING_TOL = 1e-7
 SUPPORT_TOL = 1e-8
 SIGN_MATCH_TOL = 1e-7
+INDEX_TOL = 1e-6
 # Entries of V a run of :meth:`SpectralDecomposition.support_blocks` reads.
 _BLOCK_ENTRIES = 1 << 16
 
@@ -231,9 +233,9 @@ class SpectralDecomposition:
         return float(np.min(np.abs(np.diff(self.eigenvalues))))
 
     def eigenvalue_index(self, value: float) -> int:
-        """Index of the eigenvalue class within 1e-6 * max(1, spectral radius)
-        of ``value``."""
-        tol = 1e-6 * max(1.0, float(np.max(np.abs(self.eigenvalues))))
+        """Index of the eigenvalue class within ``INDEX_TOL`` * max(1, spectral
+        radius) of ``value``."""
+        tol = INDEX_TOL * max(1.0, float(np.max(np.abs(self.eigenvalues))))
         j = int(np.argmin(np.abs(self.eigenvalues - value)))
         err = abs(float(self.eigenvalues[j]) - value)
         if err > tol:
