@@ -56,7 +56,13 @@ from .spectral import (
 )
 from .twins import ThetaEigenspaceSplit, TwinSet, find_twin_sets, theta_split, twin_dichotomy
 from .walk import (
-    InfimumEstimate, WalkEvaluator, _bounded_grid, _check_grid, _cosine_minimum, _grid_minimum
+    InfimumEstimate,
+    WalkEvaluator,
+    _bounded_grid,
+    _check_grid,
+    _cosine_minimum,
+    _grid_minimum,
+    _phase_jet,
 )
 
 __all__ = [
@@ -681,8 +687,9 @@ def bipartite_double_sedentary(
         return RealDiagonalInfimum(found[1], found[0], True, None)
     times = np.linspace(0.0, span, pts)
     mags = np.abs(sum(c * np.cos(fr * times) for c, fr in terms))
-    f = lambda t: abs(sum(c * math.cos(fr * t) for c, fr in terms))
-    t, value = _grid_minimum(mags, f, span)
+    weights, lams = np.array(terms).T
+    jet = _phase_jet(lams, weights)
+    t, value = _grid_minimum(mags, span, lambda times: jet(times).real)
     return RealDiagonalInfimum(value, t, False, None)
 
 

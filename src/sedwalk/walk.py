@@ -26,7 +26,6 @@ __all__ = [
     "join_perturbation_bound",
 ]
 
-GOLDEN = (math.sqrt(5) - 1) / 2
 # Largest steps * (1 + vertices) a time series may hold.  At the cap the
 # float table takes 128 MB and its CSV text about twice that, so larger
 # series are refused before any phase table is built.
@@ -35,6 +34,8 @@ MAX_SERIES_CELLS = 1 << 24
 _GRID_BLOCK = 1 << 16
 # Entries per chunk of the two-level selection of refinement seeds.
 _SEED_CHUNK = 1 << 10
+# Intervals of the sub-grid on which each refinement bracket is searched for minima.
+_SUBGRID = 16
 # Highest degree minimized exactly: the O(D^3) root solve takes 0.24 s at 512.
 _MAX_DEGREE = 512
 
@@ -104,32 +105,97 @@ def _least_indices(values: np.ndarray, count: int) -> np.ndarray:
     Two-level selection: take the minimum of each full chunk of ``_SEED_CHUNK``
     entries and keep the ``count`` chunks first in (minimum, chunk) order.
     A dropped chunk holds none of the wanted entries, since each kept chunk
-    holds an entry ordered before all of the dropped one's.  Only the kept
-    chunks and the ragged tail are sorted."""
+    holds an entry ordered before all of the dropped one's.  Of the kept
+    chunks and the ragged tail, only the entries at or below the
+    ``count``-th least value are sorted."""
     full = len(values) - len(values) % _SEED_CHUNK
     minima = values[:full].reshape(-1, _SEED_CHUNK).min(axis=1)
     heads = np.sort(np.argsort(minima, kind="stable")[:count]) * _SEED_CHUNK
     kept = (heads[:, None] + np.arange(_SEED_CHUNK)).ravel()
     candidates = np.concatenate([kept, np.arange(full, len(values))])
+    picked = values[candidates]
+    cut = np.partition(picked, min(count, len(picked)) - 1)[min(count, len(picked)) - 1]
+    candidates = candidates[picked <= cut]
     return candidates[np.argsort(values[candidates], kind="stable")[:count]]
 
 
-def _grid_minimum(
-    mags: np.ndarray, f: Callable[[float], float], span: float
+def _refined_minimum(
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    lows: np.ndarray,
+    highs: np.ndarray,
 ) -> tuple[float, float]:
-    """Least (time, f) from the five lowest ``mags`` on np.linspace(0, span, len(mags)),
-    lowest index first among ties, each refined by golden section within one grid step."""
+    """Least (time, |g|) found in the brackets [lows[i], highs[i]];
+    ``jet(times)`` returns g, g' and g'' at an array of times.
+
+    phi = |g|^2 has phi' = 2 Re(conj(g) g') and phi'' = 2 (|g'|^2 + Re(conj(g) g'')).
+    phi' is sampled at ``_SUBGRID`` + 1 points of every bracket; every - to +
+    sign change between neighbours brackets a minimum of phi, and all of them
+    are settled in lockstep by safeguarded Newton: a step is kept only if
+    phi'' > 0, it lands inside its bracket and it is at most half the one
+    before, else the bracket is bisected.  A bracket stops on a kept step or
+    a width of at most 1e-10 plus 4 ulps.  Newton runs between bisections
+    halve their steps, so every bracket stops.  The candidates are every
+    time evaluated."""
+    fractions = np.arange(_SUBGRID + 1) / _SUBGRID
+    times = (lows[:, None] + (highs - lows)[:, None] * fractions).ravel()
+    g, g1, g2 = jet(times)
+    slope = (np.conj(g) * g1).real.reshape(len(lows), -1)
+    found_t, found_v = [times], [np.abs(g)]
+    row, col = np.nonzero((slope[:, :-1] < 0) & (slope[:, 1:] > 0))
+    sub = times.reshape(len(lows), -1)
+    lo, hi = sub[row, col], sub[row, col + 1]
+    slope_lo, slope_hi = slope[row, col], slope[row, col + 1]
+    # start each bracket at the zero of the chord of phi'
+    x = lo + (hi - lo) * (slope_lo / (slope_lo - slope_hi))
+    last = hi - lo
+    while len(x):
+        g, g1, g2 = jet(x)
+        found_t.append(x)
+        found_v.append(np.abs(g))
+        slope = (np.conj(g) * g1).real
+        curve = (g1 * np.conj(g1)).real + (np.conj(g) * g2).real
+        rising = slope >= 0
+        hi = np.where(rising, x, hi)
+        lo = np.where(rising, lo, x)
+        step = -slope / np.where(curve > 0, curve, 1.0)
+        newton = (curve > 0) & (np.abs(step) <= 0.5 * last) & (lo <= x + step) & (x + step <= hi)
+        step = np.where(newton, step, 0.5 * (lo + hi) - x)
+        tol = 1e-10 + 4 * np.spacing(x)
+        going = ~((newton & (np.abs(step) <= tol)) | (hi - lo <= tol))
+        x, lo, hi, last = (x + step)[going], lo[going], hi[going], np.abs(step)[going]
+    times, values = np.concatenate(found_t), np.concatenate(found_v)
+    least = np.argmin(values)
+    return float(times[least]), float(values[least])
+
+
+def _phase_jet(
+    lams: np.ndarray, weights: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """times -> rows g, g', g'' of g(t) = sum_j weights[j] exp(i t lams[j]),
+    from one phase matrix."""
+    ilam = 1j * lams
+    columns = weights * ilam ** np.arange(3)[:, None]
+    return lambda times: columns @ np.exp(np.outer(ilam, times))
+
+
+def _grid_minimum(
+    mags: np.ndarray,
+    span: float,
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[float, float]:
+    """Least (time, |g|) from the grid ``mags`` = |g| on np.linspace(0, span,
+    len(mags)): the least grid value, lowest index first among ties, unless
+    :func:`_refined_minimum` finds less within one grid step of the five
+    least.  ``jet`` is as there."""
     pts = len(mags)
     step = span / (pts - 1)
-    seeds = _least_indices(mags, 5).tolist()
+    seeds = _least_indices(mags, 5)
     # grid time i exactly as np.linspace(0, span, pts) computes it
-    time_at = lambda i: span if i == pts - 1 else i * step
-    best_t, best_val = time_at(seeds[0]), float(mags[seeds[0]])
-    for i in seeds:
-        t_ref, v_ref = _golden_min(f, max(0.0, time_at(i) - step), min(span, time_at(i) + step))
-        if v_ref < best_val:
-            best_t, best_val = t_ref, v_ref
-    return best_t, best_val
+    times = np.where(seeds == pts - 1, span, seeds * step)
+    t, value = _refined_minimum(jet, np.maximum(0.0, times - step), np.minimum(span, times + step))
+    if value < mags[seeds[0]]:
+        return t, value
+    return float(times[0]), float(mags[seeds[0]])
 
 
 @dataclass(frozen=True)
@@ -181,10 +247,6 @@ class WalkEvaluator:
         for lo in range(0, giant_n, rows):
             np.abs(giant[lo : lo + rows] @ baby, out=mags[lo : lo + rows])
         return mags.ravel()[:points]
-
-    def pair_amplitudes(self, u: int, v: int, times: np.ndarray) -> np.ndarray:
-        phases = np.exp(1j * np.outer(times, self.dec.eigenvalues))
-        return phases @ self.dec.entries(u, v)
 
     def diagonal_series(self, vertices: Sequence[int], t_max: float, steps: int) -> np.ndarray:
         """Rows (t, |U(t)_{u,u}| for each u in ``vertices``) on np.linspace(0,
@@ -241,10 +303,10 @@ class WalkEvaluator:
                 angles = _critical_angles(np.concatenate([r[:1], 2.0 * r[1:]]))
         if angles is None:
             span, pts = _bounded_grid(self.dec, grid_points, horizon)
-            ilam = 1j * self.dec.eigenvalues
-            weights = self.dec.diagonal_weights(u).astype(complex)
-            f = lambda t: abs(complex(np.dot(np.exp(t * ilam), weights)))
-            t, value = _grid_minimum(self.diagonal_grid_magnitudes(u, span, pts), f, span)
+            weights = self.dec.diagonal_weights(u)
+            keep = weights != 0.0
+            jet = _phase_jet(self.dec.eigenvalues[keep], weights[keep])
+            t, value = _grid_minimum(self.diagonal_grid_magnitudes(u, span, pts), span, jet)
             return InfimumEstimate(value, t, InfimumMode.GRID_LOWER_CONFIDENCE, pts, span)
         times = angles / (float(g) * math.sqrt(form.delta))
         t, value = _earliest_minimum(times, np.abs(self.diagonal_amplitudes(u, times)))
@@ -271,33 +333,6 @@ class InfimumEstimate:
     @property
     def certified(self) -> bool:
         return self.mode is InfimumMode.EXACT_ON_PERIOD
-
-
-def _golden_min(
-    f: Callable[[float], float], a: float, b: float, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Golden-section minimization on [a, b]; returns (argmin, min).
-
-    Far from zero, doubles can be spaced wider than ``tol``; the bracket
-    then stops shrinking and the iteration cycles.  A repeated state ends
-    the search there, which leaves every search that converges unchanged.
-    """
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    seen: set[tuple[float, float, float, float]] = set()
-    while b - a > tol and (a, b, x1, x2) not in seen:
-        seen.add((a, b, x1, x2))
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-    t = (a + b) / 2
-    return t, f(t)
 
 
 def product_diagonal_km_y(

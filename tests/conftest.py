@@ -22,6 +22,17 @@ def oracle():
 
 
 @pytest.fixture(scope="session")
+def pair_amplitudes():
+    """U(t)_{u,v} at an array of times from a decomposition: the phases
+    exp(i t lambda_j) times the projector entries (E_j)_{u,v}."""
+
+    def amplitudes(dec, u: int, v: int, times: np.ndarray) -> np.ndarray:
+        return np.exp(1j * np.outer(times, dec.eigenvalues)) @ dec.entries(u, v)
+
+    return amplitudes
+
+
+@pytest.fixture(scope="session")
 def period_reference():
     """Checks an exact one-period minimum of |U(t)_{u,u}| against the grid
     np.linspace(0, period, points), sampled by the baby-step/giant-step

@@ -399,7 +399,7 @@ def test_criterion_12_flag_exclusivity():
                     assert rec.evidence.value >= rec.constant - 1e-9
 
 
-def test_criterion_13_twin_inequality(rand_graph):
+def test_criterion_13_twin_inequality(rand_graph, pair_amplitudes):
     rng = np.random.default_rng(77)
     graphs = [
         complete(4),
@@ -427,5 +427,5 @@ def test_criterion_13_twin_inequality(rand_graph):
             ev = evaluator(g, kind)
             for u, v in pairs:
                 duu = np.abs(ev.diagonal_amplitudes(u, times))
-                duv = np.abs(ev.pair_amplitudes(u, v, times))
+                duv = np.abs(pair_amplitudes(ev.dec, u, v, times))
                 assert float(np.min(duu + duv)) >= 1 - 1e-9, (u, v, kind.short_name)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sedwalk import (
@@ -33,7 +33,7 @@ from sedwalk import (
 from sedwalk import walk as walk_module
 from sedwalk.graphs import WeightedGraph
 from sedwalk.spectral import SpectralDecomposition
-from sedwalk.walk import _SEED_CHUNK, _golden_min, _least_indices
+from sedwalk.walk import _SEED_CHUNK, _least_indices, _refined_minimum
 
 KINDS = [MatrixKind.adjacency(), MatrixKind.laplacian(), MatrixKind.generalized(Fraction(1, 2))]
 
@@ -62,13 +62,13 @@ def test_amplitude_entries_consistent(rand_graph):
             assert ev.magnitude(u, v, t) == pytest.approx(abs(u_t[u, v]), abs=1e-12)
 
 
-def test_vectorized_amplitudes(rand_graph):
+def test_vectorized_amplitudes(rand_graph, pair_amplitudes):
     rng = np.random.default_rng(12)
     g = rand_graph(rng, n=6)
     ev = WalkEvaluator(decompose(g))
     times = np.linspace(0.0, 5.0, 17)
     diag = ev.diagonal_amplitudes(2, times)
-    pair = ev.pair_amplitudes(0, 3, times)
+    pair = pair_amplitudes(ev.dec, 0, 3, times)
     for i, t in enumerate(times):
         assert diag[i] == pytest.approx(ev.amplitude(2, 2, float(t)), abs=1e-12)
         assert pair[i] == pytest.approx(ev.amplitude(0, 3, float(t)), abs=1e-12)
@@ -318,11 +318,57 @@ def test_least_indices_match_a_full_lexsort(length, levels, count, seed):
     np.testing.assert_array_equal(_least_indices(values, count), want)
 
 
-def test_golden_min_stops_where_doubles_outgrow_the_tolerance():
-    # near 6e5 adjacent doubles lie about 1.2e-10 apart, above the 1e-10 tolerance
-    t, v = _golden_min(lambda s: (s - 6e5) ** 2, 6e5 - 0.1, 6e5 + 0.1)
-    assert abs(t - 6e5) < 1e-9
-    assert v < 1e-18
+@pytest.mark.parametrize("power", [1, 2, 3])
+def test_refinement_stops_where_doubles_outgrow_the_tolerance(power):
+    # near 6e5 adjacent doubles lie about 1.2e-10 apart, above the 1e-10 tolerance;
+    # g = (t - c)^power has a root of phi' of order 2 power - 1, so Newton
+    # converges quadratically at power 1 and only linearly, with bisections, above
+    c = 6e5 + 0.0123456789
+
+    poly = np.polynomial.Polynomial.basis(power)
+    jet = lambda times: np.array([poly.deriv(m)(times - c) for m in range(3)])
+
+    t, v = _refined_minimum(jet, np.array([6e5 - 0.1]), np.array([6e5 + 0.1]))
+    assert abs(t - c) < 1e-9
+    assert v == abs(t - c) ** power
+
+
+def test_refinement_keeps_a_near_stop_of_the_walk():
+    # U(t)_00 nearly stops at the origin here (|U'| about 1e-3), so |U| has two
+    # local minima 6e-4 apart; golden-section search reported 0.000426846378059
+    ev = WalkEvaluator(decompose(parse_graph("KM(2,1,1,1,1,1,1,1)")))
+    est = ev.infimum_diagonal(0)
+    assert est.mode is InfimumMode.GRID_LOWER_CONFIDENCE
+    assert abs(est.value - 0.000426846378059) < 1e-9
+    assert est.value == pytest.approx(ev.magnitude(0, 0, est.attained_time), abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 3), min_size=15, max_size=15),
+    kind=st.sampled_from(SCAN_KINDS),
+    u=st.integers(0, 5),
+    span=st.floats(1.0, 100.0),
+    density=st.floats(16.0, 40.0),
+)
+def test_refined_scan_minimum_is_a_least_bracket_value(weights, kind, u, span, density):
+    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    g = WeightedGraph.from_edges(6, [(a, b, w) for (a, b), w in zip(pairs, weights) if w])
+    ev = WalkEvaluator(decompose(g, kind))
+    # the grid follows the scan's own sizing rule: 16 or more points per period of the spread
+    spread = float(ev.dec.eigenvalues[0] - ev.dec.eigenvalues[-1])
+    points = int(span * max(spread, 1.0) * density / (2 * math.pi)) + 2
+    est = ev.infimum_diagonal(u, grid_points=points, horizon=span)
+    assume(est.mode is InfimumMode.GRID_LOWER_CONFIDENCE)
+    grid = ev.diagonal_grid_magnitudes(u, span, points)
+    assert est.value <= grid.min()
+    assert abs(ev.magnitude(u, u, est.attained_time) - est.value) <= 1e-12
+    h = span / (points - 1)
+    dense = min(
+        np.abs(ev.diagonal_amplitudes(u, np.linspace(max(0.0, i * h - h), min(span, i * h + h), 4001))).min()
+        for i in _least_indices(grid, 5)
+    )
+    assert est.value <= dense + 1e-9
 
 
 def test_minimizer_runs_once_per_twin_set(monkeypatch):
