@@ -56,12 +56,7 @@ from .spectral import (
 )
 from .twins import ThetaEigenspaceSplit, TwinSet, find_twin_sets, theta_split, twin_dichotomy
 from .walk import (
-    InfimumEstimate,
-    WalkEvaluator,
-    _bounded_grid,
-    _check_grid,
-    _cosine_minimum,
-    _grid_minimum,
+    InfimumEstimate, WalkEvaluator, _bounded_grid, _check_grid, _cosine_minimum, _grid_minimum,
     _phase_jet,
 )
 

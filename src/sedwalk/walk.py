@@ -36,6 +36,8 @@ _GRID_BLOCK = 1 << 16
 _SEED_CHUNK = 1 << 10
 # Intervals of the sub-grid on which each refinement bracket is searched for minima.
 _SUBGRID = 16
+# times -> the rows g, g', g'' of a function g and its first two derivatives there
+_Jet = Callable[[np.ndarray], np.ndarray]
 # Highest degree minimized exactly: the O(D^3) root solve takes 0.24 s at 512.
 _MAX_DEGREE = 512
 
@@ -114,18 +116,13 @@ def _least_indices(values: np.ndarray, count: int) -> np.ndarray:
     kept = (heads[:, None] + np.arange(_SEED_CHUNK)).ravel()
     candidates = np.concatenate([kept, np.arange(full, len(values))])
     picked = values[candidates]
-    cut = np.partition(picked, min(count, len(picked)) - 1)[min(count, len(picked)) - 1]
-    candidates = candidates[picked <= cut]
-    return candidates[np.argsort(values[candidates], kind="stable")[:count]]
+    k = min(count, len(picked)) - 1
+    low = picked <= np.partition(picked, k)[k]
+    return candidates[low][np.argsort(picked[low], kind="stable")[:count]]
 
 
-def _refined_minimum(
-    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
-    lows: np.ndarray,
-    highs: np.ndarray,
-) -> tuple[float, float]:
-    """Least (time, |g|) found in the brackets [lows[i], highs[i]];
-    ``jet(times)`` returns g, g' and g'' at an array of times.
+def _refined_minimum(jet: _Jet, lows: np.ndarray, highs: np.ndarray) -> tuple[float, float]:
+    """Least (time, |g|) found in the brackets [lows[i], highs[i]].
 
     phi = |g|^2 has phi' = 2 Re(conj(g) g') and phi'' = 2 (|g'|^2 + Re(conj(g) g'')).
     phi' is sampled at ``_SUBGRID`` + 1 points of every bracket; every - to +
@@ -168,25 +165,17 @@ def _refined_minimum(
     return float(times[least]), float(values[least])
 
 
-def _phase_jet(
-    lams: np.ndarray, weights: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """times -> rows g, g', g'' of g(t) = sum_j weights[j] exp(i t lams[j]),
-    from one phase matrix."""
+def _phase_jet(lams: np.ndarray, weights: np.ndarray) -> _Jet:
+    """The jet of g(t) = sum_j weights[j] exp(i t lams[j]), from one phase matrix."""
     ilam = 1j * lams
     columns = weights * ilam ** np.arange(3)[:, None]
     return lambda times: columns @ np.exp(np.outer(ilam, times))
 
 
-def _grid_minimum(
-    mags: np.ndarray,
-    span: float,
-    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> tuple[float, float]:
+def _grid_minimum(mags: np.ndarray, span: float, jet: _Jet) -> tuple[float, float]:
     """Least (time, |g|) from the grid ``mags`` = |g| on np.linspace(0, span,
     len(mags)): the least grid value, lowest index first among ties, unless
-    :func:`_refined_minimum` finds less within one grid step of the five
-    least.  ``jet`` is as there."""
+    :func:`_refined_minimum` finds less within one grid step of the five least."""
     pts = len(mags)
     step = span / (pts - 1)
     seeds = _least_indices(mags, 5)
