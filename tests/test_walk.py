@@ -324,18 +324,34 @@ def test_refinement_stops_where_doubles_outgrow_the_tolerance(power):
     # g = (t - c)^power has a root of phi' of order 2 power - 1, so Newton
     # converges quadratically at power 1 and only linearly, with bisections, above
     c = 6e5 + 0.0123456789
-
     poly = np.polynomial.Polynomial.basis(power)
     jet = lambda times: np.array([poly.deriv(m)(times - c) for m in range(3)])
-
     t, v = _refined_minimum(jet, np.array([6e5 - 0.1]), np.array([6e5 + 0.1]))
     assert abs(t - c) < 1e-9
-    assert v == abs(t - c) ** power
+    assert v == pytest.approx(abs(t - c) ** power, rel=1e-12)
+
+
+def test_refinement_stays_in_its_bracket():
+    # g = (t - 0.82)(t - 1) + 0.001 has zeros at 0.8257 and 0.9943; from the
+    # chord start in the last sub-interval of [0, 1], a Newton step unchecked
+    # against the bracket lands at 1.0018
+    poly = np.polynomial.Polynomial.fromroots([0.82, 1.0]) + 0.001
+    seen = []
+
+    def jet(times):
+        seen.append(times)
+        return np.array([poly.deriv(m)(times) for m in range(3)])
+
+    t, v = _refined_minimum(jet, np.array([0.0]), np.array([1.0]))
+    evaluated = np.concatenate(seen)
+    assert 0.0 <= evaluated.min() and evaluated.max() <= 1.0
+    assert min(abs(t - r) for r in poly.roots()) < 1e-9 and v < 1e-12
 
 
 def test_refinement_keeps_a_near_stop_of_the_walk():
     # U(t)_00 nearly stops at the origin here (|U'| about 1e-3), so |U| has two
-    # local minima 6e-4 apart; golden-section search reported 0.000426846378059
+    # local minima 6e-4 apart, 3.5e-10 in value; golden-section search reported
+    # 0.000426846378059
     ev = WalkEvaluator(decompose(parse_graph("KM(2,1,1,1,1,1,1,1)")))
     est = ev.infimum_diagonal(0)
     assert est.mode is InfimumMode.GRID_LOWER_CONFIDENCE
