@@ -129,10 +129,10 @@ def _refined_minimum(jet: _Jet, lows: np.ndarray, highs: np.ndarray) -> tuple[fl
     sign change between neighbours brackets a minimum of phi, and all of them
     are settled in lockstep by safeguarded Newton: a step is kept only if
     phi'' > 0, it lands inside its bracket and it is at most half the one
-    before, else the bracket is bisected.  A bracket stops on a kept step or
-    a width of at most 1e-10 plus 4 ulps.  Newton runs between bisections
-    halve their steps, so every bracket stops.  The candidates are every
-    time evaluated."""
+    before, else the bracket is bisected.  A bracket stops once a kept step
+    or its width is at most 1e-10 plus 4 ulps; Newton runs between
+    bisections halve their steps, so every bracket stops.  The candidates
+    are every time evaluated."""
     fractions = np.arange(_SUBGRID + 1) / _SUBGRID
     times = (lows[:, None] + (highs - lows)[:, None] * fractions).ravel()
     g, g1, g2 = jet(times)
