@@ -52,7 +52,7 @@ from .numtheory import (
     is_perfect_square,
     nu2,
     nu2_fraction,
-    recognize_spectrum,
+    periodic_form,
     recognize_values,
     square_free_part,
 )
@@ -76,7 +76,6 @@ from .sedentary import (
 from .spectral import (
     EigenvalueSupport,
     LaplacianProductUnsupported,
-    Periodicity,
     SpectralDecomposition,
     StrongCospectrality,
     decompose,
@@ -136,7 +135,7 @@ __all__ = [
     "is_perfect_square",
     "nu2",
     "nu2_fraction",
-    "recognize_spectrum",
+    "periodic_form",
     "recognize_values",
     "square_free_part",
     # spectral + walk
@@ -144,7 +143,6 @@ __all__ = [
     "InfimumEstimate",
     "InfimumMode",
     "LaplacianProductUnsupported",
-    "Periodicity",
     "SpectralDecomposition",
     "StrongCospectrality",
     "WalkEvaluator",

@@ -1,5 +1,6 @@
-"""Exact arithmetic helpers: 2-adic valuations, square-free parts, spectrum
-recognition into quadratic-integer form, and integer relation parity.
+"""Exact arithmetic helpers: 2-adic valuations, square-free parts, exact
+recognition of eigenvalues and their periodic form, and integer relation
+parity.
 
 Everything here is exact (ints and Fractions); floating point enters only at
 the recognition boundary where eigenvalues computed numerically are matched
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,13 +24,13 @@ __all__ = [
     "square_free_part",
     "QuadraticIntegerForm",
     "ExactEigenvalue",
-    "recognize_spectrum",
+    "periodic_form",
     "recognize_values",
     "integer_kernel_basis",
     "integer_relation_parity",
 ]
 
-# Absolute match tolerance of the recognizers, scaled by max(1, |largest value|).
+# Absolute match tolerance of the recognizer, scaled by max(1, |largest value|).
 RECOGNITION_TOL = 1e-7
 
 
@@ -101,15 +103,16 @@ def square_free_part(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class QuadraticIntegerForm:
-    """Shared exact form for a list of eigenvalues: value_j = (a + b_j*sqrt(delta)) / 2.
+    """Shared exact form of a periodic support: value_j = (a + b_j*sqrt(delta)) / 2.
 
-    ``delta == 1`` means every value is an integer (then ``a = 0`` and
+    ``delta == 1`` means every value is rational (then ``a = 0`` and
     ``b_j = 2*value_j`` by convention); otherwise ``delta`` is square-free and
-    at least 2 and the rational part ``a/2`` is shared by all values.
+    at least 2 and the rational part ``a/2`` is shared by all values.  The
+    coordinates are ints where they are integral and Fractions otherwise.
     """
 
-    a: int
-    b: tuple[int, ...]
+    a: int | Fraction
+    b: tuple[int | Fraction, ...]
     delta: int
 
     def __post_init__(self) -> None:
@@ -121,24 +124,23 @@ class QuadraticIntegerForm:
     def __len__(self) -> int:
         return len(self.b)
 
-    def value(self, j: int) -> float:
-        return (self.a + self.b[j] * math.sqrt(self.delta)) / 2.0
-
-    def values(self) -> list[float]:
-        return [self.value(j) for j in range(len(self.b))]
-
-    def exact_value(self, j: int) -> "ExactEigenvalue":
-        if self.delta == 1:
-            return ExactEigenvalue(Fraction(self.a + self.b[j], 2), Fraction(0), 1)
-        return ExactEigenvalue(Fraction(self.a, 2), Fraction(self.b[j], 2), self.delta)
-
     def scaled_difference(self, i: int, j: int) -> Fraction:
         """(value_i - value_j) / sqrt(delta) as an exact rational."""
         return Fraction(self.b[i] - self.b[j], 2)
 
+    @cached_property
+    def g(self) -> Fraction:
+        """The gcd of the scaled differences: every difference of two values
+        is an integer multiple of g sqrt(delta); 0 for a single value."""
+        return fraction_gcd(self.scaled_difference(0, j) for j in range(1, len(self.b)))
+
     @property
-    def all_integer(self) -> bool:
-        return self.delta == 1
+    def period(self) -> float | None:
+        """2 pi / (g sqrt(delta)), after which every phase exp(i t value_j)
+        has turned by the same angle; None for a single value."""
+        if self.g == 0:
+            return None
+        return 2 * math.pi / (float(self.g) * math.sqrt(self.delta))
 
 
 @dataclass(frozen=True)
@@ -166,92 +168,41 @@ def _near_fraction(value: float, max_den: int, tol: float) -> Fraction | None:
     return cand if abs(value - float(cand)) <= tol else None
 
 
-def recognize_spectrum(values: Sequence[float]) -> QuadraticIntegerForm | None:
-    """Match floating eigenvalues against a shared quadratic-integer form.
+def _coordinate(x: Fraction) -> int | Fraction:
+    return x.numerator if x.denominator == 1 else x
 
-    Returns None when no consistent form is found; callers must treat that as
-    "unrecognized", never as a negative certificate.  The tolerance is
-    ``RECOGNITION_TOL`` after scaling by the spectral radius.
+
+def periodic_form(values: Sequence[ExactEigenvalue]) -> QuadraticIntegerForm | None:
+    """The shared form of exact support values, or None when a walk on them
+    has no period.
+
+    The values are periodic exactly when they are all rational or all share
+    one rational part (Godsil, "Periodic graphs", Electron. J. Combin. 2011):
+    then every ratio of two differences is rational.  Otherwise a conjugate
+    pair differs by a rational multiple of sqrt(delta), and some other
+    difference has a nonzero rational part, so their ratio is irrational.
     """
-    vals = [float(v) for v in values]
-    if not vals:
+    if all(ev.delta == 1 or ev.radical == 0 for ev in values):
+        twice = (2 * (ev.rational + ev.radical) for ev in values)
+        return QuadraticIntegerForm(0, tuple(_coordinate(b) for b in twice), 1)
+    if len({ev.rational for ev in values}) > 1:
         return None
-    atol = RECOGNITION_TOL * max(1.0, max(abs(v) for v in vals))
-
-    rounded = [round(v) for v in vals]
-    if all(abs(v - r) <= atol for v, r in zip(vals, rounded)):
-        return QuadraticIntegerForm(0, tuple(2 * r for r in rounded), 1)
-
-    # shared-a quadratic attempt: candidate a from pair sums and doubled values
-    candidates: list[int] = []
-    for i in range(len(vals)):
-        d = 2 * vals[i]
-        if abs(d - round(d)) <= 2 * atol:
-            candidates.append(round(d))
-        for j in range(i + 1, len(vals)):
-            s = vals[i] + vals[j]
-            if abs(s - round(s)) <= 2 * atol:
-                candidates.append(round(s))
-    seen = set()
-    for a in candidates:
-        if a in seen:
-            continue
-        seen.add(a)
-        form = _fit_quadratic(vals, a, atol)
-        if form is not None:
-            return form
-    return None
-
-
-def _fit_quadratic(vals: list[float], a: int, atol: float) -> QuadraticIntegerForm | None:
-    residues = [2 * v - a for v in vals]
-    nonzero = [r for r in residues if abs(r) > 2 * atol]
-    if not nonzero:
-        return None  # all values equal a/2: not a quadratic spectrum
-    base = min(nonzero, key=abs)
-    ratios = []
-    for r in residues:
-        if abs(r) <= 2 * atol:
-            ratios.append(Fraction(0))
-            continue
-        q = _near_fraction(r / base, 64, 1e-6 * max(1.0, abs(r / base)))
-        if q is None:
-            return None
-        ratios.append(q)
-    den_lcm = math.lcm(*(q.denominator for q in ratios if q != 0))
-    for mult in (1, 2, 3, 4):
-        b_base = den_lcm * mult
-        x = base / b_base
-        d_raw = x * x
-        d_round = round(d_raw)
-        if d_round < 2 or abs(d_raw - d_round) > 8 * atol * (abs(x) + 1):
-            continue
-        delta, f = square_free_part(d_round)
-        bs = []
-        ok = True
-        sqrt_delta = math.sqrt(delta)
-        for v in vals:
-            b_exact = (2 * v - a) / sqrt_delta
-            b_int = round(b_exact)
-            if abs(b_exact - b_int) > 8 * atol / sqrt_delta + 1e-9:
-                ok = False
-                break
-            if abs((a + b_int * sqrt_delta) / 2 - v) > 4 * atol:
-                ok = False
-                break
-            bs.append(b_int)
-        if ok:
-            return QuadraticIntegerForm(a, tuple(bs), delta)
-    return None
+    return QuadraticIntegerForm(
+        _coordinate(2 * values[0].rational),
+        tuple(_coordinate(2 * ev.radical) for ev in values),
+        values[0].delta,
+    )
 
 
 def recognize_values(values: Sequence[float]) -> list[ExactEigenvalue] | None:
-    """Per-value exact recognition with a common radical but individual rational parts.
+    """Exact values of floating eigenvalues, or None when some value has none.
 
     Rationals get ``radical = 0``; irrational values must split into conjugate
-    pairs ``r +/- s*sqrt(delta)`` sharing one square-free delta.  This is the
-    loose companion of :func:`recognize_spectrum` used by relation searches,
-    where a shared rational part is not required.
+    pairs ``r +/- s*sqrt(delta)`` sharing one square-free delta, each pair
+    with its own rational part.  The tolerance is ``RECOGNITION_TOL`` after
+    scaling by the largest magnitude.  None means "unrecognized", never a
+    negative certificate; :func:`periodic_form` says whether the values have
+    a period.
     """
     vals = [float(v) for v in values]
     if not vals:

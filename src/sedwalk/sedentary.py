@@ -41,11 +41,10 @@ from .graphs import ADJACENCY, MatrixKind, WeightedGraph, blow_up
 from .numtheory import (
     ExactEigenvalue,
     QuadraticIntegerForm,
-    fraction_gcd,
     integer_relation_parity,
     nu2,
     nu2_fraction,
-    recognize_spectrum,
+    periodic_form,
     recognize_values,
 )
 from .spectral import (
@@ -185,10 +184,7 @@ def equality_time_criterion(
         # implied by the cross condition; violation means a bug upstream
         if nu2_fraction(form.scaled_difference(i, j)) <= level:
             raise AssertionError("within-subset valuation at or below the cross level")
-    base = s[0]
-    g = fraction_gcd(
-        [form.scaled_difference(base, j) for j in range(k) if j != base]
-    )
+    base, g = s[0], form.g
     for j in range(k):
         if j == base:
             continue
@@ -267,17 +263,6 @@ class VertexClassification:
 # -- exact-support helpers ------------------------------------------------
 
 
-def _exact_support(
-    values: np.ndarray,
-) -> tuple[QuadraticIntegerForm | None, list[ExactEigenvalue] | None]:
-    """Recognize the support values: shared form first, mixed values second."""
-    vals = [float(v) for v in values]
-    form = recognize_spectrum(vals)
-    if form is not None:
-        return form, [form.exact_value(j) for j in range(len(form))]
-    return None, recognize_values(vals)
-
-
 def _support_positions(sup: EigenvalueSupport, class_indices) -> tuple[int, ...]:
     wanted = set(int(i) for i in class_indices)
     return tuple(i for i, idx in enumerate(sup.indices) if idx in wanted)
@@ -323,6 +308,21 @@ class _GraphFacts:
     equality_times: dict[tuple, EqualityTime | None] = field(
         default_factory=dict, compare=False, hash=False, repr=False
     )
+    recognitions: dict[
+        tuple[int, ...], tuple[list[ExactEigenvalue] | None, QuadraticIntegerForm | None]
+    ] = field(default_factory=dict, compare=False, hash=False, repr=False)
+
+    def recognized(
+        self, sup: EigenvalueSupport
+    ) -> tuple[list[ExactEigenvalue] | None, QuadraticIntegerForm | None]:
+        """The exact values of a support and their periodic form, recognized
+        once per graph for each distinct support: the values depend on its
+        class indices alone."""
+        if sup.indices not in self.recognitions:
+            exacts = recognize_values(sup.values)
+            form = periodic_form(exacts) if exacts is not None else None
+            self.recognitions[sup.indices] = exacts, form
+        return self.recognitions[sup.indices]
 
     def equality_time(
         self, form: QuadraticIntegerForm, positions: tuple[int, ...]
@@ -402,8 +402,8 @@ def _parity_stage(
       support.  The twin eigenvalue theta lies on the other side, as
       :func:`_twin_stage` checks, and in the support: e_u - e_v is a
       theta-eigenvector, so theta's weight at u is at least 1/2.
-    * The exact values come from one :class:`QuadraticIntegerForm` or from
-      :func:`recognize_values`, which admits one radical ``delta_common``.
+    * The exact values come from :func:`recognize_values`, which admits one
+      radical ``delta_common``.
     """
     plus = [exacts[i] for i in plus_pos]
     minus = [e for i, e in enumerate(exacts) if i not in plus_pos]
@@ -472,7 +472,7 @@ def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassi
         bound = projection_sum_bound(dec, u, (floor_class,))
         trail.append(f"projection-floor:a={bound.a:.12g}")
         floor = bound.floor
-    form, exacts = _exact_support(sup.values)
+    exacts, form = facts.recognized(sup)
 
     # transfer test and parity for a strongly cospectral twin pair
     if pair is not None:
@@ -544,7 +544,8 @@ def classify_all(
     The graph-level facts are computed once and shared by every vertex:
     the decomposition and its walk evaluator, the twin sets that meet
     ``vertices`` with one eigenspace split and one scan per twin set (twins
-    share their diagonal).
+    share their diagonal), and the exact values of each distinct support,
+    which the scan and the decision tree both read.
     Pass ``dec`` or ``twin_sets`` to reuse ones the caller already holds.
     ``grid_points`` and ``horizon`` size the scan of vertices with neither a
     twin nor a period; they are checked even when no vertex uses them.
@@ -566,8 +567,9 @@ def classify_all(
     for u in verts:
         key = twin_of.get(u, u)
         if key not in scans:
+            _, form = facts.recognized(dec.support(u))
             overrides = () if u in twin_of else (grid_points, horizon)
-            scans[key] = facts.evaluator.infimum_diagonal(u, *overrides)
+            scans[key] = facts.evaluator.infimum_diagonal(u, form, *overrides)
     return [_classify(facts, u, scans[twin_of.get(u, u)]) for u in verts]
 
 
@@ -668,8 +670,11 @@ def bipartite_double_sedentary(
     _check_grid(horizon, grid_points)
     sup = dec_y.support(v)
     terms = [(float(w), float(lam)) for w, lam in zip(sup.weights, sup.values)]
-    form, _ = _exact_support(sup.values)
-    freqs = [abs(b) // 2 for b in form.b] if form is not None and form.all_integer else []
+    exacts = recognize_values(sup.values)
+    integral = exacts is not None and all(
+        e.radical == 0 and e.rational.denominator == 1 for e in exacts
+    )
+    freqs = [abs(e.rational.numerator) for e in exacts] if integral else []
     if freqs and not any(freqs):
         return RealDiagonalInfimum(1.0, 0.0, True, None)
     period = 2.0 * math.pi / math.gcd(*freqs) if freqs else None  # of the real part
@@ -762,8 +767,7 @@ def blowup_pair_parity(
     """
     if dec is None:
         dec = decompose(g, ADJACENCY)
-    sup = dec.support(u)
-    _, exacts = _exact_support(sup.values)
+    exacts = recognize_values(dec.support(u).values)
     if exacts is None:
         return None
     plus = [e for e in exacts if not (e.rational == 0 and e.radical == 0)]

@@ -1,19 +1,16 @@
 """Spectral decomposition of graph matrices: grouped eigenvalues with their
-eigenvector blocks, per-vertex eigenvalue supports, strong cospectrality, and
-exact periodicity recognition.
+eigenvector blocks, per-vertex eigenvalue supports and strong cospectrality.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .graphs import ADJACENCY, MatrixKind, WeightedGraph
-from .numtheory import QuadraticIntegerForm, fraction_gcd, recognize_spectrum
 
 __all__ = [
     "GROUPING_TOL",
@@ -21,7 +18,6 @@ __all__ = [
     "LaplacianProductUnsupported",
     "EigenvalueSupport",
     "StrongCospectrality",
-    "Periodicity",
     "SpectralDecomposition",
     "decompose",
 ]
@@ -60,10 +56,6 @@ class EigenvalueSupport:
     def __len__(self) -> int:
         return len(self.indices)
 
-    @property
-    def weight_sum(self) -> float:
-        return float(sum(self.weights))
-
 
 @dataclass(frozen=True)
 class StrongCospectrality:
@@ -73,25 +65,6 @@ class StrongCospectrality:
     v: int
     plus: tuple[int, ...]
     minus: tuple[int, ...]
-    plus_values: tuple[float, ...]
-    minus_values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class Periodicity:
-    """Outcome of exact periodicity recognition for one vertex.
-
-    ``recognized`` False only means the support did not match an integer or
-    shared quadratic form; it is not a proof of aperiodicity.  A singleton
-    support gives a constant diagonal magnitude (flagged separately) since
-    the lone projector carries the whole weight.
-    """
-
-    recognized: bool
-    period: float | None = None
-    form: QuadraticIntegerForm | None = None
-    g: Fraction | None = None
-    constant_diagonal: bool = False
 
 
 @dataclass(frozen=True)
@@ -203,29 +176,7 @@ class SpectralDecomposition:
                 minus.append(j)
             else:
                 return None
-        return StrongCospectrality(
-            u=u,
-            v=v,
-            plus=tuple(plus),
-            minus=tuple(minus),
-            plus_values=tuple(float(self.eigenvalues[j]) for j in plus),
-            minus_values=tuple(float(self.eigenvalues[j]) for j in minus),
-        )
-
-    def periodicity(self, u: int) -> Periodicity:
-        sup = self.support(u)
-        if len(sup) == 1:
-            lam = sup.values[0]
-            period = 2 * math.pi / abs(lam) if abs(lam) > 1e-12 else None
-            return Periodicity(recognized=True, period=period, constant_diagonal=True)
-        form = recognize_spectrum(sup.values)
-        if form is None:
-            return Periodicity(recognized=False)
-        g = fraction_gcd(form.scaled_difference(0, j) for j in range(1, len(form)))
-        if g == 0:
-            return Periodicity(recognized=True, period=None, form=form, constant_diagonal=True)
-        period = 2 * math.pi / (float(g) * math.sqrt(form.delta))
-        return Periodicity(recognized=True, period=period, form=form, g=g)
+        return StrongCospectrality(u=u, v=v, plus=tuple(plus), minus=tuple(minus))
 
     def min_gap(self) -> float:
         if self.k < 2:

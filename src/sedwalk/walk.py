@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .numtheory import QuadraticIntegerForm
 from .spectral import SpectralDecomposition
 
 __all__ = [
@@ -266,10 +267,12 @@ class WalkEvaluator:
     def infimum_diagonal(
         self,
         u: int,
+        form: QuadraticIntegerForm | None,
         grid_points: int | None = None,
         horizon: float | None = None,
     ) -> "InfimumEstimate":
-        """inf_{t>0} |U(t)_{u,u}|.
+        """inf_{t>0} |U(t)_{u,u}|, given the periodic ``form`` of u's support
+        values (None when they have none).
 
         A periodic vertex has lambda_j = lambda_min + m_j omega, omega =
         g sqrt(delta), integers m_j, so |U|^2 = |sum_j w_j e^{i m_j omega t}|^2
@@ -278,16 +281,15 @@ class WalkEvaluator:
         over one period.  Other vertices, and series above ``_MAX_DEGREE``,
         get a bounded scan sized by ``grid_points`` and ``horizon``, which
         only upper-bounds the infimum."""
-        per = self.dec.periodicity(u)
-        if per.constant_diagonal:
+        sup = self.dec.support(u)
+        if len(sup) == 1:
             return InfimumEstimate(1.0, 0.0, InfimumMode.EXACT_ON_PERIOD, 1, 0.0)
         angles = None
-        if per.recognized and per.period is not None:
-            form, g = per.form, per.g
+        if form is not None:
             base = form.b.index(min(form.b))
-            exponents = [int(form.scaled_difference(j, base) / g) for j in range(len(form))]
+            exponents = [int(form.scaled_difference(j, base) / form.g) for j in range(len(form))]
             if max(exponents) <= _MAX_DEGREE:
-                q = np.bincount(exponents, self.dec.support(u).weights)
+                q = np.bincount(exponents, sup.weights)
                 r = np.correlate(q, q, "full")[len(q) - 1 :]
                 angles = _critical_angles(np.concatenate([r[:1], 2.0 * r[1:]]))
         if angles is None:
@@ -297,9 +299,9 @@ class WalkEvaluator:
             jet = _phase_jet(self.dec.eigenvalues[keep], weights[keep])
             t, value = _grid_minimum(self.diagonal_grid_magnitudes(u, span, pts), span, jet)
             return InfimumEstimate(value, t, InfimumMode.GRID_LOWER_CONFIDENCE, pts, span)
-        times = angles / (float(g) * math.sqrt(form.delta))
+        times = angles / (float(form.g) * math.sqrt(form.delta))
         t, value = _earliest_minimum(times, np.abs(self.diagonal_amplitudes(u, times)))
-        return InfimumEstimate(value, t, InfimumMode.EXACT_ON_PERIOD, len(times), per.period)
+        return InfimumEstimate(value, t, InfimumMode.EXACT_ON_PERIOD, len(times), form.period)
 
 
 class InfimumMode(Enum):

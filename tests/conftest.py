@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from sedwalk.graphs import ADJACENCY, MatrixKind, WeightedGraph
+from sedwalk.numtheory import periodic_form, recognize_values
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +31,18 @@ def pair_amplitudes():
         return np.exp(1j * np.outer(times, dec.eigenvalues)) @ dec.entries(u, v)
 
     return amplitudes
+
+
+@pytest.fixture(scope="session")
+def support_form():
+    """The periodic form of vertex u's support values, or None: what
+    ``classify_all`` hands to ``WalkEvaluator.infimum_diagonal``."""
+
+    def form(dec, u: int):
+        exacts = recognize_values(dec.support(u).values)
+        return periodic_form(exacts) if exacts is not None else None
+
+    return form
 
 
 @pytest.fixture(scope="session")

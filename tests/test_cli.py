@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from sedwalk import cli
+from sedwalk import MatrixKind, classify_vertex, cli, from_edge_list_text
 from sedwalk import walk as walk_module
 from sedwalk.cli import main
 
@@ -469,7 +469,6 @@ def test_classify_csv_format(capsys):
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="the 1e-9 loop makes vertices 0 and 1 non-cospectral, so no PST exists, "
     "yet float recognition and the 1e-8 zero tolerance certify one",
 )
@@ -485,7 +484,6 @@ def test_tiny_loop_is_not_certified_pst(capsys, tmp_path):
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="grouping merges the eigenvalues +/-1e-8 into one class, so the support "
     "looks like a singleton, yet U(t)_{0,0} = cos(1e-8 t) reaches 0",
 )
@@ -500,12 +498,9 @@ def test_tiny_edge_is_not_certified_sedentary(capsys, tmp_path):
     assert not (row["certified"] and row["verdict"] == "sedentary")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="recognize_spectrum only forms (a + b sqrt(delta))/2 with integers a and b, "
-    "so +/-1/3 gets no period and parity certifies pgst, yet the vertex has PST at 3 pi/2",
-)
 def test_third_edge_certifies_only_pst(capsys, tmp_path):
+    # the support +-1/3 is rational, so the vertex is periodic and its two
+    # classes reach opposite phases at 3 pi/2
     path = tmp_path / "third-edge.txt"
     path.write_text("n 2\n0 1 1/3\n")
     rc, out, _ = run(
@@ -513,4 +508,8 @@ def test_third_edge_certifies_only_pst(capsys, tmp_path):
     )
     assert rc == 0
     (row,) = json.loads(out)
-    assert row["verdict"] == "pst" or not row["certified"]
+    assert row["verdict"] == "pst" and row["partner"] == 1 and row["certified"] is True
+    # JSON carries 12 significant digits; the library carries the time itself
+    assert row["pst_time"] == float(f"{3 * math.pi / 2:.12g}")
+    rec = classify_vertex(from_edge_list_text(path.read_text()), MatrixKind.adjacency(), 0)
+    assert abs(rec.pst_time - 3 * math.pi / 2) <= 1e-12

@@ -145,7 +145,7 @@ SHARED_TABLE_KINDS = (*KINDS, MatrixKind.parse("Mq:-1"))
 
 @pytest.mark.parametrize("kind", SHARED_TABLE_KINDS, ids=lambda k: k.short_name)
 @pytest.mark.parametrize("name", SHARED_TABLE_GRAPHS)
-def test_shared_period_table_changes_no_bits(period_reference, name, kind):
+def test_shared_period_table_changes_no_bits(period_reference, support_form, name, kind):
     """Every exact one-period minimum in a classification is the bit-exact
     scan of the first member of its twin set (or of the vertex itself), and
     it passes the dense-grid reference check at every vertex it serves."""
@@ -158,7 +158,8 @@ def test_shared_period_table_changes_no_bits(period_reference, name, kind):
         scan = rec.evidence
         if scan.mode is not InfimumMode.EXACT_ON_PERIOD or scan.grid_points == 1:
             continue
-        assert scan == WalkEvaluator(dec).infimum_diagonal(first.get(u, u)), u
+        w = first.get(u, u)
+        assert scan == WalkEvaluator(dec).infimum_diagonal(w, support_form(dec, w)), u
         period_reference(ev, u, scan)
 
 

@@ -20,7 +20,7 @@ from sedwalk import (
     is_perfect_square,
     nu2,
     nu2_fraction,
-    recognize_spectrum,
+    periodic_form,
     recognize_values,
     square_free_part,
 )
@@ -124,25 +124,29 @@ def test_square_free_part_examples():
     assert square_free_part(0) == (0, 1)
 
 
+def _form_values(form: QuadraticIntegerForm) -> list[float]:
+    return [(form.a + b * math.sqrt(form.delta)) / 2 for b in form.b]
+
+
 def test_quadratic_form_values_and_differences():
     form = QuadraticIntegerForm(1, (1, -1), 5)
     golden = (1 + math.sqrt(5)) / 2
-    assert form.value(0) == pytest.approx(golden)
-    assert form.value(1) == pytest.approx(1 - golden, abs=1e-12)
+    assert _form_values(form) == pytest.approx([golden, 1 - golden])
     assert form.scaled_difference(0, 1) == 1
-    assert not form.all_integer
-    ev = form.exact_value(0)
-    assert ev.rational == Fraction(1, 2)
-    assert ev.radical == Fraction(1, 2)
-    assert float(ev) == pytest.approx(golden)
+    assert form.delta != 1
+    assert form.g == 1
+    assert form.period == pytest.approx(2 * math.pi / math.sqrt(5))
 
 
 def test_quadratic_form_integer_convention():
     form = QuadraticIntegerForm(0, (8, -2), 1)
-    assert form.all_integer
-    assert form.values() == [4.0, -1.0]
-    ev = form.exact_value(1)
-    assert ev == ExactEigenvalue(Fraction(-1), Fraction(0), 1)
+    assert form.delta == 1
+    assert _form_values(form) == [4.0, -1.0]
+    assert form.g == 5
+    assert form.period == pytest.approx(2 * math.pi / 5)
+    # the shared form of exact integers follows the same convention
+    four, minus_one = (ExactEigenvalue(Fraction(v), Fraction(0), 1) for v in (4, -1))
+    assert periodic_form([four, minus_one]) == form
 
 
 def test_quadratic_form_validation():
@@ -152,24 +156,30 @@ def test_quadratic_form_validation():
         QuadraticIntegerForm(0, (1,), 12)
 
 
+def _recognized_form(vals):
+    exacts = recognize_values(vals)
+    return periodic_form(exacts) if exacts is not None else None
+
+
 def test_recognize_spectrum_integers():
-    form = recognize_spectrum([4.0, -1.0 + 1e-12, 0.0])
+    form = _recognized_form([4.0, -1.0 + 1e-12, 0.0])
     assert form is not None
     assert form.delta == 1
     assert form.b == (8, -2, 0)
+    assert all(type(b) is int for b in form.b)
 
 
 def test_recognize_spectrum_quadratic():
     vals = [(1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2]
-    form = recognize_spectrum(vals)
+    form = _recognized_form(vals)
     assert form is not None
     assert form.delta == 5
-    assert [form.value(j) for j in range(2)] == pytest.approx(vals)
+    assert _form_values(form) == pytest.approx(vals)
 
 
 def test_recognize_spectrum_star_support():
     vals = [math.sqrt(3), 0.0, -math.sqrt(3)]
-    form = recognize_spectrum(vals)
+    form = _recognized_form(vals)
     assert form is not None
     assert form.a == 0 and form.delta == 3
     assert form.b == (2, 0, -2)
@@ -183,13 +193,25 @@ def test_recognize_spectrum_rejects_nested_radicals():
         -math.sqrt((5 + math.sqrt(5)) / 2),
         -math.sqrt((5 - math.sqrt(5)) / 2),
     ]
-    assert recognize_spectrum(vals) is None
-    assert recognize_spectrum([]) is None
+    assert recognize_values(vals) is None
+    assert recognize_values([]) is None
+
+
+def test_periodic_form_thirds_and_two_rational_parts():
+    # +-1/3 is rational, so periodic with g = 2/3; 1 +- sqrt(2) beside 3 +- sqrt(2)
+    # is exact but has two rational parts, so no period
+    form = _recognized_form([1 / 3, -1 / 3])
+    assert form == QuadraticIntegerForm(0, (Fraction(2, 3), Fraction(-2, 3)), 1)
+    assert form.g == Fraction(2, 3) and form.period == pytest.approx(3 * math.pi)
+    r2 = math.sqrt(2)
+    vals = [3 + r2, 1 + r2, 1 - r2, 3 - r2]
+    assert recognize_values(vals) is not None
+    assert _recognized_form(vals) is None
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    a=st.integers(min_value=-6, max_value=6),
+    a=st.integers(min_value=-12, max_value=12).map(lambda n: Fraction(n, 2)),
     bs=st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=5),
     delta=st.sampled_from([2, 3, 5, 6, 7, 10]),
 )
@@ -199,11 +221,11 @@ def test_recognize_spectrum_roundtrip(a, bs, delta):
     if all(b == 0 for b in paired):
         paired += (1, -1)
     target = QuadraticIntegerForm(a, paired, delta)
-    vals = target.values()
-    form = recognize_spectrum(vals)
-    assert form is not None
+    vals = _form_values(target)
+    form = _recognized_form(vals)
+    assert form == target
     scale = max(1.0, max(abs(v) for v in vals))
-    for v, w in zip(vals, form.values()):
+    for v, w in zip(vals, _form_values(form)):
         assert abs(v - w) <= 1e-9 * scale
 
 

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sedwalk import (
     EqualityTime,
@@ -37,8 +39,9 @@ from sedwalk import (
     star,
     double_cone_real_minimum,
 )
+from sedwalk import sedentary as sedentary_module
 from sedwalk.graphs import WeightedGraph
-from sedwalk.numtheory import ExactEigenvalue
+from sedwalk.numtheory import ExactEigenvalue, periodic_form, recognize_values
 from sedwalk.sedentary import _parity_stage
 
 A = MatrixKind.adjacency()
@@ -137,15 +140,16 @@ def test_equality_time_phase_invariant(a, bs, delta, subset):
     eq = equality_time_criterion(form, subset)
     if eq is None:
         return
-    base = form.value(subset[0])
+    values = [(a + b * math.sqrt(delta)) / 2 for b in bs]
+    base = values[subset[0]]
     for j in range(len(bs)):
-        phase = complex(math.cos(eq.t1 * (form.value(j) - base)),
-                        math.sin(eq.t1 * (form.value(j) - base)))
+        phase = complex(math.cos(eq.t1 * (values[j] - base)),
+                        math.sin(eq.t1 * (values[j] - base)))
         want = 1.0 if j in subset else -1.0
         assert phase.real == pytest.approx(want, abs=1e-9)
         assert phase.imag == pytest.approx(0.0, abs=1e-9)
-        full = complex(math.cos(2 * eq.t1 * (form.value(j) - base)),
-                       math.sin(2 * eq.t1 * (form.value(j) - base)))
+        full = complex(math.cos(2 * eq.t1 * (values[j] - base)),
+                       math.sin(2 * eq.t1 * (values[j] - base)))
         assert full.real == pytest.approx(1.0, abs=1e-9)
 
 
@@ -282,6 +286,53 @@ def test_classify_all_shares_decomposition():
     assert [c.vertex for c in out] == [0, 1, 2]
 
 
+def test_classify_all_recognizes_each_support_once(monkeypatch):
+    # every vertex of CP(6) has the same support, so one recognition serves
+    # the scan and the decision tree of all twelve
+    calls = 0
+
+    def counted(values):
+        nonlocal calls
+        calls += 1
+        return recognize(values)
+
+    recognize = sedentary_module.recognize_values
+    monkeypatch.setattr(sedentary_module, "recognize_values", counted)
+    records = classify_all(cocktail_party(6))
+    assert len(records) == 12 and calls == 1
+    assert all(rec.certified for rec in records)
+
+
+RATIONAL_WEIGHTS = (1, 2, 3, Fraction(1, 2), Fraction(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    picks=st.lists(st.sampled_from((0,) + RATIONAL_WEIGHTS), min_size=28, max_size=28),
+    kind=st.sampled_from([A, L, MatrixKind.parse("Mq:-1")]),
+)
+def test_recognized_periods_bring_the_walk_home(oracle, n, picks, kind):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(pairs, picks) if w])
+    dec = decompose(g, kind)
+    for u in range(n):
+        values = dec.support(u).values
+        exacts = recognize_values(values)
+        if exacts is None:
+            continue
+        for exact, lam in zip(exacts, values):
+            assert abs(float(exact) - lam) <= 1e-9 * max(1.0, abs(lam)), (u, exact, lam)
+        form = periodic_form(exacts)
+        if form is not None and form.period is not None:
+            assert abs(oracle(g, kind, form.period)[u, u]) >= 1 - 1e-9, u
+    # the period a classification reports is one too
+    for rec in classify_all(g, kind, dec, grid_points=2001):
+        scan = rec.evidence
+        if scan.certified and scan.grid_points > 1:
+            assert abs(oracle(g, kind, scan.horizon)[rec.vertex, rec.vertex]) >= 1 - 1e-9
+
+
 @pytest.mark.parametrize(
     "g,kind",
     [
@@ -369,6 +420,18 @@ def test_double_diagonal_positive_with_loops():
     assert est.value == pytest.approx(1 / 3, abs=1e-9)
 
 
+def test_double_diagonal_zero_on_a_rational_support(oracle):
+    # K(2) with edge weight 1/2 has support +-1/2, so the double's diagonal
+    # cos(t/2) vanishes at pi; halving the doubled values 2 * (+-1/2) as
+    # integers would give frequency 0 and the constant 1
+    y = WeightedGraph.from_edges(2, [(0, 1, Fraction(1, 2))])
+    est = bipartite_double_sedentary(decompose(y), 0)
+    assert est.sedentary is False
+    assert est.zero_time == pytest.approx(math.pi, abs=1e-9)
+    dp = direct_product(complete(2), y)
+    assert abs(oracle(dp, A, est.zero_time)[0, 0]) < 1e-9
+
+
 def test_double_diagonal_uncertified_when_irrational():
     g = WeightedGraph.from_edges(3, [(0, 1), (1, 2), (1, 1, 3)])
     dec = decompose(g)
@@ -421,14 +484,14 @@ def test_double_cone_matches_direct_scan(d, s, h):
 # -- blow-ups and joins ------------------------------------------------------
 
 
-def test_blowup_bound_no_zero_in_base():
+def test_blowup_bound_no_zero_in_base(support_form):
     bound = blowup_bound(complete(2), 0, 3)
     assert bound.floor == pytest.approx(1 / 3, abs=1e-12)
     assert bound.uniform
     from sedwalk import blow_up
 
     ev = WalkEvaluator(decompose(blow_up(3, complete(2))))
-    est = ev.infimum_diagonal(0, grid_points=4001)
+    est = ev.infimum_diagonal(0, support_form(ev.dec, 0), grid_points=4001)
     assert est.value >= bound.floor - 1e-9
 
 
@@ -446,7 +509,6 @@ def test_blowup_pair_parity_outcomes():
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="a loop of weight 2**50 puts the spectral radius at 3.4e15, so eigh's "
     "eigenvalues are off by up to about 0.75; at the exact equality time pi the float "
     "|U(t)_{7,11}| is 0.90, and the 1 - PST_TOL check raises",

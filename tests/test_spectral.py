@@ -185,7 +185,7 @@ def test_support_weights_sum_to_one(rand_graph):
     dec = decompose(g)
     for u in range(g.n):
         sup = dec.support(u)
-        assert sup.weight_sum == pytest.approx(1.0, abs=1e-9)
+        assert sum(sup.weights) == pytest.approx(1.0, abs=1e-9)
         assert all(w > -1e-12 for w in sup.weights)
         assert sup.vertex == u
 
@@ -217,8 +217,8 @@ def test_strong_cospectrality_path_ends():
     dec = decompose(path(3))
     sc = dec.strongly_cospectral(0, 2)
     assert sc is not None
-    assert sorted(abs(v) for v in sc.plus_values) == pytest.approx([math.sqrt(2)] * 2)
-    assert sc.minus_values == pytest.approx([0.0])
+    assert sorted(abs(dec.eigenvalues[j]) for j in sc.plus) == pytest.approx([math.sqrt(2)] * 2)
+    assert dec.eigenvalues[list(sc.minus)] == pytest.approx([0.0])
     assert dec.strongly_cospectral(0, 1) is None
 
 
@@ -227,47 +227,46 @@ def test_strong_cospectrality_cycle_antipodes():
     assert dec.strongly_cospectral(0, 1) is None
     sc = dec.strongly_cospectral(0, 2)
     assert sc is not None
-    assert sc.plus_values == pytest.approx([2.0, -2.0])
-    assert sc.minus_values == pytest.approx([0.0])
+    assert dec.eigenvalues[list(sc.plus)] == pytest.approx([2.0, -2.0])
+    assert dec.eigenvalues[list(sc.minus)] == pytest.approx([0.0])
     with pytest.raises(ValueError):
         dec.strongly_cospectral(1, 1)
 
 
-def test_periodicity_integer_spectrum(oracle):
+def test_periodicity_integer_spectrum(oracle, support_form):
     g = complete(3)
     dec = decompose(g)
-    per = dec.periodicity(0)
-    assert per.recognized and not per.constant_diagonal
-    assert per.period == pytest.approx(2 * math.pi / 3)
-    u_t = oracle(g, MatrixKind.adjacency(), per.period)
+    form = support_form(dec, 0)
+    assert form is not None and form.delta == 1 and len(form) == 2
+    assert form.period == pytest.approx(2 * math.pi / 3)
+    u_t = oracle(g, MatrixKind.adjacency(), form.period)
     assert abs(u_t[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_periodicity_quadratic_support(oracle):
+def test_periodicity_quadratic_support(oracle, support_form):
     g = star(3)
     dec = decompose(g)
-    per = dec.periodicity(0)
-    assert per.recognized
-    assert per.form is not None and per.form.delta == 3
-    assert per.period == pytest.approx(math.pi / math.sqrt(3))
-    u_t = oracle(g, MatrixKind.adjacency(), per.period)
+    form = support_form(dec, 0)
+    assert form is not None and form.delta == 3
+    assert form.period == pytest.approx(math.pi / math.sqrt(3))
+    u_t = oracle(g, MatrixKind.adjacency(), form.period)
     assert abs(u_t[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_periodicity_unrecognized_quartic():
+def test_periodicity_unrecognized_quartic(support_form):
     # path plus a pendant twin at one end: the end support needs nested radicals
     g = WeightedGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
     dec = decompose(g)
-    per = dec.periodicity(0)
-    assert not per.recognized
+    assert support_form(dec, 0) is None
 
 
-def test_periodicity_singleton_support():
+def test_periodicity_singleton_support(support_form):
+    # one class carries the whole weight: the diagonal is constant and has no period
     g = WeightedGraph.from_edges(2, [])
     dec = decompose(g)
-    per = dec.periodicity(0)
-    assert per.recognized and per.constant_diagonal
-    assert per.period is None
+    form = support_form(dec, 0)
+    assert form is not None and len(form) == 1
+    assert form.g == 0 and form.period is None
 
 
 def test_min_gap():

@@ -189,33 +189,34 @@ def test_cosine_terms_need_a_factor_of_two():
         complete_product_cosine_terms([2, 1])
 
 
-def test_infimum_periodic_is_certified():
+def test_infimum_periodic_is_certified(support_form):
     ev = WalkEvaluator(decompose(complete(2)))
-    est = ev.infimum_diagonal(0)
+    est = ev.infimum_diagonal(0, support_form(ev.dec, 0))
     assert est.mode is InfimumMode.EXACT_ON_PERIOD
     assert est.certified
     assert est.value == pytest.approx(0.0, abs=1e-8)
     assert est.attained_time == pytest.approx(math.pi / 2, abs=1e-6)
 
 
-def test_infimum_cocktail_party_laplacian():
+def test_infimum_cocktail_party_laplacian(support_form):
     ev = WalkEvaluator(decompose(cocktail_party(3), MatrixKind.laplacian()))
-    est = ev.infimum_diagonal(0, grid_points=8001)
+    est = ev.infimum_diagonal(0, support_form(ev.dec, 0), grid_points=8001)
     assert est.certified
     assert est.value == pytest.approx(1 / 3, abs=1e-9)
     assert est.attained_time == pytest.approx(math.pi / 2, abs=1e-6)
 
 
-def test_infimum_constant_diagonal():
+def test_infimum_constant_diagonal(support_form):
     ev = WalkEvaluator(decompose(WeightedGraph.from_edges(2, [])))
-    est = ev.infimum_diagonal(0)
+    est = ev.infimum_diagonal(0, support_form(ev.dec, 0))
     assert est.certified and est.value == 1.0
 
 
-def test_infimum_unrecognized_support_is_uncertified():
+def test_infimum_unrecognized_support_is_uncertified(support_form):
     g = WeightedGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
     ev = WalkEvaluator(decompose(g))
-    est = ev.infimum_diagonal(0, grid_points=20001, horizon=80.0)
+    assert support_form(ev.dec, 0) is None
+    est = ev.infimum_diagonal(0, None, grid_points=20001, horizon=80.0)
     assert est.mode is InfimumMode.GRID_LOWER_CONFIDENCE
     assert not est.certified
     assert est.horizon == 80.0
@@ -246,21 +247,22 @@ def test_grid_kernel_matches_dense_phases(rand_graph, kind, points, span):
         np.testing.assert_allclose(got[lo : lo + block], ref, rtol=0, atol=tol)
 
 
-def test_bounded_scan_refines_below_the_dense_grid():
+def test_bounded_scan_refines_below_the_dense_grid(support_form):
     g = WeightedGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
     ev = WalkEvaluator(decompose(g))
-    est = ev.infimum_diagonal(0, grid_points=20001, horizon=500.0)
+    est = ev.infimum_diagonal(0, support_form(ev.dec, 0), grid_points=20001, horizon=500.0)
     grid = np.abs(ev.diagonal_amplitudes(0, np.linspace(0.0, 500.0, 20001)))
     assert est.mode is InfimumMode.GRID_LOWER_CONFIDENCE
     assert est.value <= grid.min() + 1e-12
     assert est.value == pytest.approx(ev.magnitude(0, 0, est.attained_time), abs=1e-12)
 
 
-def test_bounded_scan_memory_is_linear_in_the_grid():
+def test_bounded_scan_memory_is_linear_in_the_grid(support_form):
     ev = WalkEvaluator(decompose(path(16)))
+    form = support_form(ev.dec, 0)
     tracemalloc.start()
     try:
-        est = ev.infimum_diagonal(0, grid_points=1_000_001, horizon=3e5)
+        est = ev.infimum_diagonal(0, form, grid_points=1_000_001, horizon=3e5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -348,12 +350,12 @@ def test_refinement_stays_in_its_bracket():
     assert min(abs(t - r) for r in poly.roots()) < 1e-9 and v < 1e-12
 
 
-def test_refinement_keeps_a_near_stop_of_the_walk():
+def test_refinement_keeps_a_near_stop_of_the_walk(support_form):
     # U(t)_00 nearly stops at the origin here (|U'| about 1e-3), so |U| has two
     # local minima 6e-4 apart, 3.5e-10 in value; golden-section search reported
     # 0.000426846378059
     ev = WalkEvaluator(decompose(parse_graph("KM(2,1,1,1,1,1,1,1)")))
-    est = ev.infimum_diagonal(0)
+    est = ev.infimum_diagonal(0, support_form(ev.dec, 0))
     assert est.mode is InfimumMode.GRID_LOWER_CONFIDENCE
     assert abs(est.value - 0.000426846378059) < 1e-9
     assert est.value == pytest.approx(ev.magnitude(0, 0, est.attained_time), abs=1e-12)
@@ -367,14 +369,16 @@ def test_refinement_keeps_a_near_stop_of_the_walk():
     span=st.floats(1.0, 100.0),
     density=st.floats(16.0, 40.0),
 )
-def test_refined_scan_minimum_is_a_least_bracket_value(weights, kind, u, span, density):
+def test_refined_scan_minimum_is_a_least_bracket_value(
+    support_form, weights, kind, u, span, density
+):
     pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
     g = WeightedGraph.from_edges(6, [(a, b, w) for (a, b), w in zip(pairs, weights) if w])
     ev = WalkEvaluator(decompose(g, kind))
     # the grid follows the scan's own sizing rule: 16 or more points per period of the spread
     spread = float(ev.dec.eigenvalues[0] - ev.dec.eigenvalues[-1])
     points = int(span * max(spread, 1.0) * density / (2 * math.pi)) + 2
-    est = ev.infimum_diagonal(u, grid_points=points, horizon=span)
+    est = ev.infimum_diagonal(u, support_form(ev.dec, u), grid_points=points, horizon=span)
     assume(est.mode is InfimumMode.GRID_LOWER_CONFIDENCE)
     grid = ev.diagonal_grid_magnitudes(u, span, points)
     assert est.value <= grid.min()
@@ -419,48 +423,51 @@ def _decomposition_with_support(eigenvalues, weights) -> SpectralDecomposition:
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_period_minimum_against_dense_grid(period_reference, seed):
+def test_period_minimum_against_dense_grid(period_reference, support_form, seed):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 9))
     exponents = rng.choice(41, size=k, replace=False)
     weights = rng.uniform(0.05, 1.0, size=k)
     offset = int(rng.integers(-5, 6))
     ev = WalkEvaluator(_decomposition_with_support(exponents + offset, weights / weights.sum()))
-    est = ev.infimum_diagonal(0)
+    est = ev.infimum_diagonal(0, support_form(ev.dec, 0))
     assert est.mode is InfimumMode.EXACT_ON_PERIOD
     period_reference(ev, 0, est)
 
 
-def test_period_minimum_of_a_double_zero():
+def test_period_minimum_of_a_double_zero(support_form):
     # q(z) = z^12/24 + z/2 + 11/24 has a double root at z = -1, an end of the half period
-    est = WalkEvaluator(decompose(cocktail_party(12))).infimum_diagonal(2)
+    dec = decompose(cocktail_party(12))
+    est = WalkEvaluator(dec).infimum_diagonal(2, support_form(dec, 2))
     assert est.certified and est.value <= 1e-14
     assert est.attained_time == pytest.approx(math.pi / 2, abs=1e-6)
     # q(z) = (1 + z + z^2)^2 / 9 has double roots inside it, at z = exp(+-2 pi i / 3);
     # the solver scatters the triple root of the derivative, and the cluster mean finds it
     dec = _decomposition_with_support(np.arange(5), np.array([1, 2, 3, 2, 1]) / 9)
-    est = WalkEvaluator(dec).infimum_diagonal(0)
+    est = WalkEvaluator(dec).infimum_diagonal(0, support_form(dec, 0))
     assert est.value <= 1e-14
     assert est.attained_time == pytest.approx(2 * math.pi / 3, abs=1e-9)
 
 
-def test_series_above_the_degree_cap_is_not_certified(monkeypatch):
+def test_series_above_the_degree_cap_is_not_certified(monkeypatch, support_form):
     # a leaf of star(5) under L has support {0, 1, 6}: a series of degree 6
     ev = WalkEvaluator(decompose(star(5), MatrixKind.laplacian()))
-    assert ev.infimum_diagonal(1).certified
+    form = support_form(ev.dec, 1)
+    assert ev.infimum_diagonal(1, form).certified
     monkeypatch.setattr(walk_module, "_MAX_DEGREE", 4)
-    est = ev.infimum_diagonal(1)
+    est = ev.infimum_diagonal(1, form)
     assert est.mode is InfimumMode.GRID_LOWER_CONFIDENCE
     assert not est.certified
 
 
-def test_degree_cap_is_checked_before_the_series_is_built():
+def test_degree_cap_is_checked_before_the_series_is_built(support_form):
     # the end vertices of this triangle have a series of degree 3.1e12: its
     # coefficient array alone would take 25 TB
     g = WeightedGraph.from_edges(3, [(0, 1, 2**40), (1, 2, 2**40), (0, 2, 1)])
     tracemalloc.start()
     try:
-        est = WalkEvaluator(decompose(g)).infimum_diagonal(0, grid_points=2001)
+        dec = decompose(g)
+        est = WalkEvaluator(dec).infimum_diagonal(0, support_form(dec, 0), grid_points=2001)
         assert walk_module._cosine_minimum([(0.5, 1), (0.5, 2**40)]) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
