@@ -14,7 +14,6 @@ from .families import (
     FamilyVerdict,
     ThresholdSpec,
     complete_product_verdict,
-    km_product_transfer,
     multipartite_adjacency_verdict,
     multipartite_laplacian_verdict,
     threshold_pst_congruences,
@@ -58,20 +57,13 @@ from .numtheory import (
 )
 from .sedentary import (
     EqualityTime,
-    RealDiagonalInfimum,
     SedentaryBound,
     Verdict,
     VertexClassification,
-    bipartite_double_sedentary,
-    blowup_bound,
-    blowup_pair_parity,
     classify_all,
     classify_vertex,
-    double_cone_real_minimum,
     equality_time_criterion,
-    join_sedentary_transfer,
     projection_sum_bound,
-    real_diagonal_zero_search,
 )
 from .spectral import (
     EigenvalueSupport,
@@ -88,16 +80,11 @@ from .twins import (
     find_twin_sets,
     theta_split,
     twin_dichotomy,
-    twin_set_of,
 )
 from .walk import (
     InfimumEstimate,
     InfimumMode,
     WalkEvaluator,
-    complete_product_cosine_terms,
-    complete_product_diagonal,
-    join_perturbation_bound,
-    product_diagonal_km_y,
 )
 
 __version__ = "0.1.0"
@@ -146,11 +133,7 @@ __all__ = [
     "SpectralDecomposition",
     "StrongCospectrality",
     "WalkEvaluator",
-    "complete_product_cosine_terms",
-    "complete_product_diagonal",
     "decompose",
-    "join_perturbation_bound",
-    "product_diagonal_km_y",
     # twins
     "ThetaEigenspaceSplit",
     "TwinBranch",
@@ -159,28 +142,19 @@ __all__ = [
     "theta_split",
     "find_twin_sets",
     "twin_dichotomy",
-    "twin_set_of",
     # classification
     "EqualityTime",
-    "RealDiagonalInfimum",
     "SedentaryBound",
     "Verdict",
     "VertexClassification",
-    "bipartite_double_sedentary",
-    "blowup_bound",
-    "blowup_pair_parity",
     "classify_all",
     "classify_vertex",
-    "double_cone_real_minimum",
     "equality_time_criterion",
-    "join_sedentary_transfer",
     "projection_sum_bound",
-    "real_diagonal_zero_search",
     # families
     "FamilyVerdict",
     "ThresholdSpec",
     "complete_product_verdict",
-    "km_product_transfer",
     "multipartite_adjacency_verdict",
     "multipartite_laplacian_verdict",
     "threshold_pst_congruences",

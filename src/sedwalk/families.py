@@ -19,16 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iter_product
 from typing import Sequence
 
 from .numtheory import QuadraticIntegerForm, is_perfect_square, nu2, square_free_part
-from .sedentary import (
-    EqualityTime,
-    Verdict,
-    equality_time_criterion,
-    real_diagonal_zero_search,
-)
-from .walk import complete_product_cosine_terms
+from .sedentary import EqualityTime, Verdict, equality_time_criterion
 
 __all__ = [
     "FamilyVerdict",
@@ -39,7 +34,6 @@ __all__ = [
     "threshold_vertex_verdict",
     "threshold_pst_congruences",
     "complete_product_verdict",
-    "km_product_transfer",
 ]
 
 
@@ -315,7 +309,16 @@ def _adjacency_apex_verdict(sizes: list[int], n: int) -> FamilyVerdict | None:
 
 
 def _adjacency_pair_verdict(others: list[int], n: int) -> FamilyVerdict | None:
-    """Vertex in a part of size two."""
+    """Vertex in a part of size two.
+
+    Mixed parts of sizes one and two have no PST case, because their
+    discriminant (n - 1)^2 + 4 ones is never a square.  There the other
+    parts hold ``ones`` singletons and at least one pair, so
+    1 <= ones <= n - 4.  Suppose (n - 1)^2 + 4 ones = r^2 with
+    r = n - 1 + j; then j (2n - 2 + j) = 4 ones.  j = 0 gives ones = 0, an
+    odd j makes the left side odd, and j >= 2 makes it at least 4n, which
+    exceeds 4 (n - 4).
+    """
     if len(set(others)) <= 1:
         m = others[0]
         d = n - m - 2
@@ -355,25 +358,8 @@ def _adjacency_pair_verdict(others: list[int], n: int) -> FamilyVerdict | None:
             sharp=False,
         )
     if set(others) <= {1, 2} and 1 in others:
-        ones = others.count(1)
-        twos = 1 + others.count(2)
-        if twos < 2:
+        if 2 not in others:
             return None
-        disc = (n - 1) ** 2 + 4 * ones
-        square, root = is_perfect_square(disc)
-        if square:
-            # unreachable for 1 <= ones <= n - 4, kept for faithfulness
-            lam_hi = (n - 3 + root) // 2
-            lam_lo = (n - 3 - root) // 2
-            eq = _integer_equality_time(
-                [lam_hi, 0, lam_lo, -2], [lam_hi, lam_lo, -2]
-            )
-            _check(nu2(n - 3) != nu2(root), eq)
-            if eq is not None:
-                return FamilyVerdict(
-                    Verdict.PST, "pair-mixed-pst", time=eq.t1, partner_kind="part-twin"
-                )
-            return FamilyVerdict(Verdict.SEDENTARY, "pair-mixed-blocked")
         if n % 4 == 3:
             return FamilyVerdict(
                 Verdict.PGST, "pair-mixed-pgst", partner_kind="part-twin"
@@ -588,6 +574,70 @@ def threshold_vertex_verdict(spec: ThresholdSpec, j: int) -> FamilyVerdict:
 # -- direct products of complete graphs ------------------------------------
 
 
+def _complete_product_cosine_terms(ms: list[int]) -> list[tuple[float, int]]:
+    """Cosine form of the product diagonal through a factor equal to 2.
+
+    Pairing subsets through that factor collapses the phases into
+    sum_S c_S cos(f_S t) with real coefficients; returns (coefficient,
+    frequency) pairs with equal frequencies merged.
+    """
+    pivot = ms.index(2)
+    rest = [m for i, m in enumerate(ms) if i != pivot]
+    denom = math.prod(ms)
+    terms: dict[int, float] = {}
+    for mask in iter_product((0, 1), repeat=len(rest)):
+        coeff = 1
+        outside = 1
+        for pick, m in zip(mask, rest):
+            if pick:
+                coeff *= m - 1
+            else:
+                outside *= m - 1
+        terms[outside] = terms.get(outside, 0.0) + 2.0 * coeff / denom
+    return sorted(((c, f) for f, c in terms.items()), reverse=True)
+
+
+def _real_diagonal_zero_search(
+    cosine_terms: list[tuple[float, float]], horizon: float, samples_per_period: int
+) -> float | None:
+    """First zero of ``sum c_k cos(f_k t)`` on (0, horizon].
+
+    Scans for a sign change, at ``samples_per_period`` points per period of
+    the fastest term (at least 1000 points), and bisects it down to |value|
+    < 1e-12; a sign change certifies the zero by continuity, so the result
+    is a proof, unlike a small grid minimum of a modulus.
+    """
+    fmax = max(abs(f) for _, f in cosine_terms)
+
+    def f(t: float) -> float:
+        return sum(c * math.cos(fr * t) for c, fr in cosine_terms)
+
+    steps = max(1000, int(samples_per_period * horizon * fmax / (2.0 * math.pi)))
+    prev_t, prev_v = 0.0, f(0.0)
+    for i in range(1, steps + 1):
+        t = horizon * i / steps
+        v = f(t)
+        if prev_v == 0.0:
+            return prev_t
+        if prev_v * v < 0:
+            lo, hi, v_lo = prev_t, t, prev_v
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                v_mid = f(mid)
+                if abs(v_mid) < 1e-12:
+                    return mid
+                if v_lo * v_mid < 0:
+                    hi = mid
+                else:
+                    lo, v_lo = mid, v_mid
+            mid = 0.5 * (lo + hi)
+            if abs(f(mid)) < 1e-12:
+                return mid
+            raise ArithmeticError("bisection failed to settle the zero")
+        prev_t, prev_v = t, v
+    return None
+
+
 def complete_product_verdict(factors: Sequence[int]) -> FamilyVerdict:
     """Verdict at any vertex of a direct product of complete graphs (the
     graph is vertex transitive, so one verdict covers all).
@@ -610,10 +660,9 @@ def complete_product_verdict(factors: Sequence[int]) -> FamilyVerdict:
     big_p = math.prod(ms)
     big_q = math.prod(m - 1 for m in ms)
     if 2 in ms:
-        terms = complete_product_cosine_terms(ms)
-        assert terms is not None
+        terms = _complete_product_cosine_terms(ms)
         samples = 40
-        while (zero := real_diagonal_zero_search(terms, 2.0 * math.pi, samples)) is None:
+        while (zero := _real_diagonal_zero_search(terms, 2.0 * math.pi, samples)) is None:
             samples *= 2
         return FamilyVerdict(Verdict.NOT_SEDENTARY, "product-cosine-zero", time=zero)
     c = abs(2 * big_q - big_p) / big_p
@@ -631,15 +680,3 @@ def complete_product_verdict(factors: Sequence[int]) -> FamilyVerdict:
         return FamilyVerdict(Verdict.SEDENTARY, "product-dominant-class", constant=c)
     return FamilyVerdict(Verdict.UNDETERMINED, "product-balanced", certified=False)
 
-
-def km_product_transfer(c: float, m: int) -> float | None:
-    """Sedentariness constant inherited by a direct product with a complete
-    graph on ``m >= 3`` vertices, or None when the hypothesis c > 1/(m-1)
-    fails and nothing transfers."""
-    if m < 3:
-        raise ValueError("need m >= 3")
-    if not 0.0 < c <= 1.0:
-        raise ValueError("constant must lie in (0, 1]")
-    if c <= 1.0 / (m - 1):
-        return None
-    return c - (c + 1.0) / m

@@ -37,12 +37,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import ADJACENCY, MatrixKind, WeightedGraph, blow_up
+from .graphs import ADJACENCY, MatrixKind, WeightedGraph
 from .numtheory import (
     ExactEigenvalue,
     QuadraticIntegerForm,
     integer_relation_parity,
-    nu2,
     nu2_fraction,
     periodic_form,
     recognize_values,
@@ -54,27 +53,17 @@ from .spectral import (
     decompose,
 )
 from .twins import ThetaEigenspaceSplit, TwinSet, find_twin_sets, theta_split, twin_dichotomy
-from .walk import (
-    InfimumEstimate, WalkEvaluator, _bounded_grid, _check_grid, _cosine_minimum, _grid_minimum,
-    _phase_jet,
-)
+from .walk import InfimumEstimate, WalkEvaluator, _check_grid
 
 __all__ = [
     "Verdict",
     "SedentaryBound",
     "EqualityTime",
     "VertexClassification",
-    "RealDiagonalInfimum",
     "projection_sum_bound",
     "equality_time_criterion",
     "classify_vertex",
     "classify_all",
-    "real_diagonal_zero_search",
-    "bipartite_double_sedentary",
-    "double_cone_real_minimum",
-    "blowup_bound",
-    "blowup_pair_parity",
-    "join_sedentary_transfer",
 ]
 
 ZERO_TOL = 1e-8
@@ -101,8 +90,6 @@ class SedentaryBound:
     a singleton subset turns the right side into the constant 2a - 1.
     """
 
-    dec: SpectralDecomposition
-    vertex: int
     subset: tuple[int, ...]
     a: float
 
@@ -114,14 +101,6 @@ class SedentaryBound:
     def uniform(self) -> bool:
         """Whether the floor holds for every t, not only at its dips."""
         return len(self.subset) == 1
-
-    def bound_at(self, t: float) -> float:
-        weights = self.dec.diagonal_weights(self.vertex)
-        inner = 0j
-        for j in self.subset:
-            lam = float(self.dec.eigenvalues[j])
-            inner += float(weights[j]) * complex(math.cos(lam * t), math.sin(lam * t))
-        return abs(inner) - (1.0 - self.a)
 
 
 def projection_sum_bound(
@@ -140,7 +119,7 @@ def projection_sum_bound(
     a = float(sum(weights[j] for j in chosen))
     if a < 0.5 - 1e-12:
         raise ValueError(f"subset weight a={a:.6g} is below one half")
-    return SedentaryBound(dec=dec, vertex=u, subset=chosen, a=a)
+    return SedentaryBound(subset=chosen, a=a)
 
 
 @dataclass(frozen=True)
@@ -317,9 +296,12 @@ class _GraphFacts:
     ) -> tuple[list[ExactEigenvalue] | None, QuadraticIntegerForm | None]:
         """The exact values of a support and their periodic form, recognized
         once per graph for each distinct support: the values depend on its
-        class indices alone."""
+        class indices alone.  Distinct classes cannot share an exact value,
+        so values that repeat leave the support unrecognized."""
         if sup.indices not in self.recognitions:
             exacts = recognize_values(sup.values)
+            if exacts is not None and len(set(exacts)) < len(exacts):
+                exacts = None
             form = periodic_form(exacts) if exacts is not None else None
             self.recognitions[sup.indices] = exacts, form
         return self.recognitions[sup.indices]
@@ -585,201 +567,3 @@ def classify_vertex(
     return classify_all(
         g, kind, dec, vertices=(u,), grid_points=grid_points, horizon=horizon
     )[0]
-
-
-# -- real-diagonal specials ------------------------------------------------
-
-
-def real_diagonal_zero_search(
-    cosine_terms: list[tuple[float, float]], horizon: float, samples_per_period: int = 40
-) -> float | None:
-    """First zero of ``sum c_k cos(f_k t)`` on (0, horizon].
-
-    Scans for a sign change, at ``samples_per_period`` points per period of
-    the fastest term (at least 1000 points), and bisects it down to |value|
-    < 1e-12; a sign change certifies the zero by continuity, so the result
-    is a proof, unlike a small grid minimum of a modulus.
-    """
-    if not cosine_terms:
-        raise ValueError("need at least one cosine term")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    fmax = max(abs(f) for _, f in cosine_terms)
-    if fmax == 0:
-        return None
-
-    def f(t: float) -> float:
-        return sum(c * math.cos(fr * t) for c, fr in cosine_terms)
-
-    steps = max(1000, int(samples_per_period * horizon * fmax / (2.0 * math.pi)))
-    prev_t, prev_v = 0.0, f(0.0)
-    for i in range(1, steps + 1):
-        t = horizon * i / steps
-        v = f(t)
-        if prev_v == 0.0:
-            return prev_t
-        if prev_v * v < 0:
-            lo, hi, v_lo = prev_t, t, prev_v
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                v_mid = f(mid)
-                if abs(v_mid) < 1e-12:
-                    return mid
-                if v_lo * v_mid < 0:
-                    hi = mid
-                else:
-                    lo, v_lo = mid, v_mid
-            mid = 0.5 * (lo + hi)
-            if abs(f(mid)) < 1e-12:
-                return mid
-            raise ArithmeticError("bisection failed to settle the zero")
-        prev_t, prev_v = t, v
-    return None
-
-
-@dataclass(frozen=True)
-class RealDiagonalInfimum:
-    """Minimum modulus of a real-valued diagonal, e.g. of a bipartite double."""
-
-    value: float
-    attained_time: float | None
-    certified: bool
-    zero_time: float | None
-
-    @property
-    def sedentary(self) -> bool | None:
-        if self.zero_time is not None:
-            return False
-        if self.certified and self.value > ZERO_TOL:
-            return True
-        return None
-
-
-def bipartite_double_sedentary(
-    dec_y: SpectralDecomposition,
-    v: int,
-    horizon: float | None = None,
-    grid_points: int | None = None,
-) -> RealDiagonalInfimum:
-    """Infimum of |Re U_Y(t)_{v,v}|, the double's diagonal through vertex v.
-
-    An integer support gives the exact minimum over one period of the real
-    part; otherwise, or above the degree cap, a grid scan is uncertified
-    evidence, except that a sign change still proves a zero.
-    """
-    _check_grid(horizon, grid_points)
-    sup = dec_y.support(v)
-    terms = [(float(w), float(lam)) for w, lam in zip(sup.weights, sup.values)]
-    exacts = recognize_values(sup.values)
-    integral = exacts is not None and all(
-        e.radical == 0 and e.rational.denominator == 1 for e in exacts
-    )
-    freqs = [abs(e.rational.numerator) for e in exacts] if integral else []
-    if freqs and not any(freqs):
-        return RealDiagonalInfimum(1.0, 0.0, True, None)
-    period = 2.0 * math.pi / math.gcd(*freqs) if freqs else None  # of the real part
-    span, pts = _bounded_grid(dec_y, grid_points, period or horizon)
-    zero = real_diagonal_zero_search(terms, span)
-    if zero is not None:
-        return RealDiagonalInfimum(0.0, zero, True, zero)
-    found = _cosine_minimum(list(zip(sup.weights, freqs))) if freqs else None
-    if found is not None:
-        return RealDiagonalInfimum(found[1], found[0], True, None)
-    times = np.linspace(0.0, span, pts)
-    mags = np.abs(sum(c * np.cos(fr * times) for c, fr in terms))
-    weights, lams = np.array(terms).T
-    jet = _phase_jet(lams, weights)
-    t, value = _grid_minimum(mags, span, lambda times: jet(times).real)
-    return RealDiagonalInfimum(value, t, False, None)
-
-
-def double_cone_real_minimum(d: int, s: int) -> tuple[float, float]:
-    """Closed-form minimum of |Re diagonal| at an apex of the double cone
-    over a d-regular graph on s(d+s)/2 vertices, with an attaining time.
-
-    Requires s even with nu2(s) >= nu2(d); the minimum runs over the
-    critical times 2k*pi/(d+2s) whose cosine is negative.
-    """
-    if d < 1 or s < 2:
-        raise ValueError("need d >= 1 and s >= 2")
-    if s % 2 != 0:
-        raise ValueError("s must be even")
-    if nu2(s) < nu2(d):
-        raise ValueError("nu2(s) must be at least nu2(d)")
-    g = math.gcd(d, s)
-    d1, s1 = d // g, s // g
-    q = d1 + 2 * s1
-    if q % 2 == 0:
-        raise AssertionError("d1 + 2*s1 came out even")
-    ks: list[int] = []
-    for j in range(1, s1 + 1, 4):
-        lo = math.ceil(j * q / (4 * s1))
-        hi = math.floor((j + 2) * q / (4 * s1))
-        ks.extend(range(lo, hi + 1))
-    if not ks:
-        raise AssertionError("no critical time fell in the negative-cosine windows")
-    vals = [(math.cos(s1 * k * math.pi / q) ** 2, k) for k in ks]
-    c, k0 = min(vals)
-    tau = 2.0 * k0 * math.pi / (d + 2 * s)
-    return c, tau
-
-
-# -- blow-ups and joins ----------------------------------------------------
-
-
-def blowup_bound(
-    g: WeightedGraph, u: int, m: int, dec: SpectralDecomposition | None = None
-) -> SedentaryBound:
-    """Floor for any copy of ``u`` in the m-fold blow-up of ``g``.
-
-    The zero class of the blown-up adjacency carries weight
-    (m-1)/m + w0/m at each copy, where w0 is the zero-eigenvalue weight
-    at ``u`` in the base graph (zero when absent), so the floor is
-    1 - 2/m + 2 w0/m.  Cross-checked against the computed spectrum.
-    """
-    if m < 2:
-        raise ValueError("need at least two copies")
-    up = blow_up(m, g)
-    dec_up = decompose(up, ADJACENCY)
-    zero_idx = dec_up.eigenvalue_index(0.0)
-    bound = projection_sum_bound(dec_up, u, (zero_idx,))
-    base = dec if dec is not None else decompose(g, ADJACENCY)
-    try:
-        w0 = float(base.diagonal_weights(u)[base.eigenvalue_index(0.0)])
-    except ValueError:
-        w0 = 0.0
-    expected = (m - 1.0) / m + w0 / m
-    if abs(bound.a - expected) > 1e-8:
-        raise ValueError("blow-up zero-class weight disagrees with the base graph")
-    return bound
-
-
-def blowup_pair_parity(
-    g: WeightedGraph, u: int, dec: SpectralDecomposition | None = None
-) -> bool | None:
-    """Two-copy blow-up decision at a vertex whose base support misses zero.
-
-    The doubled copies are twins sharing the eigenvalue 0; the pair is
-    sedentary (True) exactly when some integer relation over the base
-    support has an odd coefficient sum, and admits pretty good state
-    transfer (False) otherwise.  None means the base support has no exact
-    form.
-    """
-    if dec is None:
-        dec = decompose(g, ADJACENCY)
-    exacts = recognize_values(dec.support(u).values)
-    if exacts is None:
-        return None
-    plus = [e for e in exacts if not (e.rational == 0 and e.radical == 0)]
-    minus = [ExactEigenvalue(Fraction(0), Fraction(0), 1)]
-    return integer_relation_parity(plus, minus) is not None
-
-
-def join_sedentary_transfer(c_x: float, nx: int) -> float | None:
-    """Constant surviving a join: C - 2/|V(X)| when positive, else None."""
-    if nx < 1:
-        raise ValueError("the joined-from graph needs at least one vertex")
-    if not 0.0 < c_x <= 1.0:
-        raise ValueError("the constant must sit in (0, 1]")
-    out = c_x - 2.0 / nx
-    return out if out > 0 else None

@@ -90,19 +90,6 @@ class SpectralDecomposition:
     def k(self) -> int:
         return len(self.eigenvalues)
 
-    def combine(self, coefficients: np.ndarray) -> np.ndarray:
-        """sum_j coefficients[j] E_j as an n x n matrix."""
-        scaled = self.vectors * np.repeat(coefficients, self.multiplicities)
-        return scaled @ self.vectors.T
-
-    def reconstruct(self) -> np.ndarray:
-        return self.combine(self.eigenvalues)
-
-    def projector(self, j: int) -> np.ndarray:
-        """E_j = V_j V_j^T as an n x n matrix."""
-        block = self.vectors[:, self.starts[j] : self.starts[j] + self.multiplicities[j]]
-        return block @ block.T
-
     def entries(self, u: int, v: int) -> np.ndarray:
         """(E_j)_{u,v} for every eigenvalue class j."""
         return np.add.reduceat(self.vectors[u] * self.vectors[v], self.starts)

@@ -28,7 +28,6 @@ __all__ = [
     "TwinBranch",
     "are_twins",
     "find_twin_sets",
-    "twin_set_of",
     "theta_split",
     "twin_dichotomy",
 ]
@@ -135,11 +134,6 @@ def _twin_partition(g: WeightedGraph) -> dict[int, TwinSet]:
             part.update(dict.fromkeys(ts.members, ts))
     g.memo["twins"] = part
     return part
-
-
-def twin_set_of(g: WeightedGraph, u: int) -> TwinSet | None:
-    """The maximal twin set containing ``u``, or None when ``u`` has no twin."""
-    return _twin_partition(g).get(u)
 
 
 def find_twin_sets(g: WeightedGraph, vertices: Iterable[int] | None = None) -> list[TwinSet]:

@@ -1,6 +1,5 @@
 """Quantum walk evaluation from spectral data: transition magnitudes, time
-series, infimum estimation over a period or a bounded horizon, and the
-closed-form evaluators for products of complete graphs.
+series and infimum estimation over a period or a bounded horizon.
 """
 
 from __future__ import annotations
@@ -8,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product as iter_product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,10 +19,6 @@ __all__ = [
     "WalkEvaluator",
     "InfimumMode",
     "InfimumEstimate",
-    "product_diagonal_km_y",
-    "complete_product_diagonal",
-    "complete_product_cosine_terms",
-    "join_perturbation_bound",
 ]
 
 # Largest steps * (1 + vertices) a time series may hold.  At the cap the
@@ -74,21 +68,6 @@ def _earliest_minimum(times: np.ndarray, values: np.ndarray) -> tuple[float, flo
     """(time, least value), the time earliest among values tied within 32 ulps of 1."""
     least = values.min()
     return float(times[np.argmax(values <= least + 32 * np.finfo(float).eps)]), float(least)
-
-
-def _cosine_minimum(terms: Sequence[tuple[float, int]]) -> tuple[float, float] | None:
-    """Earliest (time, value) minimum over a period of |sum c cos(f t)|, the
-    Chebyshev series sum c T_{f/omega}(cos omega t) with omega = gcd(f), for
-    (c, f) in ``terms``, integers f >= 0 not all zero; None above the cap.
-    A sign change is no critical point, so the caller rules it out first."""
-    coefficients, frequencies = zip(*terms)
-    omega = math.gcd(*frequencies)
-    degrees = [f // omega for f in frequencies]
-    if max(degrees) > _MAX_DEGREE:
-        return None
-    angles = _critical_angles(np.bincount(degrees, coefficients))
-    times = angles / omega
-    return _earliest_minimum(times, np.abs(np.cos(np.outer(times, frequencies)) @ coefficients))
 
 
 def _bounded_grid(
@@ -204,9 +183,6 @@ class WalkEvaluator:
 
     def magnitude(self, u: int, v: int, t: float) -> float:
         return abs(self.amplitude(u, v, t))
-
-    def matrix(self, t: float) -> np.ndarray:
-        return self.dec.combine(np.exp(1j * t * self.dec.eigenvalues))
 
     def diagonal_amplitudes(self, u: int, times: np.ndarray) -> np.ndarray:
         """Vectorized U(t)_{u,u} over an array of times."""
@@ -325,82 +301,3 @@ class InfimumEstimate:
     def certified(self) -> bool:
         return self.mode is InfimumMode.EXACT_ON_PERIOD
 
-
-def product_diagonal_km_y(
-    m: int, dec_y: SpectralDecomposition, v: int, t: float
-) -> complex:
-    """Diagonal amplitude of K_m x Y at vertex (j, v) via the factor walk.
-
-    Equals (1/m) U_Y((m-1) t)_{v,v} + ((m-1)/m) U_Y(-t)_{v,v}; for m = 2 this
-    is Re U_Y(t)_{v,v}, so the bipartite double has a real diagonal.
-    """
-    if m < 2:
-        raise ValueError("factor m must be at least 2")
-    ev = WalkEvaluator(dec_y)
-    return (1 / m) * ev.amplitude(v, v, (m - 1) * t) + ((m - 1) / m) * ev.amplitude(
-        v, v, -t
-    )
-
-
-def complete_product_diagonal(m_list: Sequence[int], t: float) -> complex:
-    """Diagonal amplitude of the direct product of complete graphs K_{m_1} x ... x K_{m_n}.
-
-    Subset-sum form: (1/prod m_j) * sum over S of prod_{j in S}(m_j - 1) *
-    exp(i t (-1)^{|S|} prod_{j not in S}(m_j - 1)).  Every vertex has the same
-    diagonal by vertex transitivity.
-    """
-    ms = [int(m) for m in m_list]
-    if any(m < 2 for m in ms):
-        raise ValueError("every factor must be at least 2")
-    if len(ms) > 20:
-        raise ValueError("subset enumeration capped at 20 factors")
-    total = 0 + 0j
-    for mask in iter_product((0, 1), repeat=len(ms)):
-        in_s = sum(mask)
-        coeff = 1
-        outside = 1
-        for pick, m in zip(mask, ms):
-            if pick:
-                coeff *= m - 1
-            else:
-                outside *= m - 1
-        total += coeff * complex(math.cos(t * (-1) ** in_s * outside),
-                                 math.sin(t * (-1) ** in_s * outside))
-    return total / math.prod(ms)
-
-
-def complete_product_cosine_terms(m_list: Sequence[int]) -> list[tuple[float, int]] | None:
-    """Cosine form of the product diagonal when some factor equals 2.
-
-    Pairing subsets through a fixed m = 2 factor collapses the phases into
-    sum_S c_S cos(f_S t) with real coefficients; returns (coefficient,
-    frequency) pairs with equal frequencies merged, or None when no factor
-    is 2 (the diagonal is then not real in general).
-    """
-    ms = [int(m) for m in m_list]
-    if any(m < 2 for m in ms):
-        raise ValueError("every factor must be at least 2")
-    try:
-        pivot = ms.index(2)
-    except ValueError:
-        return None
-    rest = [m for i, m in enumerate(ms) if i != pivot]
-    denom = math.prod(ms)
-    terms: dict[int, float] = {}
-    for mask in iter_product((0, 1), repeat=len(rest)):
-        coeff = 1
-        outside = 1
-        for pick, m in zip(mask, rest):
-            if pick:
-                coeff *= m - 1
-            else:
-                outside *= m - 1
-        terms[outside] = terms.get(outside, 0.0) + 2.0 * coeff / denom
-    return sorted(((c, f) for f, c in terms.items()), reverse=True)
-
-
-def join_perturbation_bound(nx: int) -> float:
-    """Uniform deviation bound 2/|V(X)| between walks on X and on X joined to anything."""
-    if nx < 1:
-        raise ValueError("graph must have at least one vertex")
-    return 2.0 / nx

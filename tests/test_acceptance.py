@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from closedforms import complete_product_diagonal
 from sedwalk import (
     MatrixKind,
     ThresholdSpec,
@@ -29,8 +30,6 @@ from sedwalk import (
     direct_product,
     find_twin_sets,
     join,
-    join_perturbation_bound,
-    join_sedentary_transfer,
     path,
     star,
     threshold,
@@ -39,7 +38,6 @@ from sedwalk import (
     blow_up,
 )
 from sedwalk.families import multipartite_laplacian_verdict
-from sedwalk.walk import complete_product_diagonal
 
 A = MatrixKind.adjacency()
 L = MatrixKind.laplacian()
@@ -303,14 +301,17 @@ def test_criterion_10_join_perturbation(rand_graph):
         joined = join(x, y)
         ref = np.abs(evaluator(x, kind).diagonal_amplitudes(0, ts))
         got = np.abs(evaluator(joined, kind).diagonal_amplitudes(0, ts))
-        assert float(np.max(np.abs(got - ref))) <= join_perturbation_bound(x.n) + 1e-9
+        assert float(np.max(np.abs(got - ref))) <= 2 / x.n + 1e-9
 
+    # the constant 7/25 of K5 x K5 survives the join less 2/|V(X)|
     big = direct_product(complete(5), complete(5))
-    floor = join_sedentary_transfer(7 / 25, big.n)
+    floor = 7 / 25 - 2 / big.n
     assert floor == pytest.approx(0.2)
     joined = join(big, complete(3))
     gmin, _ = grid_min(evaluator(joined, A), 0, 20.0, 40004)
     assert gmin >= floor - 1e-6
+    rec = classify_vertex(joined, A, 0)
+    assert rec.certified and rec.constant >= floor - 1e-12
 
 
 def test_criterion_11_threshold_sweep():

@@ -498,6 +498,21 @@ def test_tiny_edge_is_not_certified_sedentary(capsys, tmp_path):
     assert not (row["certified"] and row["verdict"] == "sedentary")
 
 
+@pytest.mark.parametrize("command", ["classify", "analyze"])
+def test_tiny_edge_with_one_exact_value_is_unrecognized(capsys, tmp_path, command):
+    # grouping keeps +-6e-8 as two classes, and recognition rounds both to 0;
+    # two classes cannot share an exact value, so the support is unrecognized
+    path = tmp_path / "tiny-edge.txt"
+    path.write_text("n 2\n0 1 6/100000000\n")
+    rc, out, err = run(capsys, command, "--file", str(path), "--format", "json")
+    assert rc == 0, err
+    data = json.loads(out)
+    rows = data["classification"] if command == "analyze" else data
+    for row in rows:
+        assert row["verdict"] == "undetermined" and row["certified"] is False
+        assert row["lemma_trail"][-1] == "unrecognized-support"
+
+
 def test_third_edge_certifies_only_pst(capsys, tmp_path):
     # the support +-1/3 is rational, so the vertex is periodic and its two
     # classes reach opposite phases at 3 pi/2

@@ -8,16 +8,19 @@ import math
 import numpy as np
 import pytest
 
+from closedforms import complete_product_diagonal
 from sedwalk import (
     MatrixKind,
     ThresholdSpec,
     Verdict,
     WalkEvaluator,
+    classify_all,
     classify_vertex,
+    complete,
     complete_multipartite,
     complete_product_verdict,
     decompose,
-    km_product_transfer,
+    direct_product,
     multipartite_adjacency_verdict,
     multipartite_laplacian_verdict,
     threshold,
@@ -26,7 +29,6 @@ from sedwalk import (
     threshold_vertex_verdict,
 )
 from sedwalk import families
-from sedwalk.walk import complete_product_cosine_terms, complete_product_diagonal
 
 L = MatrixKind.laplacian()
 A = MatrixKind.adjacency()
@@ -128,6 +130,19 @@ def test_multipartite_adjacency_values():
 
     fv = multipartite_adjacency_verdict([1, 4], 0)
     assert fv.time == pytest.approx(math.pi / 4)
+
+
+@pytest.mark.parametrize("ones", [1, 2, 3, 4])
+@pytest.mark.parametrize("twos", [1, 2, 3])
+def test_mixed_pair_parts_match_engine(ones, twos):
+    # a part of size two beside parts of sizes one and two: pgst exactly
+    # when n = 3 mod 4, sedentary otherwise
+    parts = [2] + [1] * ones + [2] * twos
+    fv = multipartite_adjacency_verdict(parts, 0)
+    want = "pair-mixed-pgst" if sum(parts) % 4 == 3 else "pair-mixed-blocked"
+    assert fv is not None and fv.case == want
+    (rec,) = classify_all(complete_multipartite(parts), A, vertices=(0,))
+    assert rec.verdict is fv.verdict and rec.certified
 
 
 def test_multipartite_verdicts_match_engine():
@@ -347,19 +362,19 @@ def test_every_factor_two_product_has_an_exact_zero():
         assert (fv.verdict, fv.case, fv.certified) == (
             Verdict.NOT_SEDENTARY, "product-cosine-zero", True
         ), ms
-        terms = complete_product_cosine_terms(ms)
+        terms = families._complete_product_cosine_terms(ms)
         assert abs(sum(c * math.cos(f * fv.time) for c, f in terms)) < 1e-12, ms
 
 
 def test_complete_product_zero_search_samples_finer_until_it_finds_the_zero(monkeypatch):
-    search = families.real_diagonal_zero_search
+    search = families._real_diagonal_zero_search
     seen = []
 
     def missing_twice(terms, horizon, samples):
         seen.append(samples)
         return None if len(seen) < 3 else search(terms, horizon, samples)
 
-    monkeypatch.setattr(families, "real_diagonal_zero_search", missing_twice)
+    monkeypatch.setattr(families, "_real_diagonal_zero_search", missing_twice)
     fv = complete_product_verdict([2, 3])
     assert seen == [40, 80, 160]
     assert fv.case == "product-cosine-zero"
@@ -392,23 +407,21 @@ def test_complete_product_validation():
 
 
 def test_km_product_transfer():
-    assert km_product_transfer(0.5, 5) == pytest.approx(0.2)
-    assert km_product_transfer(1 / 3, 4) is None  # boundary: needs c > 1/(m-1)
-    assert km_product_transfer(0.34, 4) == pytest.approx(0.34 - 1.34 / 4)
-    assert km_product_transfer(1.0, 3) == pytest.approx(1 / 3)
-    with pytest.raises(ValueError):
-        km_product_transfer(0.5, 2)
-    with pytest.raises(ValueError):
-        km_product_transfer(0.0, 4)
-    with pytest.raises(ValueError):
-        km_product_transfer(1.5, 4)
+    # a vertex with constant c > 1/(m - 1) keeps at least c - (c + 1)/m in
+    # K(m) x X; K(3) has c = 1/3, and for odd m the bound is attained
+    (y,) = classify_all(complete(3), A, vertices=(0,))
+    c = y.constant
+    assert c == pytest.approx(1 / 3, abs=1e-12)
+    for m in (5, 7):
+        assert c > 1 / (m - 1)
+        (rec,) = classify_all(direct_product(complete(m), complete(3)), A, vertices=(0,))
+        assert rec.verdict is Verdict.SEDENTARY and rec.certified, m
+        assert rec.constant == pytest.approx(c - (c + 1) / m, abs=1e-12), m
 
 
 def test_product_verdict_against_engine_series():
     # the certified tight value should be the infimum the walk actually attains
     fv = complete_product_verdict([3, 3])
-    from sedwalk import direct_product, complete
-
     g = direct_product(complete(3), complete(3))
     ts = np.linspace(0.0, 2 * math.pi, 2001)
     series = WalkEvaluator(decompose(g, A)).diagonal_amplitudes(0, ts)

@@ -1,4 +1,4 @@
-"""Classification engine: floors, equality times, parity, and special searches."""
+"""Classification engine: floors, equality times, parity and construction results."""
 
 from __future__ import annotations
 
@@ -10,36 +10,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closedforms import double_cone_real_minimum
 from sedwalk import (
     EqualityTime,
     MatrixKind,
     QuadraticIntegerForm,
+    InfimumMode,
     Verdict,
     VertexClassification,
     WalkEvaluator,
-    bipartite_double_sedentary,
-    blowup_bound,
-    blowup_pair_parity,
+    blow_up,
     classify_all,
     classify_vertex,
     cocktail_party,
     complete,
-    complete_product_cosine_terms,
+    complete_product_verdict,
     cycle,
     decompose,
     direct_product,
     empty,
     equality_time_criterion,
     join,
-    join_sedentary_transfer,
     parse_graph,
     path,
     projection_sum_bound,
-    real_diagonal_zero_search,
     star,
-    double_cone_real_minimum,
 )
 from sedwalk import sedentary as sedentary_module
+from sedwalk.families import _real_diagonal_zero_search
 from sedwalk.graphs import WeightedGraph
 from sedwalk.numtheory import ExactEigenvalue, periodic_form, recognize_values
 from sedwalk.sedentary import _parity_stage
@@ -69,6 +67,13 @@ def test_projection_bound_validation():
         projection_sum_bound(dec, 1, (0,))  # leaf weight 1/6 is below one half
 
 
+def _subset_bound_at(dec, u: int, subset, a: float, t: float) -> float:
+    """|sum_{j in subset} w_j e^{it lambda_j}| - (1 - a), the subset bound at time t."""
+    weights = dec.diagonal_weights(u)
+    inner = sum(weights[j] * np.exp(1j * t * dec.eigenvalues[j]) for j in subset)
+    return abs(inner) - (1.0 - a)
+
+
 def test_projection_bound_uniform_floor():
     dec = decompose(star(4))
     bound = projection_sum_bound(dec, 0, (0,))
@@ -76,7 +81,8 @@ def test_projection_bound_uniform_floor():
     assert bound.floor == pytest.approx(0.0)
     assert bound.uniform
     for t in np.linspace(0.0, 3.0, 7):
-        assert bound.bound_at(float(t)) == pytest.approx(bound.floor, abs=1e-12)
+        at = _subset_bound_at(dec, 0, bound.subset, bound.a, float(t))
+        assert at == pytest.approx(bound.floor, abs=1e-12)
 
 
 def test_projection_bound_below_diagonal():
@@ -88,9 +94,11 @@ def test_projection_bound_below_diagonal():
     assert bound.floor == pytest.approx(1 / 3)
     assert not bound.uniform
     for t in np.linspace(0.0, 2 * math.pi, 101):
-        assert ev.magnitude(0, 0, float(t)) >= bound.bound_at(float(t)) - 1e-12
+        at = _subset_bound_at(dec, 0, bound.subset, bound.a, float(t))
+        assert ev.magnitude(0, 0, float(t)) >= at - 1e-12
     assert ev.magnitude(0, 0, math.pi / 2) == pytest.approx(1 / 3, abs=1e-12)
-    assert bound.bound_at(math.pi / 2) == pytest.approx(1 / 3, abs=1e-12)
+    at = _subset_bound_at(dec, 0, bound.subset, bound.a, math.pi / 2)
+    assert at == pytest.approx(1 / 3, abs=1e-12)
 
 
 # -- equality times ---------------------------------------------------------
@@ -271,8 +279,7 @@ def test_twin_free_orbit_reports_the_earliest_of_equal_zeros():
     # a vertex-transitive, twin-free product: every diagonal is Re U(t) of K3 x K3,
     # with two zeros per half period
     g = parse_graph("dprod(K(2),dprod(K(3),K(3)))")
-    terms = complete_product_cosine_terms([2, 3, 3])
-    first = real_diagonal_zero_search(terms, 2 * math.pi)
+    first = complete_product_verdict([2, 3, 3]).time
     for rec in classify_all(g, A):
         (step,) = [s for s in rec.certificate if s.startswith("zero-at-minimum:t=")]
         assert float(step.split("=")[1]) == pytest.approx(first, abs=1e-6), rec.vertex
@@ -383,62 +390,78 @@ def test_classification_json_shape():
     assert isinstance(payload["lemma_trail"], list) and payload["lemma_trail"]
 
 
-# -- real-diagonal specials --------------------------------------------------
+# -- products, joins and blow-ups through the pipeline ----------------------
+#
+# The paper's construction results, each checked by classify_all at vertex 0
+# of the graph the construction builds, against a closed form in the factors.
+
+
+def _vertex0(g: WeightedGraph, **scan) -> VertexClassification:
+    return classify_all(g, A, vertices=(0,), **scan)[0]
+
+
+def _blowup_floor(x: WeightedGraph, u: int, m: int) -> float:
+    """1 - 2/m + 2 w0/m, with w0 the weight of eigenvalue 0 at u in x."""
+    sup = decompose(x).support(u)
+    w0 = sum(w for w, lam in zip(sup.weights, sup.values) if abs(lam) < 1e-9)
+    return 1 - 2 / m + 2 * w0 / m
 
 
 def test_zero_search_finds_cosine_root():
-    t = real_diagonal_zero_search([(1.0, 1.0)], 2.0)
+    t = _real_diagonal_zero_search([(1.0, 1.0)], 2.0, 40)
     assert t == pytest.approx(math.pi / 2, abs=1e-9)
-    assert real_diagonal_zero_search([(0.75, 0.0), (0.25, 2.0)], 10.0) is None
-    assert real_diagonal_zero_search([(1.0, 0.0)], 5.0) is None
-    with pytest.raises(ValueError):
-        real_diagonal_zero_search([], 1.0)
-    with pytest.raises(ValueError):
-        real_diagonal_zero_search([(1.0, 1.0)], 0.0)
+    assert _real_diagonal_zero_search([(0.75, 0.0), (0.25, 2.0)], 10.0, 40) is None
+    assert _real_diagonal_zero_search([(1.0, 0.0)], 5.0, 40) is None
 
 
 def test_double_diagonal_zero_for_triangle(oracle):
-    from sedwalk import direct_product
-
-    y = complete(3)
-    est = bipartite_double_sedentary(decompose(y), 0)
-    assert est.sedentary is False
-    assert est.value == 0.0 and est.zero_time is not None
-    dp = direct_product(complete(2), y)
-    assert abs(oracle(dp, A, est.zero_time)[0, 0]) < 1e-9
+    # the double's diagonal is Re U(t)_{0,0} of K(3), (cos 2t + 2 cos t)/3,
+    # which vanishes where cos t = (sqrt(3) - 1)/2
+    dp = direct_product(complete(2), complete(3))
+    rec = _vertex0(dp)
+    assert rec.verdict is Verdict.NOT_SEDENTARY and rec.certified
+    assert rec.certificate[-1] == "zero-at-minimum:t=1.19606189409"
+    t = float(rec.certificate[-1].split("=")[1])
+    assert t == pytest.approx(math.acos((math.sqrt(3) - 1) / 2), abs=1e-9)
+    assert abs(oracle(dp, A, t)[0, 0]) < 1e-9
 
 
 def test_double_diagonal_positive_with_loops():
+    # spectrum {3, 0}: the double's diagonal cos(3t)/3 + 2/3 stays at or above 1/3
     g = WeightedGraph.from_edges(
         3, [(0, 1), (0, 2), (1, 2), (0, 0), (1, 1), (2, 2)]
     )
     dec = decompose(g)
     np.testing.assert_allclose(dec.eigenvalues, [3.0, 0.0], atol=1e-9)
-    est = bipartite_double_sedentary(dec, 0)
-    assert est.sedentary is True
-    assert est.certified
-    assert est.value == pytest.approx(1 / 3, abs=1e-9)
+    rec = _vertex0(direct_product(complete(2), g))
+    assert rec.verdict is Verdict.SEDENTARY and rec.certified
+    assert rec.constant == pytest.approx(1 / 3, abs=1e-9)
 
 
 def test_double_diagonal_zero_on_a_rational_support(oracle):
     # K(2) with edge weight 1/2 has support +-1/2, so the double's diagonal
-    # cos(t/2) vanishes at pi; halving the doubled values 2 * (+-1/2) as
-    # integers would give frequency 0 and the constant 1
+    # cos(t/2) vanishes at pi, where the walk has moved to the partner
     y = WeightedGraph.from_edges(2, [(0, 1, Fraction(1, 2))])
-    est = bipartite_double_sedentary(decompose(y), 0)
-    assert est.sedentary is False
-    assert est.zero_time == pytest.approx(math.pi, abs=1e-9)
     dp = direct_product(complete(2), y)
-    assert abs(oracle(dp, A, est.zero_time)[0, 0]) < 1e-9
+    rec = _vertex0(dp)
+    assert rec.verdict is Verdict.PST and rec.certified and rec.partner == 3
+    assert rec.pst_time == pytest.approx(math.pi, abs=1e-12)
+    assert abs(oracle(dp, A, rec.pst_time)[0, 0]) < 1e-9
+    assert abs(oracle(dp, A, rec.pst_time)[0, 3]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_double_diagonal_uncertified_when_irrational():
+    # the centre's support (3 +/- sqrt(17))/2 and its negatives share no
+    # rational part, so the double's diagonal has no period
     g = WeightedGraph.from_edges(3, [(0, 1), (1, 2), (1, 1, 3)])
-    dec = decompose(g)
-    est = bipartite_double_sedentary(dec, 0, horizon=25.0, grid_points=4001)
-    assert not est.certified
-    assert est.value > 0
-    assert est.sedentary is None
+    dp = direct_product(complete(2), g)
+    (rec,) = classify_all(dp, A, vertices=(1,), horizon=25.0, grid_points=4001)
+    assert rec.evidence.mode is InfimumMode.GRID_LOWER_CONFIDENCE
+    assert (rec.evidence.grid_points, rec.evidence.horizon) == (4001, 25.0)
+    # the diagonal's long-run mean is 0 (no 0 in the support), so it changes
+    # sign: only an exact not-sedentary may be certified
+    assert rec.verdict is not Verdict.SEDENTARY
+    assert rec.certified is (rec.verdict is Verdict.NOT_SEDENTARY)
 
 
 @pytest.mark.parametrize(
@@ -446,9 +469,9 @@ def test_double_diagonal_uncertified_when_irrational():
     [(math.inf, None), (math.nan, None), (0.0, None), (-1.0, None), (None, 0), (None, 1)],
 )
 def test_double_diagonal_rejects_bad_grid(horizon, grid_points):
-    dec = decompose(path(5))
+    dp = direct_product(complete(2), path(5))
     with pytest.raises(ValueError):
-        bipartite_double_sedentary(dec, 0, horizon=horizon, grid_points=grid_points)
+        classify_all(dp, A, horizon=horizon, grid_points=grid_points)
 
 
 def test_double_cone_closed_form():
@@ -457,12 +480,9 @@ def test_double_cone_closed_form():
     # both critical times pi/3 and 2*pi/3 attain the minimum
     attained = 0.5 + math.cos(4 * tau) / 6 + math.cos(2 * tau) / 3
     assert attained == pytest.approx(c, abs=1e-12)
-    with pytest.raises(ValueError):
-        double_cone_real_minimum(0, 2)
-    with pytest.raises(ValueError):
-        double_cone_real_minimum(2, 3)
-    with pytest.raises(ValueError):
-        double_cone_real_minimum(4, 2)
+    rec = _vertex0(direct_product(complete(2), join(empty(2), cycle(4))))
+    assert rec.verdict is Verdict.SEDENTARY and rec.certified
+    assert rec.constant == pytest.approx(c, abs=1e-12)
 
 
 @pytest.mark.parametrize("d,s,h", [(2, 2, cycle(4)), (2, 4, cycle(12))])
@@ -479,33 +499,45 @@ def test_double_cone_matches_direct_scan(d, s, h):
     assert float(np.min(vals)) == pytest.approx(c, abs=1e-6)
     at_tau = abs(sum(w * math.cos(v * tau) for w, v in zip(sup.weights, sup.values)))
     assert at_tau == pytest.approx(c, abs=1e-12)
+    # the double of the cone has the real part as its diagonal
+    rec = _vertex0(direct_product(complete(2), g))
+    assert rec.verdict is Verdict.SEDENTARY and rec.certified
+    assert rec.constant == pytest.approx(c, abs=1e-12)
 
 
-# -- blow-ups and joins ------------------------------------------------------
-
-
-def test_blowup_bound_no_zero_in_base(support_form):
-    bound = blowup_bound(complete(2), 0, 3)
-    assert bound.floor == pytest.approx(1 / 3, abs=1e-12)
-    assert bound.uniform
-    from sedwalk import blow_up
-
-    ev = WalkEvaluator(decompose(blow_up(3, complete(2))))
-    est = ev.infimum_diagonal(0, support_form(ev.dec, 0), grid_points=4001)
-    assert est.value >= bound.floor - 1e-9
+def test_blowup_bound_no_zero_in_base():
+    # K(2) misses eigenvalue 0, so the floor of its 3-fold blow-up is 1 - 2/3
+    floor = _blowup_floor(complete(2), 0, 3)
+    assert floor == pytest.approx(1 / 3, abs=1e-12)
+    rec = _vertex0(blow_up(3, complete(2)))
+    assert rec.verdict is Verdict.SEDENTARY and rec.certified
+    assert rec.constant == pytest.approx(floor, abs=1e-12)
 
 
 def test_blowup_bound_with_zero_weight():
-    bound = blowup_bound(path(3), 0, 2)
-    assert bound.floor == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        blowup_bound(path(3), 0, 1)
+    # an end of P(3) has weight 1/2 at eigenvalue 0: the floor is 0 + 2 (1/2)/2
+    floor = _blowup_floor(path(3), 0, 2)
+    assert floor == pytest.approx(0.5, abs=1e-12)
+    rec = _vertex0(blow_up(2, path(3)))
+    assert rec.verdict is Verdict.SEDENTARY and rec.certified
+    assert rec.constant == pytest.approx(floor, abs=1e-12)
 
 
 def test_blowup_pair_parity_outcomes():
-    assert blowup_pair_parity(complete(3), 0) is True
-    assert blowup_pair_parity(complete(4), 0) is False
-    assert blowup_pair_parity(_p5_prime(), 0) is None
+    # the two copies of a vertex whose base support misses 0 are twins sharing
+    # eigenvalue 0: an odd relation over the base support keeps them sedentary
+    rec = _vertex0(blow_up(2, complete(3)))
+    assert rec.verdict is Verdict.SEDENTARY and rec.certified
+    assert "parity:odd-relation" in rec.certificate
+    # all-even relations let them transfer, here perfectly: the support is integral
+    rec = _vertex0(blow_up(2, complete(4)))
+    assert rec.verdict is Verdict.PST and rec.certified
+    assert rec.pst_time == pytest.approx(math.pi / 2, abs=1e-12)
+    # an unrecognized base support leaves the twin floor with no parity step
+    rec = _vertex0(blow_up(2, _p5_prime()))
+    assert rec.verdict is Verdict.SEDENTARY
+    assert rec.certificate[-1] == "grid-evidence"
+    assert not any(step.startswith("parity:") for step in rec.certificate)
 
 
 @pytest.mark.xfail(
@@ -520,9 +552,12 @@ def test_huge_loop_classifies():
 
 
 def test_join_transfer_constant():
-    assert join_sedentary_transfer(7 / 25, 25) == pytest.approx(0.2)
-    assert join_sedentary_transfer(0.05, 20) is None
-    with pytest.raises(ValueError):
-        join_sedentary_transfer(0.5, 0)
-    with pytest.raises(ValueError):
-        join_sedentary_transfer(1.5, 10)
+    # a join moves every diagonal by at most 2/|V(X)|, so X's constant 7/25
+    # leaves at least 7/25 - 2/25 after joining K(3)
+    x = direct_product(complete(5), complete(5))
+    c_x = _vertex0(x).constant
+    assert c_x == pytest.approx(7 / 25, abs=1e-12)
+    rec = _vertex0(join(x, complete(3)))
+    assert rec.verdict is Verdict.SEDENTARY and rec.certified
+    assert rec.constant == pytest.approx(0.28, abs=1e-12)
+    assert rec.constant >= c_x - 2 / x.n - 1e-12

@@ -26,7 +26,6 @@ from sedwalk import (
     theta_split,
     threshold,
     twin_dichotomy,
-    twin_set_of,
 )
 from sedwalk import sedentary as sedentary_module
 from sedwalk import twins as twins_module
@@ -87,12 +86,17 @@ def test_find_twin_sets_clique_minus_edge():
     assert sets[0].eta == 0 and sets[1].eta == 1
 
 
+def _twin_set_of(g: WeightedGraph, u: int) -> TwinSet | None:
+    """The maximal twin set containing ``u``, looked up by ``find_twin_sets``."""
+    return next(iter(find_twin_sets(g, [u])), None)
+
+
 def test_twin_set_of_lookup():
     g = star(3)
-    assert twin_set_of(g, 0) is None
-    ts = twin_set_of(g, 2)
+    assert _twin_set_of(g, 0) is None
+    ts = _twin_set_of(g, 2)
     assert ts is not None and ts.members == (1, 2, 3)
-    assert twin_set_of(path(3), 1) is None
+    assert _twin_set_of(path(3), 1) is None
 
 
 @pytest.mark.parametrize("expr", ["CP(8)", "KM(2,3,1)", "blowup(3,C(4))"])
@@ -110,7 +114,7 @@ def test_twin_set_of_matches_find_twin_sets(monkeypatch, expr):
     for u in range(g.n):
         want = next((ts for ts in sets if u in ts), None)
         calls = 0
-        assert twin_set_of(g, u) == want, u
+        assert _twin_set_of(g, u) == want, u
         size = 0 if want is None else len(want)
         assert calls <= (g.n - 1) + size * (size - 1) // 2, u
 
@@ -210,7 +214,7 @@ def test_dichotomy_pair_routes_to_transfer():
     assert branch.partner == 1
     assert branch.strong_cospectrality is not None
     g = cycle(4)
-    ts = twin_set_of(g, 0)
+    ts = _twin_set_of(g, 0)
     assert ts is not None and ts.members == (0, 2)
     branch = twin_dichotomy(g, A, ts, 0)
     assert branch.branch == "pgst-pair"
@@ -220,7 +224,7 @@ def test_dichotomy_pair_blocked_by_extra_eigenvector():
     # spider with legs (1, 1, 3): the kernel has a symmetric vector meeting
     # the leaf pair, which kills strong cospectrality
     g = WeightedGraph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
-    ts = twin_set_of(g, 1)
+    ts = _twin_set_of(g, 1)
     assert ts is not None and ts.members == (1, 2)
     split = theta_split(g, A, ts)
     assert split.theta_multiplicity == 2
@@ -234,7 +238,7 @@ def test_dichotomy_pair_blocked_by_extra_eigenvector():
 
 def test_dichotomy_laplacian_pair():
     g = _k4_minus_edge()
-    ts = twin_set_of(g, 0)
+    ts = _twin_set_of(g, 0)
     assert ts is not None
     branch = twin_dichotomy(g, L, ts, 0)
     assert branch.branch == "pgst-pair"
@@ -355,7 +359,7 @@ def test_twin_partition_matches_pairwise_definition(g, data):
     want = _reference_twin_sets(g)
     assert find_twin_sets(g) == want
     for u in range(g.n):
-        assert twin_set_of(g, u) == next((ts for ts in want if u in ts), None)
+        assert _twin_set_of(g, u) == next((ts for ts in want if u in ts), None)
     order = data.draw(st.permutations(range(g.n)))
     reached = []
     for u in order:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from closedforms import complete_product_diagonal, km_product_diagonal, walk_matrix
 from sedwalk import (
     InfimumMode,
     MatrixKind,
@@ -18,19 +19,16 @@ from sedwalk import (
     classify_all,
     cocktail_party,
     complete,
-    complete_product_cosine_terms,
-    complete_product_diagonal,
     decompose,
     direct_product,
     find_twin_sets,
     join,
-    join_perturbation_bound,
     parse_graph,
     path,
-    product_diagonal_km_y,
     star,
 )
 from sedwalk import walk as walk_module
+from sedwalk.families import _complete_product_cosine_terms
 from sedwalk.graphs import WeightedGraph
 from sedwalk.spectral import SpectralDecomposition
 from sedwalk.walk import _SEED_CHUNK, _least_indices, _refined_minimum
@@ -45,7 +43,7 @@ def test_matrix_matches_expm(rand_graph, oracle, kind, seed):
     g = rand_graph(rng, n=6, weights=(1, 2, 3))
     ev = WalkEvaluator(decompose(g, kind))
     for t in rng.uniform(0.0, 12.0, size=6):
-        u_t = ev.matrix(float(t))
+        u_t = np.array([[ev.amplitude(u, v, float(t)) for v in range(g.n)] for u in range(g.n)])
         np.testing.assert_allclose(u_t, oracle(g, kind, float(t)), atol=1e-9)
         np.testing.assert_allclose(u_t @ u_t.conj().T, np.eye(g.n), atol=1e-9)
 
@@ -55,7 +53,7 @@ def test_amplitude_entries_consistent(rand_graph):
     g = rand_graph(rng, n=5)
     ev = WalkEvaluator(decompose(g))
     t = 1.7
-    u_t = ev.matrix(t)
+    u_t = walk_matrix(ev.dec, t)
     for u in range(g.n):
         for v in range(g.n):
             assert ev.amplitude(u, v, t) == pytest.approx(u_t[u, v], abs=1e-12)
@@ -131,17 +129,13 @@ def test_complete_product_diagonal_oracle(oracle, ms):
     for m in ms[1:]:
         g = direct_product(g, complete(m))
     rng = np.random.default_rng(sum(ms))
-    for t in rng.uniform(0.0, 8.0, size=20):
-        want = oracle(g, MatrixKind.adjacency(), float(t))[0, 0]
-        got = complete_product_diagonal(ms, float(t))
-        assert got == pytest.approx(want, abs=1e-8)
-
-
-def test_complete_product_diagonal_validation():
-    with pytest.raises(ValueError):
-        complete_product_diagonal([1, 3], 1.0)
-    with pytest.raises(ValueError):
-        complete_product_diagonal([2] * 21, 1.0)
+    times = rng.uniform(0.0, 8.0, size=20)
+    # every vertex of the product has the subset-sum diagonal
+    got = WalkEvaluator(decompose(g)).diagonal_amplitudes(g.n - 1, times)
+    for t, amp in zip(times, got):
+        want = complete_product_diagonal(ms, float(t))
+        assert want == pytest.approx(oracle(g, MatrixKind.adjacency(), float(t))[0, 0], abs=1e-8)
+        assert amp == pytest.approx(want, abs=1e-8)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -150,43 +144,48 @@ def test_km_product_factor_walk(oracle, rand_graph, m):
     y = rand_graph(rng, n=4, weights=(1, 2), connected=True)
     g = direct_product(complete(m), y)
     dec_y = decompose(y)
+    ev = WalkEvaluator(decompose(g))
     for t in rng.uniform(0.0, 6.0, size=8):
         for v in range(y.n):
-            want = oracle(g, MatrixKind.adjacency(), float(t))[v, v]
-            got = product_diagonal_km_y(m, dec_y, v, float(t))
+            want = km_product_diagonal(m, dec_y, v, float(t))
+            got = oracle(g, MatrixKind.adjacency(), float(t))[v, v]
             assert got == pytest.approx(want, abs=1e-8)
-    with pytest.raises(ValueError):
-        product_diagonal_km_y(1, dec_y, 0, 1.0)
+            assert ev.amplitude(v, v, float(t)) == pytest.approx(want, abs=1e-8)
 
 
 def test_bipartite_double_diagonal_is_real(rand_graph):
     rng = np.random.default_rng(50)
     y = rand_graph(rng, n=5, connected=True)
-    dec_y = decompose(y)
-    ev_y = WalkEvaluator(dec_y)
+    ev_y = WalkEvaluator(decompose(y))
+    ev = WalkEvaluator(decompose(direct_product(complete(2), y)))
     for t in rng.uniform(0.0, 9.0, size=10):
-        amp = product_diagonal_km_y(2, dec_y, 1, float(t))
+        amp = ev.amplitude(1, 1, float(t))
         assert amp.imag == pytest.approx(0.0, abs=1e-12)
         assert amp.real == pytest.approx(ev_y.amplitude(1, 1, float(t)).real, abs=1e-12)
 
 
 def test_cosine_terms_match_diagonal():
-    terms = complete_product_cosine_terms([2, 3])
-    assert terms is not None
+    terms = _complete_product_cosine_terms([2, 3])
     assert terms == [(pytest.approx(2 / 3), 1.0), (pytest.approx(1 / 3), 2.0)]
     assert sum(c for c, _ in terms) == pytest.approx(1.0)
-    for t in np.linspace(0.0, 7.0, 29):
+    times = np.linspace(0.0, 7.0, 29)
+    got = WalkEvaluator(decompose(direct_product(complete(2), complete(3)))).diagonal_amplitudes(
+        0, times
+    )
+    for t, amp in zip(times, got):
         val = sum(c * math.cos(f * t) for c, f in terms)
-        assert complete_product_diagonal([2, 3], float(t)) == pytest.approx(val, abs=1e-12)
+        assert amp == pytest.approx(val, abs=1e-12)
 
 
 def test_cosine_terms_need_a_factor_of_two():
-    assert complete_product_cosine_terms([3, 3]) is None
-    terms = complete_product_cosine_terms([2, 2, 3])
-    assert terms is not None
+    terms = _complete_product_cosine_terms([2, 2, 3])
     assert sum(c for c, _ in terms) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        complete_product_cosine_terms([2, 1])
+    # without a factor of two the diagonal is not real, so no cosine form exists
+    times = np.linspace(0.0, 7.0, 29)
+    amps = WalkEvaluator(decompose(direct_product(complete(3), complete(3)))).diagonal_amplitudes(
+        0, times
+    )
+    assert np.max(np.abs(amps.imag)) > 0.1
 
 
 def test_infimum_periodic_is_certified(support_form):
@@ -274,9 +273,7 @@ def test_bounded_scan_memory_is_linear_in_the_grid(support_form):
 
 
 def test_join_perturbation_bound_holds(oracle):
-    assert join_perturbation_bound(4) == 0.5
-    with pytest.raises(ValueError):
-        join_perturbation_bound(0)
+    # joining moves every diagonal modulus of X by at most 2/|V(X)|
     x = path(3)
     joined = join(x, path(2))
     kind = MatrixKind.laplacian()
@@ -285,7 +282,7 @@ def test_join_perturbation_bound_holds(oracle):
         a = abs(oracle(joined, kind, float(t))[1, 1])
         b = abs(oracle(x, kind, float(t))[1, 1])
         worst = max(worst, abs(a - b))
-    assert worst <= join_perturbation_bound(x.n) + 1e-9
+    assert worst <= 2 / x.n + 1e-9
 
 
 def test_join_perturbation_bound_regular_adjacency(oracle):
@@ -295,7 +292,7 @@ def test_join_perturbation_bound_regular_adjacency(oracle):
     for t in np.linspace(0.01, 10.0, 50):
         a = abs(oracle(joined, kind, float(t))[0, 0])
         b = abs(oracle(x, kind, float(t))[0, 0])
-        assert abs(a - b) <= join_perturbation_bound(x.n) + 1e-9
+        assert abs(a - b) <= 2 / x.n + 1e-9
 
 
 @settings(max_examples=300, deadline=None)
@@ -468,7 +465,6 @@ def test_degree_cap_is_checked_before_the_series_is_built(support_form):
     try:
         dec = decompose(g)
         est = WalkEvaluator(dec).infimum_diagonal(0, support_form(dec, 0), grid_points=2001)
-        assert walk_module._cosine_minimum([(0.5, 1), (0.5, 2**40)]) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
