@@ -50,13 +50,11 @@ from .numtheory import (
     integer_relation_parity,
     is_perfect_square,
     nu2,
-    nu2_fraction,
     periodic_form,
     recognize_values,
     square_free_part,
 )
 from .sedentary import (
-    EqualityTime,
     SedentaryBound,
     Verdict,
     VertexClassification,
@@ -121,7 +119,6 @@ __all__ = [
     "integer_relation_parity",
     "is_perfect_square",
     "nu2",
-    "nu2_fraction",
     "periodic_form",
     "recognize_values",
     "square_free_part",
@@ -143,7 +140,6 @@ __all__ = [
     "find_twin_sets",
     "twin_dichotomy",
     # classification
-    "EqualityTime",
     "SedentaryBound",
     "Verdict",
     "VertexClassification",

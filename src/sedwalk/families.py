@@ -23,7 +23,7 @@ from itertools import product as iter_product
 from typing import Sequence
 
 from .numtheory import QuadraticIntegerForm, is_perfect_square, nu2, square_free_part
-from .sedentary import EqualityTime, Verdict, equality_time_criterion
+from .sedentary import Verdict, equality_time_criterion
 
 __all__ = [
     "FamilyVerdict",
@@ -73,7 +73,7 @@ def _validate_parts(parts: Sequence[int], ell: int) -> list[int]:
 
 def _integer_equality_time(
     values: Sequence[int], s_values: Sequence[int]
-) -> EqualityTime | None:
+) -> float | None:
     """Equality-time test on an all-integer support, with S given by value."""
     vals = sorted({int(v) for v in values}, reverse=True)
     s_set = {int(v) for v in s_values}
@@ -94,7 +94,7 @@ def _plus_minus_form(disc: int) -> QuadraticIntegerForm:
     return QuadraticIntegerForm(0, (f, 0, -f), 1 if sf == 1 else sf)
 
 
-def _check(condition: bool, eq: EqualityTime | None) -> None:
+def _check(condition: bool, eq: float | None) -> None:
     """The valuation criteria must agree with the equality-time test."""
     if (eq is not None) != condition:
         raise ValueError("equality-time test disagrees with the valuation criterion")
@@ -123,7 +123,7 @@ def multipartite_laplacian_verdict(parts: Sequence[int], ell: int) -> FamilyVerd
         eq = _integer_equality_time([0, 2], [0])
         assert eq is not None
         return FamilyVerdict(
-            Verdict.PST, "two-vertices", time=eq.t1, partner_kind="adjacent-twin"
+            Verdict.PST, "two-vertices", time=eq, partner_kind="adjacent-twin"
         )
     if nl == 1:
         eq = _integer_equality_time([0, n], [n])
@@ -132,7 +132,7 @@ def multipartite_laplacian_verdict(parts: Sequence[int], ell: int) -> FamilyVerd
             Verdict.SEDENTARY,
             "laplacian-apex",
             constant=1.0 - 2.0 / n,
-            time=eq.t1,
+            time=eq,
             tight=True,
             sharp=False,
         )
@@ -142,7 +142,7 @@ def multipartite_laplacian_verdict(parts: Sequence[int], ell: int) -> FamilyVerd
             eq = _integer_equality_time(support, [0, n])
             assert eq is not None
             return FamilyVerdict(
-                Verdict.PST, "pair-part-pst", time=eq.t1, partner_kind="part-twin"
+                Verdict.PST, "pair-part-pst", time=eq, partner_kind="part-twin"
             )
         if n % 2 == 0:
             eq = _integer_equality_time(support, [0, n - 2])
@@ -151,7 +151,7 @@ def multipartite_laplacian_verdict(parts: Sequence[int], ell: int) -> FamilyVerd
                 Verdict.SEDENTARY,
                 "pair-part-even",
                 constant=2.0 / n,
-                time=eq.t1,
+                time=eq,
                 tight=True,
                 sharp=False,
             )
@@ -162,7 +162,7 @@ def multipartite_laplacian_verdict(parts: Sequence[int], ell: int) -> FamilyVerd
                 Verdict.SEDENTARY,
                 "pair-part-three",
                 constant=1.0 / 3.0,
-                time=eq.t1,
+                time=eq,
                 tight=True,
                 sharp=False,
             )
@@ -184,7 +184,7 @@ def multipartite_laplacian_verdict(parts: Sequence[int], ell: int) -> FamilyVerd
             Verdict.SEDENTARY,
             "large-part-tight",
             constant=bound,
-            time=eq.t1,
+            time=eq,
             tight=True,
             sharp=False,
         )
@@ -244,7 +244,7 @@ def _adjacency_apex_verdict(sizes: list[int], n: int) -> FamilyVerdict | None:
             eq = _integer_equality_time([1, -1], [1])
             assert eq is not None
             return FamilyVerdict(
-                Verdict.PST, "two-vertices", time=eq.t1, partner_kind="other-apex"
+                Verdict.PST, "two-vertices", time=eq, partner_kind="other-apex"
             )
         if not uniform:
             return None
@@ -261,7 +261,7 @@ def _adjacency_apex_verdict(sizes: list[int], n: int) -> FamilyVerdict | None:
         _check(nu2(n - m + 1) != nu2(root), eq)
         if eq is not None:
             return FamilyVerdict(
-                Verdict.PST, "two-apexes-pst", time=eq.t1, partner_kind="other-apex"
+                Verdict.PST, "two-apexes-pst", time=eq, partner_kind="other-apex"
             )
         return FamilyVerdict(Verdict.SEDENTARY, "two-apexes-blocked")
     # ones >= 3: the apexes form a clique of adjacent twins
@@ -274,7 +274,7 @@ def _adjacency_apex_verdict(sizes: list[int], n: int) -> FamilyVerdict | None:
             Verdict.SEDENTARY,
             "clique",
             constant=bound,
-            time=eq.t1,
+            time=eq,
             tight=True,
             sharp=False,
         )
@@ -301,7 +301,7 @@ def _adjacency_apex_verdict(sizes: list[int], n: int) -> FamilyVerdict | None:
             Verdict.SEDENTARY,
             "apex-clique-tight",
             constant=bound,
-            time=eq.t1,
+            time=eq,
             tight=True,
             sharp=False,
         )
@@ -328,7 +328,7 @@ def _adjacency_pair_verdict(others: list[int], n: int) -> FamilyVerdict | None:
             eq = equality_time_criterion(_plus_minus_form(disc), (0, 2))
             assert eq is not None
             return FamilyVerdict(
-                Verdict.PST, "pair-bipartite-pst", time=eq.t1, partner_kind="part-twin"
+                Verdict.PST, "pair-bipartite-pst", time=eq, partner_kind="part-twin"
             )
         square, root = is_perfect_square(disc)
         if not square:
@@ -341,7 +341,7 @@ def _adjacency_pair_verdict(others: list[int], n: int) -> FamilyVerdict | None:
         _check(nu2(d) != nu2(root), eq)
         if eq is not None:
             return FamilyVerdict(
-                Verdict.PST, "pair-uniform-pst", time=eq.t1, partner_kind="part-twin"
+                Verdict.PST, "pair-uniform-pst", time=eq, partner_kind="part-twin"
             )
         s = (root - d) // 2
         if s < 1 or s * (d + s) != 2 * (n - 2):
@@ -385,7 +385,7 @@ def _adjacency_large_part_verdict(
             Verdict.SEDENTARY,
             "large-part-tight",
             constant=bound,
-            time=eq.t1,
+            time=eq,
             tight=True,
             sharp=False,
         )
@@ -407,7 +407,7 @@ def _adjacency_large_part_verdict(
             Verdict.SEDENTARY,
             "large-part-tight",
             constant=bound,
-            time=eq.t1,
+            time=eq,
             tight=True,
             sharp=False,
         )
@@ -556,7 +556,7 @@ def threshold_vertex_verdict(spec: ThresholdSpec, j: int) -> FamilyVerdict:
         _check(threshold_pst_congruences(spec.cells), eq)
         if eq is not None:
             return FamilyVerdict(
-                Verdict.PST, "first-cell-pst", time=eq.t1, partner_kind="cell-mate"
+                Verdict.PST, "first-cell-pst", time=eq, partner_kind="cell-mate"
             )
         return FamilyVerdict(Verdict.SEDENTARY, case)
     if eq is not None:
@@ -564,7 +564,7 @@ def threshold_vertex_verdict(spec: ThresholdSpec, j: int) -> FamilyVerdict:
             Verdict.SEDENTARY,
             case,
             constant=float(bound),
-            time=eq.t1,
+            time=eq,
             tight=True,
             sharp=False,
         )

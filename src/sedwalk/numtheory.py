@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "nu2",
-    "nu2_fraction",
     "gcd_set",
     "fraction_gcd",
     "is_perfect_square",
@@ -40,14 +39,6 @@ def nu2(a: int) -> int:
         raise ValueError("nu2(0) is undefined (infinite)")
     a = abs(int(a))
     return (a & -a).bit_length() - 1
-
-
-def nu2_fraction(x: Fraction | int) -> int:
-    """2-adic valuation extended to nonzero rationals: nu2(p/q) = nu2(p) - nu2(q)."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("nu2 of 0 is undefined (infinite)")
-    return nu2(x.numerator) - nu2(x.denominator)
 
 
 def gcd_set(values: Iterable[int]) -> int:
@@ -133,6 +124,14 @@ class QuadraticIntegerForm:
         """The gcd of the scaled differences: every difference of two values
         is an integer multiple of g sqrt(delta); 0 for a single value."""
         return fraction_gcd(self.scaled_difference(0, j) for j in range(1, len(self.b)))
+
+    @cached_property
+    def steps(self) -> tuple[int, ...]:
+        """m_j = (value_j - least value) / (g sqrt(delta)): integers whose gcd
+        is 1, so value_j = least value + m_j g sqrt(delta); all 0 for a
+        single value."""
+        least = min(self.b)
+        return tuple(int((b - least) / (2 * self.g)) if self.g else 0 for b in self.b)
 
     @property
     def period(self) -> float | None:

@@ -14,10 +14,9 @@ and each stage appends its step to the certificate trail:
    otherwise relation parity decides between pretty good transfer and
    sedentariness.  A twin-free vertex whose one-period minimum is zero is
    scanned for a perfect-transfer partner instead.
-4. Period minimum plus exact-dip match: on a periodic vertex the minimum
-   over one period is the constant, replaced by the exact dip of the
-   equality mechanism that it matches, if any; it may not fall below the
-   floor.
+4. Period minimum plus half-period match: on a periodic vertex the minimum
+   over one period is the constant, replaced by the exact dip at half the
+   period when it matches it; it may not fall below the floor.
 5. Relation parity: without a period, parity on the exact support says
    whether the floor is approached in the limit (sharp) or stays strictly
    below the infimum.
@@ -28,11 +27,8 @@ numeric evidence attached to every verdict.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +38,6 @@ from .numtheory import (
     ExactEigenvalue,
     QuadraticIntegerForm,
     integer_relation_parity,
-    nu2_fraction,
     periodic_form,
     recognize_values,
 )
@@ -58,7 +53,6 @@ from .walk import InfimumEstimate, WalkEvaluator, _check_grid
 __all__ = [
     "Verdict",
     "SedentaryBound",
-    "EqualityTime",
     "VertexClassification",
     "projection_sum_bound",
     "equality_time_criterion",
@@ -69,7 +63,6 @@ __all__ = [
 ZERO_TOL = 1e-8
 MATCH_TOL = 1e-6
 PST_TOL = 1e-8
-SUBSET_CAP = 12
 
 
 class Verdict(str, Enum):
@@ -122,58 +115,26 @@ def projection_sum_bound(
     return SedentaryBound(subset=chosen, a=a)
 
 
-@dataclass(frozen=True)
-class EqualityTime:
-    """First time at which the subset floor is hit, with its exact data."""
-
-    t1: float
-    g: Fraction
-    delta: int
-
-    @property
-    def period(self) -> float:
-        return 2.0 * self.t1
-
-
 def equality_time_criterion(
     form: QuadraticIntegerForm, s_positions: tuple[int, ...] | list[int]
-) -> EqualityTime | None:
-    """Decide whether some time puts the chosen classes at phase +1 and the
-    rest at -1, and return the first such time.
+) -> float | None:
+    """The first time that puts the chosen classes at phase +1 and the rest
+    at -1, relative to each other, or None when no time does.
 
-    The test is on dyadic valuations of the scaled differences: the floor
-    is attainable exactly when every difference across the split carries
-    one common valuation.  The first time is then pi / (g sqrt(delta))
-    with g the gcd of all scaled differences from a fixed base class.
+    With value_j = least + m_j g sqrt(delta) (``form.steps``), such a time t
+    needs x = t g sqrt(delta) / pi to make x (m_j - m_s) even inside the
+    split and odd across it.  Some integer combination of the m_j - m_s is
+    1, since their gcd is 1, so x is an integer; x is odd, since an even x
+    leaves nothing across.  So the split must be the parity class of m_s,
+    and it is first reached at x = 1, half the period.
     """
-    k = len(form)
-    s = sorted(set(int(p) for p in s_positions))
-    if not s or len(s) >= k:
+    s = set(int(p) for p in s_positions)
+    if not s or len(s) >= len(form):
         raise ValueError("need a non-empty proper subset of the support")
-    in_s = set(s)
-    comp = [j for j in range(k) if j not in in_s]
-    cross_levels = set()
-    for j in s:
-        for c in comp:
-            cross_levels.add(nu2_fraction(form.scaled_difference(c, j)))
-    if len(cross_levels) != 1:
+    parity = form.steps[min(s)] % 2
+    if s != {j for j, m in enumerate(form.steps) if m % 2 == parity}:
         return None
-    level = cross_levels.pop()
-    for i, j in combinations(s, 2):
-        # implied by the cross condition; violation means a bug upstream
-        if nu2_fraction(form.scaled_difference(i, j)) <= level:
-            raise AssertionError("within-subset valuation at or below the cross level")
-    base, g = s[0], form.g
-    for j in range(k):
-        if j == base:
-            continue
-        q = form.scaled_difference(base, j) / g
-        if q.denominator != 1:
-            raise AssertionError("gcd fails to divide a scaled difference")
-        if (q.numerator % 2 == 0) != (j in in_s):
-            raise AssertionError("scaled-difference parity disagrees with the split")
-    t1 = math.pi / (float(g) * math.sqrt(form.delta))
-    return EqualityTime(t1=t1, g=g, delta=form.delta)
+    return form.period / 2
 
 
 @dataclass(frozen=True)
@@ -247,28 +208,12 @@ def _support_positions(sup: EigenvalueSupport, class_indices) -> tuple[int, ...]
     return tuple(i for i, idx in enumerate(sup.indices) if idx in wanted)
 
 
-def _exact_dips(
-    facts: _GraphFacts, sup: EigenvalueSupport, form: QuadraticIntegerForm
-) -> list[tuple[float, EqualityTime]]:
-    """Every (dip value, time) the equality mechanism certifies.
-
-    At each returned time the diagonal magnitude equals 2a - 1 exactly,
-    so the smallest dip is an upper bound on the infimum; for periodic
-    vertices it usually is the infimum.
-    """
-    k = len(sup)
-    if k > SUBSET_CAP:
-        return []
-    dips = []
-    for r in range(1, k):
-        for combo in combinations(range(k), r):
-            a = float(sum(sup.weights[i] for i in combo))
-            if a < 0.5 - 1e-9:
-                continue
-            eq = facts.equality_time(form, combo)
-            if eq is not None:
-                dips.append((2.0 * a - 1.0, eq))
-    return dips
+def _half_period_dip(sup: EigenvalueSupport, form: QuadraticIntegerForm) -> float:
+    """|U(t)_{u,u}| at half the period, |sum_j (-1)^{m_j} w_j| = 2a - 1 with
+    a the weight of the heavier parity class of the steps m_j: the one dip
+    that :func:`equality_time_criterion` certifies."""
+    a = max(float(sum(w for w, m in zip(sup.weights, form.steps) if m % 2 == p)) for p in (0, 1))
+    return 2.0 * a - 1.0
 
 
 # -- classification pipeline ------------------------------------------------
@@ -284,9 +229,6 @@ class _GraphFacts:
     evaluator: WalkEvaluator
     twin_of: dict[int, TwinSet]
     splits: dict[TwinSet, ThetaEigenspaceSplit]
-    equality_times: dict[tuple, EqualityTime | None] = field(
-        default_factory=dict, compare=False, hash=False, repr=False
-    )
     recognitions: dict[
         tuple[int, ...], tuple[list[ExactEigenvalue] | None, QuadraticIntegerForm | None]
     ] = field(default_factory=dict, compare=False, hash=False, repr=False)
@@ -305,16 +247,6 @@ class _GraphFacts:
             form = periodic_form(exacts) if exacts is not None else None
             self.recognitions[sup.indices] = exacts, form
         return self.recognitions[sup.indices]
-
-    def equality_time(
-        self, form: QuadraticIntegerForm, positions: tuple[int, ...]
-    ) -> EqualityTime | None:
-        """``equality_time_criterion(form, positions)``, computed once per graph:
-        it reads the form alone, and twins share their support's form."""
-        key = (form, positions)
-        if key not in self.equality_times:
-            self.equality_times[key] = equality_time_criterion(form, positions)
-        return self.equality_times[key]
 
 
 def _twin_stage(
@@ -340,29 +272,27 @@ def _twin_stage(
 
 
 def _period_minimum(
-    facts: _GraphFacts,
     sup: EigenvalueSupport,
-    form: QuadraticIntegerForm | None,
+    form: QuadraticIntegerForm,
     scan: InfimumEstimate,
     floor: float | None,
     trail: list[str],
 ) -> tuple[float, float | None]:
     """Constant and attaining time from a certified one-period minimum.
 
-    The minimum may not dip below a certified floor.  When it matches a
-    dip that the equality mechanism certifies, the exact dip and its first
-    time replace the computed ones, earliest time first.
+    The minimum may not dip below a certified floor.  When it matches the
+    half-period dip, the exact dip and half the period replace the computed
+    ones.
     """
     if floor is not None and scan.value < floor - MATCH_TOL:
         raise ValueError("period minimum dipped below the certified floor")
     trail.append("period-minimum")
-    dips = _exact_dips(facts, sup, form) if form is not None else []
-    hits = [(value, eq) for value, eq in dips if abs(value - scan.value) <= MATCH_TOL]
-    if not hits:
+    dip = _half_period_dip(sup, form)
+    if abs(dip - scan.value) > MATCH_TOL:
         return scan.value, scan.attained_time
-    value, eq = min(hits, key=lambda h: h[1].t1)
-    trail.append(f"equality-time:t1={eq.t1:.12g}")
-    return value, eq.t1
+    t1 = form.period / 2
+    trail.append(f"equality-time:t1={t1:.12g}")
+    return dip, t1
 
 
 def _parity_stage(
@@ -395,11 +325,9 @@ def _parity_stage(
 
 
 def _pst_partner_scan(
-    facts: _GraphFacts, u: int, sup: EigenvalueSupport, form: QuadraticIntegerForm | None
+    facts: _GraphFacts, u: int, sup: EigenvalueSupport, form: QuadraticIntegerForm
 ) -> tuple[int, float] | None:
     """Perfect-transfer partner for a periodic vertex whose diagonal dies."""
-    if form is None:
-        return None
     dec, ev = facts.dec, facts.evaluator
     for v in range(dec.n):
         if v == u:
@@ -410,9 +338,9 @@ def _pst_partner_scan(
         plus_pos = _support_positions(sup, sc.plus)
         if not plus_pos or len(plus_pos) == len(sup):
             continue
-        eq = facts.equality_time(form, plus_pos)
-        if eq is not None and ev.magnitude(u, v, eq.t1) >= 1.0 - PST_TOL:
-            return v, eq.t1
+        t1 = equality_time_criterion(form, plus_pos)
+        if t1 is not None and ev.magnitude(u, v, t1) >= 1.0 - PST_TOL:
+            return v, t1
     return None
 
 
@@ -462,12 +390,12 @@ def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassi
         plus_pos = _support_positions(sup, sc.plus)
         if len(plus_pos) + len(_support_positions(sup, sc.minus)) != len(sup):
             raise ValueError("strong cospectrality split does not cover the support")
-        eq = facts.equality_time(form, plus_pos) if form is not None else None
-        if eq is not None:
-            if ev.magnitude(u, v, eq.t1) < 1.0 - PST_TOL:
+        t1 = equality_time_criterion(form, plus_pos) if form is not None else None
+        if t1 is not None:
+            if ev.magnitude(u, v, t1) < 1.0 - PST_TOL:
                 raise ValueError("equality time failed to deliver the full transfer")
-            trail.append(f"pst:time={eq.t1:.12g}")
-            return record(Verdict.PST, partner=v, pst_time=eq.t1)
+            trail.append(f"pst:time={t1:.12g}")
+            return record(Verdict.PST, partner=v, pst_time=t1)
         if exacts is None:
             trail.append("unrecognized-support")
             return record(Verdict.UNDETERMINED, certified=False)
@@ -482,18 +410,22 @@ def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassi
             trail.append("no-general-constant")
             return record(Verdict.SEDENTARY)
 
-    # period minimum plus exact-dip match; a zero minimum asks for a partner
+    # period minimum plus half-period match; a zero minimum asks for a partner.
+    # The support has two classes or more, so a certified scan had a period.
     if scan.certified:
         if twin_set is None and scan.value <= ZERO_TOL:
+            zero_at = scan.attained_time
+            if _half_period_dip(sup, form) <= ZERO_TOL:
+                zero_at = form.period / 2
             trail.append("period-minimum")
-            trail.append(f"zero-at-minimum:t={scan.attained_time:.12g}")
+            trail.append(f"zero-at-minimum:t={zero_at:.12g}")
             found = _pst_partner_scan(facts, u, sup, form)
             if found is None:
                 return record(Verdict.NOT_SEDENTARY)
             v, t1 = found
             trail.append(f"pst:time={t1:.12g}")
             return record(Verdict.PST, partner=v, pst_time=t1)
-        constant, t_time = _period_minimum(facts, sup, form, scan, floor, trail)
+        constant, t_time = _period_minimum(sup, form, scan, floor, trail)
         # a minimum over one closed period is always attained
         return record(
             Verdict.SEDENTARY, constant=constant, tight=True, sharp=False, tightness_time=t_time

@@ -261,13 +261,10 @@ class WalkEvaluator:
         if len(sup) == 1:
             return InfimumEstimate(1.0, 0.0, InfimumMode.EXACT_ON_PERIOD, 1, 0.0)
         angles = None
-        if form is not None:
-            base = form.b.index(min(form.b))
-            exponents = [int(form.scaled_difference(j, base) / form.g) for j in range(len(form))]
-            if max(exponents) <= _MAX_DEGREE:
-                q = np.bincount(exponents, sup.weights)
-                r = np.correlate(q, q, "full")[len(q) - 1 :]
-                angles = _critical_angles(np.concatenate([r[:1], 2.0 * r[1:]]))
+        if form is not None and max(form.steps) <= _MAX_DEGREE:
+            q = np.bincount(form.steps, sup.weights)
+            r = np.correlate(q, q, "full")[len(q) - 1 :]
+            angles = _critical_angles(np.concatenate([r[:1], 2.0 * r[1:]]))
         if angles is None:
             span, pts = _bounded_grid(self.dec, grid_points, horizon)
             weights = self.dec.diagonal_weights(u)

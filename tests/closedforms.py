@@ -4,17 +4,20 @@
 Each function states a formula on its own, from the factor graphs or from
 the parameters, never from the graph the construction builds; the tests
 build that graph and compare the pipeline's answer with the formula.
+``valuation_equality_time`` is the 2-adic valuation form of the
+equality-time criterion, the reference for ``equality_time_criterion``.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product as iter_product
 from typing import Sequence
 
 import numpy as np
 
-from sedwalk import WalkEvaluator, nu2
+from sedwalk import QuadraticIntegerForm, WalkEvaluator, nu2
 from sedwalk.spectral import SpectralDecomposition
 
 
@@ -69,3 +72,24 @@ def double_cone_real_minimum(d: int, s: int) -> tuple[float, float]:
         ks.extend(range(lo, hi + 1))
     c, k0 = min((math.cos(s1 * k * math.pi / q) ** 2, k) for k in ks)
     return c, 2.0 * k0 * math.pi / (d + 2 * s)
+
+
+def valuation_equality_time(form: QuadraticIntegerForm, s: Sequence[int]) -> float | None:
+    """First time putting the classes ``s`` at phase +1 and the rest at -1,
+    by the 2-adic valuation rule (Coutinho, "Quantum state transfer in
+    graphs", PhD thesis, Waterloo 2014): every scaled difference across the
+    split has one valuation.  Then the scaled difference from the first
+    class of ``s`` to class j, over g, is even exactly for j in ``s``, and
+    the first time is pi / (g sqrt(delta)); None when the levels differ."""
+
+    def valuation(x: Fraction) -> int:
+        return nu2(x.numerator) - nu2(x.denominator)
+
+    chosen = sorted(set(s))
+    rest = [j for j in range(len(form)) if j not in chosen]
+    if len({valuation(form.scaled_difference(c, j)) for j in chosen for c in rest}) != 1:
+        return None
+    for j in range(len(form)):
+        q = form.scaled_difference(chosen[0], j) / form.g
+        assert q.denominator == 1 and (q.numerator % 2 == 0) == (j in chosen)
+    return math.pi / (float(form.g) * math.sqrt(form.delta))

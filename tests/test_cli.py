@@ -79,6 +79,32 @@ def test_classify_json_schema(capsys):
     assert ev["grid_min"] == pytest.approx(rec["constant"], abs=1e-9)
 
 
+def test_large_support_gets_its_equality_time(capsys):
+    # eigenvalues -4 plus the 14 distinct subset sums of {3, 4, 5, 7}
+    rc, out, _ = run(
+        capsys, "classify", "--graph", "cprod(cprod(K(3),K(4)),cprod(K(5),K(7)))",
+        "--vertex", "0", "--format", "json",
+    )
+    assert rc == 0
+    (rec,) = json.loads(out)
+    assert rec["verdict"] == "sedentary" and rec["certified"] is True
+    assert rec["constant"] == pytest.approx(1 / 7, abs=1e-12)
+    assert rec["lemma_trail"][-1] == "equality-time:t1=3.14159265359"
+
+
+@pytest.mark.parametrize("matrix", ["A", "L", "Mq:-1"])
+def test_cube_zeros_sit_at_half_the_period(capsys, matrix):
+    rc, out, _ = run(
+        capsys, "classify", "--graph", "cprod(cprod(K(2),K(2)),K(2))", "--matrix", matrix,
+        "--format", "json",
+    )
+    assert rc == 0
+    records = json.loads(out)
+    assert len(records) == 8
+    for rec in records:
+        assert "zero-at-minimum:t=1.57079632679" in rec["lemma_trail"]
+
+
 def test_series_csv_minimum(capsys):
     rc, out, _ = run(
         capsys, "series", "--graph", "dprod(K(3),K(4))", "--vertex", "0",

@@ -19,7 +19,6 @@ from sedwalk import (
     integer_relation_parity,
     is_perfect_square,
     nu2,
-    nu2_fraction,
     periodic_form,
     recognize_values,
     square_free_part,
@@ -37,23 +36,6 @@ def test_nu2_divides_exactly(a):
 def test_nu2_zero_rejected():
     with pytest.raises(ValueError):
         nu2(0)
-    with pytest.raises(ValueError):
-        nu2_fraction(Fraction(0))
-
-
-@given(
-    st.integers(min_value=-(2**20), max_value=2**20).filter(lambda a: a != 0),
-    st.integers(min_value=1, max_value=2**20),
-)
-def test_nu2_fraction_is_difference(p, q):
-    assert nu2_fraction(Fraction(p, q)) == nu2(p) - nu2(q)
-
-
-def test_nu2_fraction_examples():
-    assert nu2_fraction(Fraction(3, 4)) == -2
-    assert nu2_fraction(Fraction(12, 5)) == 2
-    assert nu2_fraction(8) == 3
-    assert nu2_fraction(Fraction(1, 2)) == -1
 
 
 @given(st.lists(st.integers(min_value=-1000, max_value=1000), max_size=8))

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closedforms import double_cone_real_minimum
+from closedforms import double_cone_real_minimum, valuation_equality_time
 from sedwalk import (
-    EqualityTime,
     MatrixKind,
     QuadraticIntegerForm,
     InfimumMode,
@@ -108,8 +107,8 @@ def test_equality_time_integer_pair():
     form = QuadraticIntegerForm(0, (2, -2), 1)
     eq = equality_time_criterion(form, (0,))
     assert eq is not None
-    assert eq.t1 == pytest.approx(math.pi / 2)
-    assert eq.period == pytest.approx(math.pi)
+    assert eq == pytest.approx(math.pi / 2)
+    assert 2 * eq == pytest.approx(math.pi)
 
 
 def test_equality_time_mixed_levels_fail():
@@ -122,8 +121,8 @@ def test_equality_time_radical_support():
     form = QuadraticIntegerForm(0, (2, 0, -2), 3)
     eq = equality_time_criterion(form, (0, 2))
     assert eq is not None
-    assert eq.delta == 3
-    assert eq.t1 == pytest.approx(math.pi / math.sqrt(3))
+    assert form.delta == 3
+    assert eq == pytest.approx(math.pi / math.sqrt(3))
 
 
 def test_equality_time_validation():
@@ -151,14 +150,40 @@ def test_equality_time_phase_invariant(a, bs, delta, subset):
     values = [(a + b * math.sqrt(delta)) / 2 for b in bs]
     base = values[subset[0]]
     for j in range(len(bs)):
-        phase = complex(math.cos(eq.t1 * (values[j] - base)),
-                        math.sin(eq.t1 * (values[j] - base)))
+        phase = complex(math.cos(eq * (values[j] - base)),
+                        math.sin(eq * (values[j] - base)))
         want = 1.0 if j in subset else -1.0
         assert phase.real == pytest.approx(want, abs=1e-9)
         assert phase.imag == pytest.approx(0.0, abs=1e-9)
-        full = complex(math.cos(2 * eq.t1 * (values[j] - base)),
-                       math.sin(2 * eq.t1 * (values[j] - base)))
+        full = complex(math.cos(2 * eq * (values[j] - base)),
+                       math.sin(2 * eq * (values[j] - base)))
         assert full.real == pytest.approx(1.0, abs=1e-9)
+
+
+_COORDINATES = st.builds(
+    Fraction, st.integers(min_value=-40, max_value=40), st.integers(min_value=1, max_value=6)
+)
+
+
+@st.composite
+def _periodic_forms_and_subsets(draw):
+    """A periodic form with delta 1 or square-free, 2 to 9 distinct values
+    with denominators up to 6, and a random proper subset of its positions."""
+    delta = draw(st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13]))
+    a = Fraction(0) if delta == 1 else draw(_COORDINATES)
+    bs = draw(st.lists(_COORDINATES, min_size=2, max_size=9, unique=True))
+    subset = draw(st.sets(st.integers(0, len(bs) - 1), min_size=1, max_size=len(bs) - 1))
+    return QuadraticIntegerForm(a, tuple(bs), delta), tuple(sorted(subset))
+
+
+@given(_periodic_forms_and_subsets())
+@settings(max_examples=300, deadline=None)
+def test_equality_time_matches_valuation_rule(form_and_subset):
+    form, subset = form_and_subset
+    assert equality_time_criterion(form, subset) == valuation_equality_time(form, subset)
+    for parity in (0, 1):
+        cls = [j for j, m in enumerate(form.steps) if m % 2 == parity]
+        assert equality_time_criterion(form, cls) == form.period / 2
 
 
 # -- parity criterion --------------------------------------------------------
