@@ -25,7 +25,7 @@ __all__ = [
 # float table takes 128 MB and its CSV text about twice that, so larger
 # series are refused before any phase table is built.
 MAX_SERIES_CELLS = 1 << 24
-# Entries per row block of a phase product: the baby-step/giant-step scan and series.
+# Entries per row block of the baby-step/giant-step product that serves the scan and series.
 _GRID_BLOCK = 1 << 16
 # Entries per chunk of the two-level selection of refinement seeds.
 _SEED_CHUNK = 1 << 10
@@ -167,6 +167,32 @@ def _grid_minimum(mags: np.ndarray, span: float, jet: _Jet) -> tuple[float, floa
     return float(times[0]), float(mags[seeds[0]])
 
 
+def _grid_magnitudes(lams: np.ndarray, weights: np.ndarray, span: float, out: np.ndarray) -> np.ndarray:
+    """Fill and return ``out``: out[m, v] = |sum_j weights[v, j] exp(i m h lams[j])|,
+    h = span / (len(out) - 1).
+
+    Baby-step/giant-step: with B = ceil(sqrt(points)) and m = b B + r, the
+    phase exp(i m h lambda) = exp(i b B h lambda) exp(i r h lambda).  The B baby
+    and about points / B giant phases of the classes some row weighs are built
+    once; each row's weighted giant phases, cut to its nonzero classes, times the
+    baby phases fill its column in row blocks of about ``_GRID_BLOCK`` entries."""
+    points = len(out)
+    used = weights.any(axis=0)
+    lams, weights = lams[used], weights[:, used]
+    h = span / (points - 1)
+    baby_n = math.isqrt(points - 1) + 1
+    baby = np.exp(1j * np.outer(np.arange(baby_n) * h, lams)).T
+    giant = np.exp(1j * np.outer(np.arange(0, points, baby_n) * h, lams))
+    rows = max(1, _GRID_BLOCK // baby_n)
+    for w, column in zip(weights, out.T):
+        cut = np.flatnonzero(w) if 0.0 in w else slice(None)
+        weighted, cut_baby = w[cut] * giant[:, cut], baby[cut]
+        for lo in range(0, len(giant), rows):
+            dest = column[lo * baby_n : (lo + rows) * baby_n]
+            np.abs((weighted[lo : lo + rows] @ cut_baby).ravel()[: len(dest)], out=dest)
+    return out
+
+
 @dataclass(frozen=True)
 class WalkEvaluator:
     """Evaluates U(t) = sum_j exp(i t lambda_j) E_j for one decomposition."""
@@ -191,37 +217,14 @@ class WalkEvaluator:
         return phases @ weights
 
     def diagonal_grid_magnitudes(self, u: int, span: float, points: int) -> np.ndarray:
-        """|U(m h)_{u,u}| for m = 0, ..., points - 1 with h = span / (points - 1).
-
-        Baby-step/giant-step: with B = ceil(sqrt(points)) and m = b B + r,
-        exp(i m h lambda) = exp(i b B h lambda) exp(i r h lambda), so one
-        product of the weighted giant phases (about points / B rows) with the
-        B baby phases gives every grid value from about 2 sqrt(points)
-        exponentials per class.  Classes of zero weight are dropped; the
-        product runs in row blocks, so only the result is held in full.
-        """
-        weights = self.dec.diagonal_weights(u)
-        keep = weights != 0.0
-        weights, lams = weights[keep], self.dec.eigenvalues[keep]
-        h = span / (points - 1)
-        baby_n = math.isqrt(points - 1) + 1
-        giant_n = -(-points // baby_n)
-        baby = np.exp(1j * np.outer(np.arange(baby_n) * h, lams)).T
-        giant = weights * np.exp(1j * np.outer((np.arange(giant_n) * baby_n) * h, lams))
-        mags = np.empty((giant_n, baby_n))
-        rows = max(1, _GRID_BLOCK // baby_n)
-        for lo in range(0, giant_n, rows):
-            np.abs(giant[lo : lo + rows] @ baby, out=mags[lo : lo + rows])
-        return mags.ravel()[:points]
+        """|U(m h)_{u,u}| for m < points, h = span / (points - 1): a series column."""
+        weights = self.dec.diagonal_weights(u)[None]
+        return _grid_magnitudes(self.dec.eigenvalues, weights, span, np.empty((points, 1)))[:, 0]
 
     def diagonal_series(self, vertices: Sequence[int], t_max: float, steps: int) -> np.ndarray:
         """Rows (t, |U(t)_{u,u}| for each u in ``vertices``) on np.linspace(0,
-        t_max, steps); shape (steps, 1 + len(vertices)).
-
-        The phase table exp(i t lambda) is built once for all vertices, in
-        row blocks of about ``_GRID_BLOCK`` entries, so beside the result and
-        its times no temporary grows with ``steps``.  More than
-        ``MAX_SERIES_CELLS`` entries in the result raise ValueError."""
+        t_max, steps), the columns from one :func:`_grid_magnitudes` call.
+        More than ``MAX_SERIES_CELLS`` cells raise ValueError."""
         _check_grid(t_max, steps)
         cells = steps * (1 + len(vertices))
         if cells > MAX_SERIES_CELLS:
@@ -229,15 +232,10 @@ class WalkEvaluator:
                 f"series of {steps} steps for {len(vertices)} vertices has {cells} "
                 f"cells, above the cap of {MAX_SERIES_CELLS}"
             )
-        lams = self.dec.eigenvalues
-        weights = [self.dec.diagonal_weights(u) for u in vertices]
-        out = np.empty((steps, 1 + len(weights)))
+        out = np.empty((steps, 1 + len(vertices)))
         out[:, 0] = np.linspace(0.0, t_max, steps)
-        rows = max(1, _GRID_BLOCK // len(lams))
-        for lo in range(0, steps, rows):
-            block = np.exp(1j * np.outer(out[lo : lo + rows, 0], lams))
-            for col, w in enumerate(weights, start=1):
-                out[lo : lo + rows, col] = np.abs(block @ w)
+        weights = np.array([self.dec.diagonal_weights(u) for u in vertices])
+        _grid_magnitudes(self.dec.eigenvalues, weights, t_max, out[:, 1:])
         return out
 
     def infimum_diagonal(

@@ -23,6 +23,8 @@ COMMANDS = (
     (("spectrum", "--graph", "K(4096)", "--format", "csv"), 1024),
     # 166,111 steps x (1 + 100 vertices) = 16,777,211 cells, just under the cap
     (("series", "--graph", "P(100)", "--steps", "166111"), 400),
+    # every vertex of a large graph at few steps: the phase tables are shared, not per vertex
+    (("series", "--graph", "P(1000)", "--all-vertices", "--steps", "1001"), 256),
     (("spectrum", "--graph", "P(1000)", "--format", "json"), 256),
     (("spectrum", "--graph", "P(1000)", "--format", "csv"), 256),
 )

@@ -21,6 +21,7 @@ from sedwalk import (
     complete,
     decompose,
     direct_product,
+    disjoint_union,
     find_twin_sets,
     join,
     parse_graph,
@@ -34,6 +35,7 @@ from sedwalk.spectral import SpectralDecomposition
 from sedwalk.walk import _SEED_CHUNK, _least_indices, _refined_minimum
 
 KINDS = [MatrixKind.adjacency(), MatrixKind.laplacian(), MatrixKind.generalized(Fraction(1, 2))]
+SCAN_KINDS = [MatrixKind.adjacency(), MatrixKind.laplacian(), MatrixKind.generalized(-1)]
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.short_name)
@@ -87,40 +89,85 @@ def test_diagonal_series_grid():
 
 
 @pytest.mark.parametrize(
-    "expr,kind,steps",
+    "graph,kind,steps,verts",
     [
-        ("P(200)", MatrixKind.adjacency(), 1001),
-        ("cprod(C(13),C(13))", MatrixKind.laplacian(), 5001),
-        ("P(400)", MatrixKind.generalized(-1), 1001),
+        pytest.param(
+            parse_graph("P(200)"), MatrixKind.adjacency(), 1001, None, id="P(200)-kind0-1001"
+        ),
+        pytest.param(
+            parse_graph("cprod(C(13),C(13))"),
+            MatrixKind.laplacian(),
+            5001,
+            None,
+            id="cprod(C(13),C(13))-kind1-5001",
+        ),
+        pytest.param(
+            parse_graph("P(400)"), MatrixKind.generalized(-1), 1001, None, id="P(400)-kind2-1001"
+        ),
+        # vertex 0 weighs 2 of the 6 classes and vertex 3 weighs 4, so each
+        # column gets its own cut; 70,001 steps take two row blocks
+        pytest.param(
+            disjoint_union(complete(3), path(4)),
+            MatrixKind.adjacency(),
+            70001,
+            [0, 3],
+            id="K(3)+P(4)-kind0-70001",
+        ),
     ],
 )
-def test_series_shares_one_phase_table(expr, kind, steps):
-    """The blocked table equals, bit for bit, one product of the full phase
-    matrix per vertex, over several blocks and a partial last one."""
-    ev = WalkEvaluator(decompose(parse_graph(expr), kind))
-    verts = list(range(0, ev.n, 7))
+def test_series_shares_one_phase_table(graph, kind, steps, verts):
+    """Each series column is the bounded scan's grid, bit for bit, and lies
+    within 1e-12 of one dense phase product."""
+    ev = WalkEvaluator(decompose(graph, kind))
+    verts = verts or list(range(0, ev.n, 7))
     table = ev.diagonal_series(verts, 23.5, steps)
     times = np.linspace(0.0, 23.5, steps)
     phases = np.exp(1j * np.outer(times, ev.dec.eigenvalues))
-    assert steps > 2 * walk_module._GRID_BLOCK // ev.dec.k
     assert np.array_equal(table[:, 0], times)
     for col, u in enumerate(verts, start=1):
-        assert np.array_equal(table[:, col], np.abs(phases @ ev.dec.diagonal_weights(u))), u
-    assert np.array_equal(table[:, 1], np.abs(ev.diagonal_amplitudes(verts[0], times)))
+        assert np.array_equal(table[:, col], ev.diagonal_grid_magnitudes(u, 23.5, steps)), u
+        dense = np.abs(phases @ ev.dec.diagonal_weights(u))
+        np.testing.assert_allclose(table[:, col], dense, rtol=0, atol=1e-12, err_msg=str(u))
+
+
+RATIONAL_WEIGHTS = (1, 2, 3, Fraction(1, 2), Fraction(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    picks=st.lists(st.sampled_from((0,) + RATIONAL_WEIGHTS), min_size=28, max_size=28),
+    kind=st.sampled_from(SCAN_KINDS),
+    t_max=st.floats(0.1, 1e3),
+    steps=st.integers(2, 3000),
+    verts=st.lists(st.integers(0, 7), min_size=2, max_size=4),
+    rows=st.lists(st.integers(0, 2999), min_size=4, max_size=4),
+)
+def test_series_matches_the_oracle(oracle, n, picks, kind, t_max, steps, verts, rows):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(pairs, picks) if w])
+    verts = [v % n for v in verts]
+    table = WalkEvaluator(decompose(g, kind)).diagonal_series(verts, t_max, steps)
+    for row in [r % steps for r in rows] + [steps - 1]:
+        u_t = oracle(g, kind, float(table[row, 0]))
+        for col, u in enumerate(verts, start=1):
+            assert abs(table[row, col] - abs(u_t[u, u])) <= 1e-9, (row, u)
 
 
 def test_series_memory_is_linear_in_the_steps():
     ev = WalkEvaluator(decompose(path(16)))
-    tracemalloc.start()
-    try:
-        table = ev.diagonal_series([0], 3e5, 1_000_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table.shape == (1_000_000, 2)
-    # the table takes 16 MB and np.linspace 8 MB more; phase blocks hold about 1 MB
-    # each, where the dense 1e6 x 16 complex phase matrix would take 256 MB
-    assert peak < table.nbytes + 12e6
+    for verts, steps in (([0], 1_000_000), ([0, 5, 10, 15], 500_000)):
+        tracemalloc.start()
+        try:
+            table = ev.diagonal_series(verts, 3e5, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (steps, 1 + len(verts))
+        # np.linspace takes 8 bytes a step (8 and 4 MB) and a block of the product about
+        # 1 MB; a (vertices x steps) temporary would add 16 MB to the 20 MB table of the
+        # second call, the dense 1e6 x 16 complex phase matrix 256 MB to the first
+        assert peak < table.nbytes + 12e6, (verts, peak - table.nbytes)
 
 
 @pytest.mark.parametrize("ms", [[2, 3], [3, 4], [2, 2, 3], [5, 5]])
@@ -220,9 +267,6 @@ def test_infimum_unrecognized_support_is_uncertified(support_form):
     assert not est.certified
     assert est.horizon == 80.0
     assert 0.19 < est.value < 0.3
-
-
-SCAN_KINDS = [MatrixKind.adjacency(), MatrixKind.laplacian(), MatrixKind.generalized(-1)]
 
 
 @pytest.mark.parametrize("kind", SCAN_KINDS, ids=lambda k: k.short_name)
