@@ -174,8 +174,9 @@ def _grid_magnitudes(lams: np.ndarray, weights: np.ndarray, span: float, out: np
     Baby-step/giant-step: with B = ceil(sqrt(points)) and m = b B + r, the
     phase exp(i m h lambda) = exp(i b B h lambda) exp(i r h lambda).  The B baby
     and about points / B giant phases of the classes some row weighs are built
-    once; each row's weighted giant phases, cut to its nonzero classes, times the
-    baby phases fill its column in row blocks of about ``_GRID_BLOCK`` entries."""
+    once; each row's giant phases, cut to its nonzero classes and weighted one row
+    block of about ``_GRID_BLOCK`` entries at a time, times the baby phases fill
+    its column."""
     points = len(out)
     used = weights.any(axis=0)
     lams, weights = lams[used], weights[:, used]
@@ -186,10 +187,10 @@ def _grid_magnitudes(lams: np.ndarray, weights: np.ndarray, span: float, out: np
     rows = max(1, _GRID_BLOCK // baby_n)
     for w, column in zip(weights, out.T):
         cut = np.flatnonzero(w) if 0.0 in w else slice(None)
-        weighted, cut_baby = w[cut] * giant[:, cut], baby[cut]
+        w, cut_baby = w[cut], baby[cut]
         for lo in range(0, len(giant), rows):
             dest = column[lo * baby_n : (lo + rows) * baby_n]
-            np.abs((weighted[lo : lo + rows] @ cut_baby).ravel()[: len(dest)], out=dest)
+            np.abs(((w * giant[lo : lo + rows, cut]) @ cut_baby).ravel()[: len(dest)], out=dest)
     return out
 
 
