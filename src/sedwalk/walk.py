@@ -174,9 +174,8 @@ def _grid_magnitudes(lams: np.ndarray, weights: np.ndarray, span: float, out: np
     Baby-step/giant-step: with B = ceil(sqrt(points)) and m = b B + r, the
     phase exp(i m h lambda) = exp(i b B h lambda) exp(i r h lambda).  The B baby
     and about points / B giant phases of the classes some row weighs are built
-    once; each row's giant phases, cut to its nonzero classes and weighted one row
-    block of about ``_GRID_BLOCK`` entries at a time, times the baby phases fill
-    its column."""
+    once; each row's giant phases, weighted one row block of about
+    ``_GRID_BLOCK`` entries at a time, times the baby phases fill its column."""
     points = len(out)
     used = weights.any(axis=0)
     lams, weights = lams[used], weights[:, used]
@@ -186,11 +185,9 @@ def _grid_magnitudes(lams: np.ndarray, weights: np.ndarray, span: float, out: np
     giant = np.exp(1j * np.outer(np.arange(0, points, baby_n) * h, lams))
     rows = max(1, _GRID_BLOCK // baby_n)
     for w, column in zip(weights, out.T):
-        cut = np.flatnonzero(w) if 0.0 in w else slice(None)
-        w, cut_baby = w[cut], baby[cut]
         for lo in range(0, len(giant), rows):
             dest = column[lo * baby_n : (lo + rows) * baby_n]
-            np.abs(((w * giant[lo : lo + rows, cut]) @ cut_baby).ravel()[: len(dest)], out=dest)
+            np.abs(((w * giant[lo : lo + rows]) @ baby).ravel()[: len(dest)], out=dest)
     return out
 
 
@@ -236,6 +233,7 @@ class WalkEvaluator:
         out = np.empty((steps, 1 + len(vertices)))
         out[:, 0] = np.linspace(0.0, t_max, steps)
         weights = np.array([self.dec.diagonal_weights(u) for u in vertices])
+        weights = weights.reshape(len(vertices), len(self.dec.eigenvalues))
         _grid_magnitudes(self.dec.eigenvalues, weights, t_max, out[:, 1:])
         return out
 

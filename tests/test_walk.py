@@ -82,6 +82,7 @@ def test_diagonal_series_grid():
     assert series[-1, 0] == pytest.approx(2 * math.pi)
     # K_2 diagonal is |cos t|
     np.testing.assert_allclose(series[:, 1], np.abs(np.cos(series[:, 0])), atol=1e-12)
+    assert np.array_equal(ev.diagonal_series([], 2 * math.pi, 101), series[:, :1])
     with pytest.raises(ValueError):
         ev.diagonal_series([0], -1.0, 10)
     with pytest.raises(ValueError):
@@ -104,8 +105,8 @@ def test_diagonal_series_grid():
         pytest.param(
             parse_graph("P(400)"), MatrixKind.generalized(-1), 1001, None, id="P(400)-kind2-1001"
         ),
-        # vertex 0 weighs 2 of the 6 classes and vertex 3 weighs 4, so each
-        # column gets its own cut; 70,001 steps take two row blocks
+        # vertex 0 weighs 2 of the 6 classes and vertex 3 weighs 4, so the
+        # columns have different exact zeros; 70,001 steps take two row blocks
         pytest.param(
             disjoint_union(complete(3), path(4)),
             MatrixKind.adjacency(),
