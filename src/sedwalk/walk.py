@@ -174,8 +174,8 @@ def _grid_magnitudes(lams: np.ndarray, weights: np.ndarray, span: float, out: np
     Baby-step/giant-step: with B = ceil(sqrt(points)) and m = b B + r, the
     phase exp(i m h lambda) = exp(i b B h lambda) exp(i r h lambda).  The B baby
     and about points / B giant phases of the classes some row weighs are built
-    once; each row's giant phases, weighted one row block of about
-    ``_GRID_BLOCK`` entries at a time, times the baby phases fill its column."""
+    once; each row's weighted giant phases times the baby phases, one row block
+    of about ``_GRID_BLOCK`` entries at a time, fill its column."""
     points = len(out)
     used = weights.any(axis=0)
     lams, weights = lams[used], weights[:, used]
@@ -184,10 +184,12 @@ def _grid_magnitudes(lams: np.ndarray, weights: np.ndarray, span: float, out: np
     baby = np.exp(1j * np.outer(np.arange(baby_n) * h, lams)).T
     giant = np.exp(1j * np.outer(np.arange(0, points, baby_n) * h, lams))
     rows = max(1, _GRID_BLOCK // baby_n)
-    for w, column in zip(weights, out.T):
+    for v, (w, column) in enumerate(zip(weights, out.T)):
+        # no row needs the giant phases after the last one, so it weights them in place
+        weighted = np.multiply(w, giant, out=giant if v == len(weights) - 1 else None)
         for lo in range(0, len(giant), rows):
             dest = column[lo * baby_n : (lo + rows) * baby_n]
-            np.abs(((w * giant[lo : lo + rows]) @ baby).ravel()[: len(dest)], out=dest)
+            np.abs((weighted[lo : lo + rows] @ baby).ravel()[: len(dest)], out=dest)
     return out
 
 
