@@ -29,11 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import ADJACENCY, MatrixKind, WeightedGraph
+from .graphs import _EXACT_FLOAT, ADJACENCY, MatrixKind, WeightedGraph
 from .numtheory import (
     ExactEigenvalue,
     QuadraticIntegerForm,
@@ -48,7 +49,7 @@ from .spectral import (
     decompose,
 )
 from .twins import ThetaEigenspaceSplit, TwinSet, find_twin_sets, theta_split, twin_dichotomy
-from .walk import InfimumEstimate, WalkEvaluator, _check_grid
+from .walk import _MAX_DEGREE, InfimumEstimate, WalkEvaluator, _bounded_grid, _check_grid
 
 __all__ = [
     "Verdict",
@@ -232,6 +233,15 @@ class _GraphFacts:
     recognitions: dict[
         tuple[int, ...], tuple[list[ExactEigenvalue] | None, QuadraticIntegerForm | None]
     ] = field(default_factory=dict, compare=False, hash=False, repr=False)
+    supports: dict[int, EigenvalueSupport] = field(
+        default_factory=dict, compare=False, hash=False, repr=False
+    )
+
+    def support(self, u: int) -> EigenvalueSupport:
+        """The support of ``u``, read once per vertex."""
+        if u not in self.supports:
+            self.supports[u] = self.dec.support(u)
+        return self.supports[u]
 
     def recognized(
         self, sup: EigenvalueSupport
@@ -347,7 +357,7 @@ def _pst_partner_scan(
 def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassification:
     """The staged decision tree for one vertex; see the module docstring."""
     dec, ev = facts.dec, facts.evaluator
-    sup = dec.support(u)
+    sup = facts.support(u)
     twin_set = facts.twin_of.get(u)
     trail: list[str] = []
 
@@ -443,6 +453,175 @@ def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassi
     return record(Verdict.SEDENTARY, constant=floor, tight=False, sharp=sharp)
 
 
+# -- scan classes ---------------------------------------------------------------
+
+# The fixed cost of one scan call (its Python set-up, root solver or grid
+# tables) in multiply-adds of the closed-walk products that may replace it.
+# On one BLAS thread of a 2-vCPU VM, a one-period solve of degree 6 takes
+# about 0.35 ms, the time of some 4e6 of them, so this undercounts it.
+_SCAN_CALL = 1 << 20
+
+
+@dataclass(frozen=True)
+class _ClosedWalks:
+    """B = M' - cI for the exact integer matrix M' = s' M(kind) of a walk.
+
+    ``b`` holds the integer entries of B as float64, and every row of |B|
+    sums to at most ``norm``.  B^i is a unit triangular combination of the
+    M'^j, j <= i, so two vertices agree on (B^i)_{uu} for every i < K exactly
+    when they agree on (M'^i)_{uu} for every i < K."""
+
+    b: np.ndarray
+    scale: int
+    shift: int
+    norm: int
+
+
+def _closed_walks(g: WeightedGraph, kind: MatrixKind) -> _ClosedWalks | None:
+    """The exact walk matrix of ``kind`` on ``g``, or None on float weights,
+    a float q, or a row of |M'| that may reach 2**53.
+
+    With (M, s) = ``g.scaled_adjacency`` and D' the degree numerators, a loop
+    counted twice as in :meth:`WeightedGraph.degree_matrix`, M' = a D' + b M:
+    (a, b) = (0, 1) with s' = s for A, (1, -1) with s' = s for L, and the
+    numerator and denominator of q with s' = den s for q D + A.  The shift c
+    minimizes the largest row sum of |M' - cI|."""
+    m, s = g.scaled_adjacency
+    if m.dtype != np.int64:
+        return None
+    if kind.label == "adjacency":
+        a, b, scale = 0, 1, s
+    elif kind.label == "laplacian":
+        a, b, scale = 1, -1, s
+    elif isinstance(kind.q, Fraction):
+        a, b, scale = kind.q.numerator, kind.q.denominator, kind.q.denominator * s
+    else:
+        return None
+    deg = m.sum(axis=1) + m.diagonal()
+    # M >= 0, so a row of |M'| sums to at most (|a| + |b|) times its degree numerator
+    if (abs(a) + abs(b)) * max(1, int(deg.max())) >= _EXACT_FLOAT:
+        return None
+    mp = b * m
+    diag = b * m.diagonal() + a * deg
+    off = np.abs(mp).sum(axis=1) - np.abs(mp.diagonal())
+    shift = (int((diag + off).max()) + int((diag - off).min())) // 2
+    mp.flat[:: len(mp) + 1] = diag - shift
+    norm = int((np.abs(diag - shift) + off).max())
+    return _ClosedWalks(mp.astype(np.float64), scale, shift, norm)
+
+
+def _annihilator(exacts: list[ExactEigenvalue], walks: _ClosedWalks) -> list[int] | None:
+    """Coefficients, constant first, of the monic p(x) = prod_j (x - (s'
+    lambda_j - c)) over the exact values lambda_j, one integer quadratic per
+    conjugate pair; None when p is not integral.  When the lambda_j are a
+    vertex's support, p(B) e_u = 0, which the caller checks exactly."""
+    p = [1]
+    for e in exacts:
+        if e.radical == 0 or e.delta == 1:
+            factor = [walks.shift - walks.scale * (e.rational + e.radical), 1]
+        elif e.radical > 0:
+            mid = walks.scale * e.rational - walks.shift
+            factor = [mid * mid - (walks.scale * e.radical) ** 2 * e.delta, -2 * mid, 1]
+        else:
+            continue  # its conjugate, of positive radical, gives the quadratic
+        # a monic factor of an integer polynomial is integral (Gauss's lemma)
+        if any(Fraction(c).denominator != 1 for c in factor):
+            return None
+        out = [0] * (len(p) + len(factor) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(factor):
+                out[i + j] += x * int(y)
+        p = out
+    return p
+
+
+def _count_leaders(
+    b: np.ndarray, reps: list[int], steps: int, p: list[int] | None
+) -> list[int] | None:
+    """For each of ``reps``, the first of ``reps`` with the same closed-walk
+    counts (B^i)_{uu} for every i < ``steps``.
+
+    ``p`` is a monic integer annihilator of degree ``steps``: a rep joins
+    another only once p(B) e_u = 0 is checked, and None says a rep that would
+    join was not annihilated.  Without ``p``, ``steps`` is n, and the
+    characteristic polynomial (Cayley-Hamilton) is the annihilator.  Then the
+    counts at every i agree, since each is the same combination of the ones
+    below.  A rep alone in its class at some i leaves the products.  The
+    caller bounds every partial sum below 2**53, so each product is exact."""
+    rows = np.asarray(reps)
+    active = np.arange(len(reps))
+    label = np.zeros(len(reps), dtype=np.intp)
+    x = np.zeros((len(b), len(reps)))
+    x[rows, active] = 1.0
+    acc = None if p is None else p[0] * x
+    for i in range(1, steps + (p is not None)):
+        x = b @ x
+        if acc is not None:
+            acc += p[i] * x
+        if i == steps:
+            break
+        counts = x[rows[active], np.arange(len(active))]
+        ids: dict[tuple[int, float], int] = {}
+        label = np.array([ids.setdefault(k, len(ids)) for k in zip(label.tolist(), counts.tolist())])
+        keep = np.bincount(label)[label] > 1
+        active, label, x = active[keep], label[keep], x[:, keep]
+        if acc is not None:
+            acc = acc[:, keep]
+        if not len(active):
+            break
+    if acc is not None and acc.any():
+        return None
+    leaders = list(range(len(reps)))
+    first: dict[int, int] = {}
+    for pos, lab in zip(active.tolist(), label.tolist()):
+        leaders[pos] = first.setdefault(lab, pos)
+    return [reps[j] for j in leaders]
+
+
+def _scan_cost(
+    dec: SpectralDecomposition, form: QuadraticIntegerForm | None, k: int, overrides: tuple
+) -> int:
+    """Multiply-adds of one scan of a ``k``-class support: ``_SCAN_CALL`` plus
+    D^3 for a one-period root solve of degree D, or points * k for a bounded
+    scan."""
+    if form is not None and max(form.steps) <= _MAX_DEGREE:
+        return _SCAN_CALL + max(form.steps) ** 3
+    return _SCAN_CALL + _bounded_grid(dec, *overrides)[1] * k
+
+
+def _scan_leaders(
+    facts: _GraphFacts, reps: list[int], overrides: tuple[int | None, float | None]
+) -> dict[int, int]:
+    """Each scan representative mapped to the first of ``reps`` in its exact
+    cospectral class, or to itself; see :func:`classify_all`."""
+    dec, n = facts.dec, facts.dec.n
+    groups: dict[tuple, list[int]] = {}
+    for r in reps:
+        groups.setdefault((facts.support(r).indices, r in facts.twin_of), []).append(r)
+    todo = []
+    for (indices, twin), members in groups.items():
+        if len(members) < 2 or len(indices) < 2:
+            continue
+        exacts, form = facts.recognized(facts.support(members[0]))
+        cost = _scan_cost(dec, form, len(indices), (None, None) if twin else overrides)
+        if n * n * len(indices) < cost:
+            todo.append((members, exacts, cost))
+    leader = {r: r for r in reps}
+    walks = _closed_walks(facts.g, facts.kind) if todo else None
+    if walks is None:
+        return leader
+    for members, exacts, cost in todo:
+        found = None
+        p = _annihilator(exacts, walks) if exacts is not None else None
+        if p is not None and sum(abs(c) * walks.norm**k for k, c in enumerate(p)) < _EXACT_FLOAT:
+            found = _count_leaders(walks.b, members, len(p) - 1, p)
+        if found is None and n**3 < cost and walks.norm ** (n - 1) < _EXACT_FLOAT:
+            found = _count_leaders(walks.b, members, n, None)
+        if found is not None:
+            leader.update(zip(members, found))
+    return leader
+
+
 def classify_all(
     g: WeightedGraph,
     kind: MatrixKind = ADJACENCY,
@@ -457,12 +636,39 @@ def classify_all(
 
     The graph-level facts are computed once and shared by every vertex:
     the decomposition and its walk evaluator, the twin sets that meet
-    ``vertices`` with one eigenspace split and one scan per twin set (twins
-    share their diagonal), and the exact values of each distinct support,
-    which the scan and the decision tree both read.
+    ``vertices`` with one eigenspace split each, the support of each vertex
+    and the exact values of each distinct support, which the scan and the
+    decision tree both read.
     Pass ``dec`` or ``twin_sets`` to reuse ones the caller already holds.
     ``grid_points`` and ``horizon`` size the scan of vertices with neither a
     twin nor a period; they are checked even when no vertex uses them.
+
+    Vertices that share a scan share its :class:`InfimumEstimate`.  Twins
+    share their diagonal, so a twin set is scanned at its first member in
+    ``vertices``, its representative; a vertex without a twin is its own.
+    Two representatives u and v also share one scan, made at the first, when
+    they are provably cospectral, (E_j)_{uu} = (E_j)_{vv} for every class j:
+
+    * they have the same support classes and both are twin representatives
+      or both are not (only the latter take ``grid_points`` and ``horizon``);
+    * on the exact integer matrix M' = s' M(kind) of the walk, the
+      closed-walk counts (M'^i)_{uu} and (M'^i)_{vv} agree for every i < K,
+      where K is the degree of a monic integer polynomial p with p(M') e_u =
+      p(M') e_v = 0.  Then every count agrees, since p gives the counts at i
+      >= K from those below.  p is the product over the recognized support
+      values of one linear factor per rational value and one quadratic per
+      conjugate pair, once p(M') e_u = 0 is checked exactly; failing that, it
+      is the characteristic polynomial (Cayley-Hamilton, K = n).
+
+    The products run in float64 only while every partial sum is provably an
+    integer below 2**53 (the sum over k of |p_k| ||M' - cI||^k, with c a
+    shift that makes the row-sum norm least, or ||M' - cI||^(n-1)).  A
+    graph with float weights, a float q or larger counts forms no class, nor
+    does a support the test costs more than it saves: about n^2 K
+    multiply-adds per representative against the scan's fixed call cost
+    plus D^3 for a one-period root solve of degree D, or points * k for a
+    bounded scan of a k-class support.  Such vertices keep one scan per
+    representative.
     """
     _check_grid(horizon, grid_points)
     verts = list(range(g.n) if vertices is None else vertices)
@@ -477,14 +683,18 @@ def classify_all(
     met = dict.fromkeys(twin_of[u] for u in verts if u in twin_of)
     splits = {ts: theta_split(g, kind, ts, dec) for ts in met}
     facts = _GraphFacts(g, kind, dec, WalkEvaluator(dec), twin_of, splits)
-    scans: dict[object, InfimumEstimate] = {}
+    first: dict[object, int] = {}
     for u in verts:
-        key = twin_of.get(u, u)
-        if key not in scans:
-            _, form = facts.recognized(dec.support(u))
-            overrides = () if u in twin_of else (grid_points, horizon)
-            scans[key] = facts.evaluator.infimum_diagonal(u, form, *overrides)
-    return [_classify(facts, u, scans[twin_of.get(u, u)]) for u in verts]
+        first.setdefault(twin_of.get(u, u), u)
+    leader = _scan_leaders(facts, list(first.values()), (grid_points, horizon))
+    scans: dict[int, InfimumEstimate] = {}
+    for u in verts:
+        r = leader[first[twin_of.get(u, u)]]
+        if r not in scans:
+            _, form = facts.recognized(facts.support(r))
+            overrides = () if r in twin_of else (grid_points, horizon)
+            scans[r] = facts.evaluator.infimum_diagonal(r, form, *overrides)
+    return [_classify(facts, u, scans[leader[first[twin_of.get(u, u)]]]) for u in verts]
 
 
 def classify_vertex(

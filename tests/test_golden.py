@@ -147,18 +147,22 @@ SHARED_TABLE_KINDS = (*KINDS, MatrixKind.parse("Mq:-1"))
 @pytest.mark.parametrize("name", SHARED_TABLE_GRAPHS)
 def test_shared_period_table_changes_no_bits(period_reference, support_form, name, kind):
     """Every exact one-period minimum in a classification is the bit-exact
-    scan of the first member of its twin set (or of the vertex itself), and
-    it passes the dense-grid reference check at every vertex it serves."""
+    scan of its class representative, the first vertex whose record holds
+    the same scan; twins share it; and it passes the dense-grid reference
+    check at every vertex it serves."""
     g = GRAPHS[name]() if name in GRAPHS else parse_graph(name)
     dec = decompose(g, kind)
     ev = WalkEvaluator(dec)
     twin_sets = find_twin_sets(g)
-    first = {m: ts.members[0] for ts in twin_sets for m in ts.members}
-    for u, rec in enumerate(classify_all(g, kind, dec, twin_sets=twin_sets)):
+    records = classify_all(g, kind, dec, twin_sets=twin_sets)
+    for ts in twin_sets:
+        assert all(records[m].evidence is records[ts.members[0]].evidence for m in ts.members)
+    representative: dict[int, int] = {}
+    for u, rec in enumerate(records):
         scan = rec.evidence
+        w = representative.setdefault(id(scan), u)
         if scan.mode is not InfimumMode.EXACT_ON_PERIOD or scan.grid_points == 1:
             continue
-        w = first.get(u, u)
         assert scan == WalkEvaluator(dec).infimum_diagonal(w, support_form(dec, w)), u
         period_reference(ev, u, scan)
 

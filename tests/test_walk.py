@@ -22,7 +22,6 @@ from sedwalk import (
     decompose,
     direct_product,
     disjoint_union,
-    find_twin_sets,
     join,
     parse_graph,
     path,
@@ -443,13 +442,106 @@ def test_minimizer_runs_once_per_twin_set(monkeypatch):
 
     critical_angles = walk_module._critical_angles
     monkeypatch.setattr(walk_module, "_critical_angles", counted)
-    g = cocktail_party(6)
-    records = classify_all(g, MatrixKind.laplacian())
-    assert len(records) == 12 and calls == 6
+    # the six twin pairs of CP(12) are one exact cospectral class: one solve serves all
+    records = classify_all(cocktail_party(6), MatrixKind.laplacian())
+    assert len(records) == 12 and calls == 1
     assert records[0].evidence.mode is InfimumMode.EXACT_ON_PERIOD
-    for ts in find_twin_sets(g):
-        first = records[ts.members[0]].evidence
-        assert all(records[m].evidence == first for m in ts.members)
+    assert all(rec.evidence == records[0].evidence for rec in records)
+
+
+def _scans(monkeypatch) -> list[int]:
+    """A list that records the vertex of every later ``infimum_diagonal`` call."""
+    seen: list[int] = []
+    infimum = WalkEvaluator.infimum_diagonal
+
+    def counted(self, u, *args):
+        seen.append(u)
+        return infimum(self, u, *args)
+
+    monkeypatch.setattr(WalkEvaluator, "infimum_diagonal", counted)
+    return seen
+
+
+def _path(n: int, weight) -> WeightedGraph:
+    return WeightedGraph.from_edges(n, [(i, i + 1, weight) for i in range(n - 1)])
+
+
+@pytest.mark.parametrize(
+    "graph, kind, scans",
+    [
+        # vertex-transitive, no twins: one period solve serves all 15 vertices
+        pytest.param("dprod(K(3),K(5))", "A", [0], id="dprod(K(3),K(5))-A"),
+        # the mirror pairs of P(8): four bounded scans instead of eight
+        pytest.param(_path(8, 1), "A", [0, 1, 2, 3], id="P(8)-A"),
+        # float weights may not decide a merge
+        pytest.param(_path(8, 1.0), "A", list(range(8)), id="P(8)-float-weights"),
+        # with weight 2**20, the closed-walk counts pass 2**53
+        pytest.param(_path(8, 2**20), "A", list(range(8)), id="P(8)-weight-2**20"),
+        # six twin pairs: a float q keeps one scan per twin set
+        pytest.param("CP(12)", "Mq:2", [0], id="CP(12)-Mq:2"),
+        pytest.param("CP(12)", "Mq:2.0", [0, 2, 4, 6, 8, 10], id="CP(12)-Mq:2.0"),
+    ],
+)
+def test_one_scan_per_exact_cospectral_class(monkeypatch, graph, kind, scans):
+    g = parse_graph(graph) if isinstance(graph, str) else graph
+    seen = _scans(monkeypatch)
+    records = classify_all(g, MatrixKind.parse(kind), grid_points=2001)
+    assert seen == scans
+    mode = records[0].evidence.mode
+    assert all(rec.evidence.mode is mode for rec in records)
+
+
+@pytest.mark.parametrize(
+    "edges, u, v, steps",
+    [
+        # (A^2)_uu = 9 and 1: the counts differ at i = 2 < K = 3, the degree of
+        # x (x^2 - 10), which annihilates both leaves
+        pytest.param([(0, 2, 3), (1, 2, 1)], 0, 1, 3, id="star-annihilator"),
+        # an unrecognized support: Cayley-Hamilton, counts differ first at i = 4 < K = 5
+        pytest.param(
+            [(0, 1, 2), (1, 3, 3), (1, 4, 2), (2, 3, 2), (3, 4, 3)], 0, 2, 5, id="cayley-hamilton"
+        ),
+    ],
+)
+def test_near_miss_counts_keep_their_scans(monkeypatch, edges, u, v, steps):
+    """Two vertices with the same support whose closed-walk counts agree below
+    i = K - 1 and differ at it get a scan each."""
+    g = WeightedGraph.from_edges(max(max(e[:2]) for e in edges) + 1, edges)
+    m = g.matrix(MatrixKind.adjacency())
+    counts = [np.linalg.matrix_power(m, i) for i in range(steps)]
+    assert [c[u, u] for c in counts[:-1]] == [c[v, v] for c in counts[:-1]]
+    assert counts[-1][u, u] != counts[-1][v, v]
+    dec = decompose(g)
+    assert dec.support(u).indices == dec.support(v).indices
+    seen = _scans(monkeypatch)
+    records = classify_all(g, grid_points=2001)
+    assert u in seen and v in seen
+    assert records[u].evidence is not records[v].evidence
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    picks=st.lists(st.sampled_from((0,) + RATIONAL_WEIGHTS), min_size=28, max_size=28),
+    mirror=st.booleans(),
+    kind=st.sampled_from(SCAN_KINDS),
+    times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4),
+)
+def test_shared_scans_have_equal_diagonals(oracle, n, picks, mirror, kind, times):
+    """Vertices that share a scan have the same |U(t)_{uu}| at every t.  A
+    mirrored graph (weight(u, v) = weight(n-1-v, n-1-u)) has many such pairs."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    weight = dict(zip(pairs, picks))
+    if mirror:
+        weight = {(u, v): weight[min((u, v), (n - 1 - v, n - 1 - u))] for u, v in pairs}
+    g = WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in weight.items() if w])
+    records = classify_all(g, kind, grid_points=2001)
+    first: dict[int, int] = {}
+    shared = [(first.setdefault(id(rec.evidence), u), u) for u, rec in enumerate(records)]
+    for t in times:
+        u_t = oracle(g, kind, t)
+        for w, u in shared:
+            assert abs(u_t[w, w] - u_t[u, u]) <= 1e-9, (w, u, t)
 
 
 def _decomposition_with_support(eigenvalues, weights) -> SpectralDecomposition:
