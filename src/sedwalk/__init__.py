@@ -71,12 +71,10 @@ from .spectral import (
     decompose,
 )
 from .twins import (
-    ThetaEigenspaceSplit,
-    TwinBranch,
+    TwinDichotomy,
     TwinSet,
     are_twins,
     find_twin_sets,
-    theta_split,
     twin_dichotomy,
 )
 from .walk import (
@@ -132,11 +130,9 @@ __all__ = [
     "WalkEvaluator",
     "decompose",
     # twins
-    "ThetaEigenspaceSplit",
-    "TwinBranch",
+    "TwinDichotomy",
     "TwinSet",
     "are_twins",
-    "theta_split",
     "find_twin_sets",
     "twin_dichotomy",
     # classification

@@ -43,11 +43,11 @@ from .families import (
     multipartite_laplacian_verdict,
     threshold_vertex_verdict,
 )
-from .graphs import MatrixKind, WeightedGraph, from_edge_list_text
+from .graphs import MatrixKind, WeightedGraph, _check_order, from_edge_list_text
 from .sedentary import Verdict, VertexClassification, classify_all
 from .spectral import LaplacianProductUnsupported, decompose
 from .twins import TwinSet, find_twin_sets
-from .walk import WalkEvaluator
+from .walk import WalkEvaluator, _check_grid
 
 __all__ = ["main", "build_parser"]
 
@@ -348,7 +348,9 @@ def _render_classifications(results: list[VertexClassification], fmt: str) -> st
 def _classify(
     args: argparse.Namespace, all_twin_sets: bool
 ) -> tuple[WeightedGraph, str, MatrixKind, list[TwinSet], list[VertexClassification]]:
-    """Classify the selected vertices; ``all_twin_sets`` finds every twin set once."""
+    """Classify the selected vertices; ``all_twin_sets`` finds every twin set once.
+    ``--steps`` and ``--tmax`` are checked before the graph is built."""
+    _check_grid(args.tmax, args.steps)
     g, src = _load_graph(args)
     kind = MatrixKind.parse(args.matrix)
     dec = decompose(g, kind)
@@ -540,6 +542,8 @@ def _family_record(graph: str, vertex: int, fv: FamilyVerdict) -> dict:
 
 
 def _family_rows(args: argparse.Namespace, kind: MatrixKind) -> list[dict]:
+    """The records of a sweep, refused like a graph expression when its largest
+    graph has more than ``MAX_VERTICES`` vertices."""
     fam = args.family
     if fam == "threshold":
         if not args.cells:
@@ -550,6 +554,7 @@ def _family_rows(args: argparse.Namespace, kind: MatrixKind) -> list[dict]:
             cells = tuple(int(tok) for tok in args.cells.split(","))
         except ValueError as exc:
             raise ValueError(f"bad --cells value {args.cells!r}") from exc
+        _check_order(sum(cells))
         starts_empty = args.first_cell != "K"
         spec = ThresholdSpec(cells, starts_empty)
         name = f"Gamma({','.join(str(c) for c in cells)}" + ("" if starts_empty else ";start=K") + ")"
@@ -569,6 +574,7 @@ def _family_rows(args: argparse.Namespace, kind: MatrixKind) -> list[dict]:
     if fam == "cp":
         if args.start < 1:
             raise ValueError("cp sweep starts at k=1")
+        _check_order(2 * args.stop)
         verdict_fn = multipartite_laplacian_verdict if kind.label == "laplacian" else multipartite_adjacency_verdict
 
         def work(k: int) -> list[dict]:
@@ -579,6 +585,7 @@ def _family_rows(args: argparse.Namespace, kind: MatrixKind) -> list[dict]:
     elif fam == "clique-minus-edge":
         if args.start < 3:
             raise ValueError("clique-minus-edge sweep starts at n=3")
+        _check_order(args.stop)
         verdict_fn = multipartite_laplacian_verdict if kind.label == "laplacian" else multipartite_adjacency_verdict
 
         def work(n: int) -> list[dict]:
@@ -593,6 +600,7 @@ def _family_rows(args: argparse.Namespace, kind: MatrixKind) -> list[dict]:
     elif fam == "product":
         if args.start < 2:
             raise ValueError("product sweep starts at factor size 2")
+        _check_order(args.stop**2)
 
         def work(pair: tuple[int, int]) -> list[dict]:
             m, n = pair

@@ -19,7 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from itertools import product as iter_product
+from operator import add
 from typing import Sequence
 
 from .numtheory import QuadraticIntegerForm, is_perfect_square, nu2, square_free_part
@@ -450,13 +453,26 @@ class ThresholdSpec:
             raise ValueError(f"cell index {j} out of range")
         return (j % 2 == 0) if self.starts_empty else (j % 2 == 1)
 
+    @cached_property
+    def _alphas(self) -> tuple[int, ...]:
+        return (0, *accumulate(self.cells))
+
+    @cached_property
+    def _betas(self) -> tuple[int, ...]:
+        """beta(ell) at index ell - 1, then two zeros past the end."""
+        tails = [0] * (self.h + 2)
+        for r in range(self.h - 1, -1, -1):
+            tails[r] = self.cells[r] + tails[r + 2]
+        return tuple(tails)
+
     def alpha(self, j: int) -> int:
-        """Vertices in cells 1..j."""
-        return sum(self.cells[:j])
+        """Vertices in cells 1..j, from prefix sums built once per spec."""
+        return self._alphas[min(j, self.h)]
 
     def beta(self, ell: int) -> int:
-        """Alternating tail sum m_ell + m_{ell+2} + ...; zero past the end."""
-        return sum(self.cells[r - 1] for r in range(ell, self.h + 1, 2))
+        """Alternating tail sum m_ell + m_{ell+2} + ... for ell >= 1; zero past
+        the end.  The sums are built once per spec."""
+        return self._betas[ell - 1] if ell <= self.h else 0
 
     def cell_of(self, u: int) -> int:
         """1-based cell index of vertex ``u`` under consecutive numbering."""
@@ -477,6 +493,8 @@ def _canonical(spec: ThresholdSpec, j: int) -> tuple[ThresholdSpec, int]:
     a one-vertex clique disjoint-unioned with an independent set is a bigger
     independent set; either way the form flips and cell indices shift down.
     """
+    if spec.cells[0] != 1 or spec.h == 1:
+        return spec, j  # the same spec, so its sums are built once
     cells = list(spec.cells)
     empty = spec.starts_empty
     while cells[0] == 1 and len(cells) > 1:
@@ -511,12 +529,14 @@ def threshold_support(spec: ThresholdSpec, j: int) -> tuple[int, ...]:
     # accumulated over later joins; a union cell only starts contributing at
     # the join that first touches it.  Every later join also splits off a
     # kernel direction with weight at u, giving the bare tail sums.
+    # (the sums are read as slices: beta(ell) for ell = start + 2, start + 4,
+    # ..., h, and alpha(ell) + beta(ell + 2) for ell = start, ..., h - 2)
     start = j if spec.is_clique_cell(j) else j + 1
     vals: set[int] = {0, spec.alpha(h)}
-    vals |= {spec.beta(ell) for ell in range(start + 2, h + 1, 2)}
+    vals.update(spec._betas[start + 1 : h : 2])
     if not spec.is_clique_cell(j):
         vals.add(spec.beta(start))
-    vals |= {spec.alpha(ell) + spec.beta(ell + 2) for ell in range(start, h - 1, 2)}
+    vals.update(map(add, spec._alphas[start : h - 1 : 2], spec._betas[start + 1 : h : 2]))
     return tuple(sorted(vals, reverse=True))
 
 

@@ -43,20 +43,18 @@ def nu2(a: int) -> int:
 
 def gcd_set(values: Iterable[int]) -> int:
     """Non-negative gcd of a set of integers; gcd of nothing (or all zeros) is 0."""
-    g = 0
-    for v in values:
-        g = math.gcd(g, abs(int(v)))
-    return g
+    return math.gcd(*map(int, values))
 
 
-def fraction_gcd(values: Iterable[Fraction]) -> Fraction:
-    """gcd on rationals: the positive generator of the additive group they span."""
-    vals = [Fraction(v) for v in values if v != 0]
+def fraction_gcd(values: Iterable[Fraction | int]) -> Fraction:
+    """gcd on rationals: the positive generator of the additive group they
+    span.  Ints and Fractions both carry a numerator and a denominator, so
+    ints are never converted."""
+    vals = [v for v in values if v != 0]
     if not vals:
         return Fraction(0)
     den = math.lcm(*(v.denominator for v in vals))
-    g = gcd_set(int(v * den) for v in vals)
-    return Fraction(g, den)
+    return Fraction(gcd_set(v.numerator * (den // v.denominator) for v in vals), den)
 
 
 def is_perfect_square(n: int) -> tuple[bool, int | None]:
@@ -121,17 +119,20 @@ class QuadraticIntegerForm:
 
     @cached_property
     def g(self) -> Fraction:
-        """The gcd of the scaled differences: every difference of two values
-        is an integer multiple of g sqrt(delta); 0 for a single value."""
-        return fraction_gcd(self.scaled_difference(0, j) for j in range(1, len(self.b)))
+        """The gcd of the scaled differences (b_i - b_j) / 2: every difference
+        of two values is an integer multiple of g sqrt(delta); 0 for a single
+        value."""
+        return fraction_gcd(b - self.b[0] for b in self.b) / 2
 
     @cached_property
     def steps(self) -> tuple[int, ...]:
         """m_j = (value_j - least value) / (g sqrt(delta)): integers whose gcd
         is 1, so value_j = least value + m_j g sqrt(delta); all 0 for a
-        single value."""
+        single value.  Each is an exact floor division, an int one on int
+        coordinates."""
+        num, den = (2 * self.g).as_integer_ratio()
         least = min(self.b)
-        return tuple(int((b - least) / (2 * self.g)) if self.g else 0 for b in self.b)
+        return tuple((b - least) * den // num if num else 0 for b in self.b)
 
     @property
     def period(self) -> float | None:

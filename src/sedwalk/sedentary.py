@@ -48,7 +48,7 @@ from .spectral import (
     StrongCospectrality,
     decompose,
 )
-from .twins import ThetaEigenspaceSplit, TwinSet, find_twin_sets, theta_split, twin_dichotomy
+from .twins import TwinDichotomy, TwinSet, find_twin_sets, twin_dichotomy
 from .walk import _MAX_DEGREE, InfimumEstimate, WalkEvaluator, _bounded_grid, _check_grid
 
 __all__ = [
@@ -229,7 +229,7 @@ class _GraphFacts:
     dec: SpectralDecomposition
     evaluator: WalkEvaluator
     twin_of: dict[int, TwinSet]
-    splits: dict[TwinSet, ThetaEigenspaceSplit]
+    sides: dict[int, TwinDichotomy]  # keyed by the least member of each set
     recognitions: dict[
         tuple[int, ...], tuple[list[ExactEigenvalue] | None, QuadraticIntegerForm | None]
     ] = field(default_factory=dict, compare=False, hash=False, repr=False)
@@ -262,23 +262,17 @@ class _GraphFacts:
 def _twin_stage(
     facts: _GraphFacts, twin_set: TwinSet, u: int, trail: list[str]
 ) -> tuple[int | None, tuple[int, StrongCospectrality] | None]:
-    """Route a twin vertex: its twin class as the floor source (sedentary
-    branch), or its partner with the sign split (strongly cospectral pair)."""
-    branch = twin_dichotomy(
-        facts.g, facts.kind, twin_set, u, dec=facts.dec, split=facts.splits[twin_set]
-    )
-    split = branch.split
-    trail.append(f"twin-set:size={len(twin_set)},theta={split.theta:.6g}")
-    if branch.branch == "sedentary":
+    """Route a twin vertex by its set's side of the dichotomy: its twin class
+    as the floor source (sedentary side), or its partner with the sign split
+    (strongly cospectral pair)."""
+    side = facts.sides[twin_set.members[0]]
+    trail.append(f"twin-set:size={len(twin_set)},theta={side.theta:.6g}")
+    if side.pair is None:
         trail.append("twin-branch:sedentary")
-        return split.eigen_index, None
+        return side.eigen_index, None
     trail.append("twin-branch:pair")
     trail.append("strong-cospectrality")
-    sc = branch.strong_cospectrality
-    assert sc is not None and branch.partner is not None
-    if split.eigen_index not in sc.minus:
-        raise ValueError("twin eigenvalue landed on the symmetric side of the pair")
-    return None, (branch.partner, sc)
+    return None, (twin_set.partner_of(u), side.pair)
 
 
 def _period_minimum(
@@ -322,7 +316,7 @@ def _parity_stage(
     * On a twin pair the block is the classes with E_j e_u = E_j e_v.  Their
       weights at u sum to ||(e_u + e_v)/2||^2 = 1/2, so the block meets the
       support.  The twin eigenvalue theta lies on the other side, as
-      :func:`_twin_stage` checks, and in the support: e_u - e_v is a
+      :func:`twin_dichotomy` checks, and in the support: e_u - e_v is a
       theta-eigenvector, so theta's weight at u is at least 1/2.
     * The exact values come from :func:`recognize_values`, which admits one
       radical ``delta_common``.
@@ -578,32 +572,26 @@ def _count_leaders(
     return [reps[j] for j in leaders]
 
 
-def _scan_cost(
-    dec: SpectralDecomposition, form: QuadraticIntegerForm | None, k: int, overrides: tuple
-) -> int:
-    """Multiply-adds of one scan of a ``k``-class support: ``_SCAN_CALL`` plus
-    D^3 for a one-period root solve of degree D, or points * k for a bounded
-    scan."""
-    if form is not None and max(form.steps) <= _MAX_DEGREE:
-        return _SCAN_CALL + max(form.steps) ** 3
-    return _SCAN_CALL + _bounded_grid(dec, *overrides)[1] * k
-
-
 def _scan_leaders(
-    facts: _GraphFacts, reps: list[int], overrides: tuple[int | None, float | None]
+    facts: _GraphFacts, reps: list[int], grid_points: int | None, horizon: float | None
 ) -> dict[int, int]:
     """Each scan representative mapped to the first of ``reps`` in its exact
     cospectral class, or to itself; see :func:`classify_all`."""
     dec, n = facts.dec, facts.dec.n
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple[int, ...], list[int]] = {}
     for r in reps:
-        groups.setdefault((facts.support(r).indices, r in facts.twin_of), []).append(r)
+        groups.setdefault(facts.support(r).indices, []).append(r)
     todo = []
-    for (indices, twin), members in groups.items():
+    for indices, members in groups.items():
         if len(members) < 2 or len(indices) < 2:
             continue
         exacts, form = facts.recognized(facts.support(members[0]))
-        cost = _scan_cost(dec, form, len(indices), (None, None) if twin else overrides)
+        # multiply-adds of one scan: D^3 for a one-period root solve of
+        # degree D, points * k for a bounded scan of a k-class support
+        if form is not None and max(form.steps) <= _MAX_DEGREE:
+            cost = _SCAN_CALL + max(form.steps) ** 3
+        else:
+            cost = _SCAN_CALL + _bounded_grid(dec, grid_points, horizon)[1] * len(indices)
         if n * n * len(indices) < cost:
             todo.append((members, exacts, cost))
     leader = {r: r for r in reps}
@@ -636,12 +624,13 @@ def classify_all(
 
     The graph-level facts are computed once and shared by every vertex:
     the decomposition and its walk evaluator, the twin sets that meet
-    ``vertices`` with one eigenspace split each, the support of each vertex
-    and the exact values of each distinct support, which the scan and the
-    decision tree both read.
+    ``vertices`` with the side of the twin dichotomy each falls on, the
+    support of each vertex and the exact values of each distinct support,
+    which the scan and the decision tree both read.
     Pass ``dec`` or ``twin_sets`` to reuse ones the caller already holds.
-    ``grid_points`` and ``horizon`` size the scan of vertices with neither a
-    twin nor a period; they are checked even when no vertex uses them.
+    ``grid_points`` and ``horizon`` size every bounded scan, twin or not
+    (see :meth:`WalkEvaluator.infimum_diagonal`); they are checked even
+    when no vertex uses them.
 
     Vertices that share a scan share its :class:`InfimumEstimate`.  Twins
     share their diagonal, so a twin set is scanned at its first member in
@@ -649,8 +638,7 @@ def classify_all(
     Two representatives u and v also share one scan, made at the first, when
     they are provably cospectral, (E_j)_{uu} = (E_j)_{vv} for every class j:
 
-    * they have the same support classes and both are twin representatives
-      or both are not (only the latter take ``grid_points`` and ``horizon``);
+    * they have the same support classes;
     * on the exact integer matrix M' = s' M(kind) of the walk, the
       closed-walk counts (M'^i)_{uu} and (M'^i)_{vv} agree for every i < K,
       where K is the degree of a monic integer polynomial p with p(M') e_u =
@@ -680,21 +668,20 @@ def classify_all(
     if twin_sets is None:
         twin_sets = find_twin_sets(g, verts)
     twin_of = {m: ts for ts in twin_sets for m in ts.members}
-    met = dict.fromkeys(twin_of[u] for u in verts if u in twin_of)
-    splits = {ts: theta_split(g, kind, ts, dec) for ts in met}
-    facts = _GraphFacts(g, kind, dec, WalkEvaluator(dec), twin_of, splits)
-    first: dict[object, int] = {}
-    for u in verts:
-        first.setdefault(twin_of.get(u, u), u)
-    leader = _scan_leaders(facts, list(first.values()), (grid_points, horizon))
+    # a twin set is keyed by its least member, a vertex without a twin by itself
+    homes = [twin_of[u].members[0] if u in twin_of else u for u in verts]
+    first: dict[int, int] = {}
+    for u, h in zip(verts, homes):
+        first.setdefault(h, u)
+    sides = {h: twin_dichotomy(g, kind, twin_of[h], dec) for h in first if h in twin_of}
+    facts = _GraphFacts(g, kind, dec, WalkEvaluator(dec), twin_of, sides)
+    leader = _scan_leaders(facts, list(first.values()), grid_points, horizon)
     scans: dict[int, InfimumEstimate] = {}
-    for u in verts:
-        r = leader[first[twin_of.get(u, u)]]
+    for r in leader.values():
         if r not in scans:
             _, form = facts.recognized(facts.support(r))
-            overrides = () if r in twin_of else (grid_points, horizon)
-            scans[r] = facts.evaluator.infimum_diagonal(r, form, *overrides)
-    return [_classify(facts, u, scans[leader[first[twin_of.get(u, u)]]]) for u in verts]
+            scans[r] = facts.evaluator.infimum_diagonal(r, form, grid_points, horizon)
+    return [_classify(facts, u, scans[leader[first[h]]]) for u, h in zip(verts, homes)]
 
 
 def classify_vertex(

@@ -16,19 +16,15 @@ from typing import Iterable
 import numpy as np
 
 from .graphs import MatrixKind, Weight, WeightedGraph
-from .spectral import (
-    SpectralDecomposition,
-    StrongCospectrality,
-    decompose,
-)
+# ``decompose`` is not called here, but perfbench/layertrace.py hooks
+# ``sedwalk.twins.decompose`` and lists a hook without a target as missing
+from .spectral import SpectralDecomposition, StrongCospectrality, decompose  # noqa: F401
 
 __all__ = [
+    "TwinDichotomy",
     "TwinSet",
-    "ThetaEigenspaceSplit",
-    "TwinBranch",
     "are_twins",
     "find_twin_sets",
-    "theta_split",
     "twin_dichotomy",
 ]
 
@@ -148,120 +144,59 @@ def find_twin_sets(g: WeightedGraph, vertices: Iterable[int] | None = None) -> l
 
 
 @dataclass(frozen=True)
-class ThetaEigenspaceSplit:
-    """Split of the twin eigenvalue's projector E = V V^T = P1 + F.
+class TwinDichotomy:
+    """Which side of the twin dichotomy a twin set falls on.
 
-    P1 projects onto the span of the difference vectors of the twin set
-    (dimension ``b1_dim`` = |T| - 1) and F onto whatever else the
-    eigenspace holds.  ``vectors`` is V, the eigenvalue's orthonormal block
-    of the decomposition (a view), so F is read one diagonal entry at a time
-    and never formed.  F vanishes exactly when the eigenvalue has the
-    minimal multiplicity |T| - 1.
+    ``theta`` is the twin eigenvalue of the set and ``eigen_index`` its class
+    in the decomposition.  ``pair`` is the sign split of a strongly cospectral
+    pair, where transfer and sedentariness compete and number theory decides;
+    it is None on the sedentary side, a set of three or more or a pair whose
+    extra eigenvector blocks strong cospectrality.
     """
 
-    twin_set: TwinSet
     theta: float
     eigen_index: int
-    theta_multiplicity: int
-    b1_dim: int
-    vectors: np.ndarray
-
-    def f_diagonal(self, u: int) -> float:
-        """F[u, u] = ||V[u]||^2 - P1[u, u]; P1[u, u] is 1 - 1/|T| on the set, else 0."""
-        row = self.vectors[u]
-        p1 = 1.0 - 1.0 / len(self.twin_set) if u in self.twin_set else 0.0
-        return float(row @ row) - p1
-
-    @property
-    def f_rank(self) -> int:
-        return self.theta_multiplicity - self.b1_dim
+    pair: StrongCospectrality | None
 
 
-def theta_split(
-    g: WeightedGraph,
-    kind: MatrixKind,
-    twin_set: TwinSet,
-    dec: SpectralDecomposition | None = None,
-) -> ThetaEigenspaceSplit:
-    """Locate the twin eigenvalue in the spectrum and split its projector.
+def twin_dichotomy(
+    g: WeightedGraph, kind: MatrixKind, twin_set: TwinSet, dec: SpectralDecomposition
+) -> TwinDichotomy:
+    """Decide the twin dichotomy once for the whole set.
 
-    F = E - P1 is a projector exactly when every difference e_u - e_v of
-    the set lies in the eigenspace, that is when ||V^T (e_u - e_v)||^2 =
-    ||V[u] - V[v]||^2 equals ||e_u - e_v||^2 = 2; the differences of
-    consecutive members span P1's range, so they are the ones checked.
-    Raises if the formula eigenvalue is missing from the computed spectrum,
-    if a difference leaves the eigenspace or if the multiplicity is below
-    |T| - 1; all signal numerical trouble upstream rather than a
-    recoverable condition.
+    With V the orthonormal block of the twin eigenvalue theta, its projector
+    E = V V^T splits as P1 + F, P1 onto the differences of the set (of
+    dimension |T| - 1) and F onto whatever else the eigenspace holds.  That
+    split exists exactly when every difference e_u - e_v lies in the
+    eigenspace, ||V[u] - V[v]||^2 = ||e_u - e_v||^2 = 2; the differences of
+    consecutive members span P1's range, so they are the ones checked.  A
+    pair that is not strongly cospectral needs F to meet it, F[u, u] =
+    ||V[u]||^2 - 1/2 > 0, and a strongly cospectral one has theta on its
+    minus side, since e_u - e_v is a theta-eigenvector.  Raises if theta is
+    missing from the computed spectrum, if a difference leaves the
+    eigenspace, if the multiplicity is below |T| - 1 or if either pair check
+    fails; all signal numerical trouble upstream rather than a recoverable
+    condition.
     """
-    if dec is None:
-        dec = decompose(g, kind)
     theta = float(twin_set.theta(g, kind))
     idx = dec.eigenvalue_index(theta)
     mult = int(dec.multiplicities[idx])
     start = int(dec.starts[idx])
-    block = dec.vectors[:, start : start + mult]
-    members = list(twin_set.members)
-    diff = block[members[:-1]] - block[members[1:]]
+    rows = dec.vectors[list(twin_set.members), start : start + mult]
+    diff = rows[:-1] - rows[1:]
     if np.max(np.abs(np.einsum("ij,ij->i", diff, diff) - 2.0)) > F_PROJECTOR_TOL * max(1.0, g.n):
         raise ValueError("twin eigenspace split is not a projector")
-    b1 = len(members) - 1
-    if mult < b1:
+    if mult < len(twin_set) - 1:
         raise ValueError("twin eigenspace multiplicity mismatch")
-    return ThetaEigenspaceSplit(
-        twin_set=twin_set,
-        theta=theta,
-        eigen_index=idx,
-        theta_multiplicity=mult,
-        b1_dim=b1,
-        vectors=block,
-    )
-
-
-@dataclass(frozen=True)
-class TwinBranch:
-    """Which side of the twin dichotomy a vertex falls on.
-
-    ``branch`` is "sedentary" when the vertex cannot take part in pretty
-    good state transfer (set size at least 3, or a pair whose extra
-    eigenvector blocks strong cospectrality) and "pgst-pair" when the
-    vertex sits in a strongly cospectral pair, where transfer and
-    sedentariness compete and number theory decides.
-    """
-
-    branch: str
-    vertex: int
-    partner: int | None
-    split: ThetaEigenspaceSplit
-    strong_cospectrality: StrongCospectrality | None
-
-
-def twin_dichotomy(
-    g: WeightedGraph,
-    kind: MatrixKind,
-    twin_set: TwinSet,
-    u: int,
-    dec: SpectralDecomposition | None = None,
-    split: ThetaEigenspaceSplit | None = None,
-) -> TwinBranch:
-    """Route a twin vertex to the sedentary or the transfer branch.
-
-    Pass the set's ``split`` to share one :func:`theta_split` among its members.
-    """
-    if u not in twin_set:
-        raise ValueError("vertex is not in the twin set")
-    if dec is None:
-        dec = decompose(g, kind)
-    if split is None:
-        split = theta_split(g, kind, twin_set, dec=dec)
     if len(twin_set) >= 3:
-        return TwinBranch("sedentary", u, None, split, None)
-    v = twin_set.partner_of(u)
-    sc = dec.strongly_cospectral(u, v)
+        return TwinDichotomy(theta, idx, None)
+    sc = dec.strongly_cospectral(*twin_set.members)
     if sc is None:
-        if split.f_diagonal(u) <= F_PROJECTOR_TOL:
+        if min(float(r @ r) for r in rows) - 0.5 <= F_PROJECTOR_TOL:
             raise ValueError(
                 "pair is not strongly cospectral yet no extra eigenvector meets it"
             )
-        return TwinBranch("sedentary", u, v, split, None)
-    return TwinBranch("pgst-pair", u, v, split, sc)
+        return TwinDichotomy(theta, idx, None)
+    if idx not in sc.minus:
+        raise ValueError("twin eigenvalue landed on the symmetric side of the pair")
+    return TwinDichotomy(theta, idx, sc)

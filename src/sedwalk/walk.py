@@ -21,9 +21,10 @@ __all__ = [
     "InfimumEstimate",
 ]
 
-# Largest steps * (1 + vertices) a time series may hold.  At the cap the
-# float table takes 128 MB and its CSV text about twice that, so larger
-# series are refused before any phase table is built.
+# Largest steps * (1 + vertices) a time series may hold, and the most grid
+# points of a bounded scan.  At the cap the float table takes 128 MB and its
+# CSV text about twice that, so larger series and scans are refused before
+# any phase table is built.
 MAX_SERIES_CELLS = 1 << 24
 # Entries per row block of the baby-step/giant-step product that serves the scan and series.
 _GRID_BLOCK = 1 << 16
@@ -38,7 +39,8 @@ _MAX_DEGREE = 512
 
 
 def _check_grid(t_max: float | None, steps: int | None) -> None:
-    """Reject a scan horizon that is not finite and positive, or fewer than 2 grid points."""
+    """Reject a scan horizon that is not finite and positive, or fewer than 2
+    or more than ``MAX_SERIES_CELLS`` grid points."""
     if t_max is not None:
         if not math.isfinite(t_max):
             raise ValueError("t_max must be finite")
@@ -46,6 +48,8 @@ def _check_grid(t_max: float | None, steps: int | None) -> None:
             raise ValueError("t_max must be positive")
     if steps is not None and steps < 2:
         raise ValueError("need at least 2 steps")
+    if steps is not None and steps > MAX_SERIES_CELLS:
+        raise ValueError(f"{steps} grid points are above the cap of {MAX_SERIES_CELLS}")
 
 
 def _critical_angles(coefficients: np.ndarray) -> np.ndarray:
@@ -225,13 +229,13 @@ class WalkEvaluator:
         """Rows (t, |U(t)_{u,u}| for each u in ``vertices``) on np.linspace(0,
         t_max, steps), the columns from one :func:`_grid_magnitudes` call.
         More than ``MAX_SERIES_CELLS`` cells raise ValueError."""
-        _check_grid(t_max, steps)
         cells = steps * (1 + len(vertices))
         if cells > MAX_SERIES_CELLS:
             raise ValueError(
                 f"series of {steps} steps for {len(vertices)} vertices has {cells} "
                 f"cells, above the cap of {MAX_SERIES_CELLS}"
             )
+        _check_grid(t_max, steps)
         out = np.empty((steps, 1 + len(vertices)))
         out[:, 0] = np.linspace(0.0, t_max, steps)
         weights = np.array([self.dec.diagonal_weights(u) for u in vertices])

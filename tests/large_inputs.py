@@ -30,6 +30,24 @@ COMMANDS = (
     (("series", "--graph", "P(1000)", "--all-vertices", "--steps", "1001"), 256, None),
     (("spectrum", "--graph", "P(1000)", "--format", "json"), 256, None),
     (("spectrum", "--graph", "P(1000)", "--format", "csv"), 256, None),
+    # the most grid points a bounded scan takes, 8 B each
+    (("classify", "--graph", "P(9)", "--vertex", "0", "--steps", str(2**24)), 256, 30),
+    # the largest sweep of each family: its largest graph has 4,096 vertices
+    (("families", "--family", "cp", "--start", "1", "--stop", "2048", "--format", "json"), 256, 30),
+    (
+        ("families", "--family", "clique-minus-edge", "--start", "3", "--stop", "4096",
+         "--format", "json"),
+        256,
+        30,
+    ),
+    (("families", "--family", "product", "--start", "2", "--stop", "64", "--format", "json"), 256, 30),
+    # 4,095 cells: each record reads the cell sums built once for the spec
+    (
+        ("families", "--family", "threshold", "--cells", ",".join(["2"] + ["1"] * 4094),
+         "--first-cell", "K", "--matrix", "L", "--format", "json"),
+        256,
+        30,
+    ),
 )
 ENTRY = "import sys; from sedwalk.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -51,8 +69,9 @@ def main() -> int:
         ok = code == 0 and rss_mb < limit_mb and (limit_s is None or wall < limit_s)
         failed |= not ok
         limits = f"{limit_mb} MB" + ("" if limit_s is None else f", {limit_s} s")
+        shown = " ".join(a if len(a) <= 40 else f"{a[:16]}...({len(a)} chars)" for a in argv)
         print(
-            f"{' '.join(argv)}: exit {code}, {wall:.1f} s, max RSS {rss_mb:.0f} MB "
+            f"{shown}: exit {code}, {wall:.1f} s, max RSS {rss_mb:.0f} MB "
             f"(limit {limits}): {'ok' if ok else 'FAIL'}"
         )
     return 1 if failed else 0

@@ -214,6 +214,37 @@ def test_scan_rejects_bad_grid(capsys, command, flag, value):
     assert err.startswith("error: " + want)
 
 
+@pytest.mark.parametrize("command", ["classify", "analyze"])
+def test_scan_above_the_grid_cap_exits_2(capsys, command):
+    # at 8 B a point the grid would take 128 MB; it is refused before the grid,
+    # and before the graph (32 MB of weights) and its decomposition
+    steps = walk_module.MAX_SERIES_CELLS + 1
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, command, "--graph", "P(2000)", "--vertex", "0", "--steps", str(steps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == ""
+    assert err == f"error: {steps} grid points are above the cap of {walk_module.MAX_SERIES_CELLS}\n"
+    assert peak < 16e6
+
+
+def test_steps_reach_twin_scans(capsys):
+    # vertex 0 has a twin and a support in a cubic field, so no period: its
+    # bounded scan takes --steps like that of any other vertex
+    rc, out, _ = run(
+        capsys, "classify", "--graph", "blowup(2,C(7))", "--vertex", "0",
+        "--steps", "2001", "--format", "json",
+    )
+    assert rc == 0
+    [rec] = json.loads(out)
+    assert rec["lemma_trail"][0].startswith("twin-set:size=2")
+    assert rec["lemma_trail"][-1] == "unrecognized-support"
+    assert rec["evidence"]["mode"] == "grid-lower-confidence"
+    assert rec["evidence"]["grid_points"] == 2001
+
+
 @pytest.mark.parametrize("command", ["classify", "analyze", "series", "spectrum"])
 def test_tol_flag_is_rejected(capsys, command):
     # the grouping tolerance is fixed: a wide one merged the spectrum of P(3)
@@ -465,6 +496,37 @@ def test_families_threshold_needs_laplacian(capsys):
     rows = [ln.split() for ln in out.splitlines()[1:]]
     assert rows[0][2:4] == ["first-cell-pst", "pst"]
     assert rows[1][2:5] == ["clique-cell", "sedentary", "0.75"]
+
+
+@pytest.mark.parametrize(
+    "args, order",
+    [
+        (("--family", "cp", "--start", "1", "--stop", "2049"), 4098),
+        (("--family", "cp", "--start", "1", "--stop", "1000000000"), 2000000000),
+        (("--family", "clique-minus-edge", "--start", "3", "--stop", "4097"), 4097),
+        (("--family", "product", "--start", "2", "--stop", "65"), 4225),
+        (("--family", "threshold", "--cells", "4000,97", "--matrix", "L"), 4097),
+    ],
+)
+def test_families_above_the_vertex_cap_exit_2(capsys, args, order):
+    # the largest graph of the sweep: CP(2 stop), stop vertices, stop^2, the cells' sum
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "families", *args)
+    assert rc == 2 and out == ""
+    assert err == f"error: graph on {order} vertices exceeds the cap of 4096 vertices\n"
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--family", "product", "--start", "64", "--stop", "64"),
+        ("--family", "threshold", "--cells", "4000,96", "--matrix", "L"),
+    ],
+)
+def test_families_at_the_vertex_cap_run(capsys, args):
+    rc, out, _ = run(capsys, "families", *args)
+    assert rc == 0 and len(out.splitlines()) > 1
 
 
 def test_spectrum_table(capsys):

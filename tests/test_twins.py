@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from sedwalk import (
     MatrixKind,
+    SpectralDecomposition,
     TwinSet,
+    Verdict,
     are_twins,
     classify_all,
     cocktail_party,
@@ -23,7 +25,6 @@ from sedwalk import (
     parse_graph,
     path,
     star,
-    theta_split,
     threshold,
     twin_dichotomy,
 )
@@ -141,25 +142,27 @@ def test_twin_theta_values():
 def test_theta_split_star_leaves():
     g = star(3)
     ts = find_twin_sets(g)[0]
-    split = theta_split(g, A, ts)
-    assert split.theta == 0.0
-    assert split.b1_dim == 2
-    assert split.theta_multiplicity == 2
-    assert split.f_rank == 0
-    # F is positive semidefinite, so a zero diagonal means F = 0
-    np.testing.assert_allclose([split.f_diagonal(u) for u in range(g.n)], 0.0, atol=1e-9)
+    dec = decompose(g, A)
+    side = twin_dichotomy(g, A, ts, dec)
+    assert side.theta == 0.0
+    assert side.eigen_index == dec.eigenvalue_index(0.0)
+    # multiplicity |T| - 1 = 2: the differences fill the eigenspace, F = 0
+    assert dec.multiplicities[side.eigen_index] == 2
+    assert side.pair is None
 
 
 def test_theta_split_cocktail_party():
     g = cocktail_party(3)
     ts = find_twin_sets(g)[0]
-    split = theta_split(g, A, ts)
-    assert split.theta_multiplicity == 3
-    assert split.b1_dim == 1
-    assert split.f_rank == 2
-    # extra kernel directions live on the other pairs, not on this one
-    assert split.f_diagonal(0) == pytest.approx(0.0, abs=1e-9)
-    assert split.f_diagonal(2) == pytest.approx(0.5, abs=1e-9)
+    dec = decompose(g, A)
+    side = twin_dichotomy(g, A, ts, dec)
+    assert dec.multiplicities[side.eigen_index] == 3
+    # F = E - P1: extra kernel directions live on the other pairs, not on
+    # this one; P1 vanishes off the set
+    assert dec.diagonal_weights(0)[side.eigen_index] - 0.5 == pytest.approx(0.0, abs=1e-9)
+    assert dec.diagonal_weights(2)[side.eigen_index] == pytest.approx(0.5, abs=1e-9)
+    assert side.pair is not None and (side.pair.u, side.pair.v) == (0, 1)
+    assert side.eigen_index in side.pair.minus
 
 
 def test_theta_split_rejects_a_difference_outside_the_eigenspace():
@@ -184,40 +187,40 @@ def test_theta_split_rejects_a_difference_outside_the_eigenspace():
     f[np.ix_([0, 1], [0, 1])] -= np.eye(2) - 0.5
     assert np.max(np.abs(f @ f - f)) > twins_module.F_PROJECTOR_TOL * g.n
     with pytest.raises(ValueError, match="not a projector"):
-        theta_split(g, A, ts, dec=moved)
-    assert theta_split(g, A, ts, dec=dataclasses.replace(dec, vectors=dec.vectors.copy()))
+        twin_dichotomy(g, A, ts, moved)
+    assert twin_dichotomy(g, A, ts, dataclasses.replace(dec, vectors=dec.vectors.copy()))
 
 
 def test_theta_split_rejects_missing_eigenvalue():
     # (0, 1) in a path are not twins; their formula value -1 is no eigenvalue
     fake = TwinSet(members=(0, 1), omega=0, eta=1)
-    with pytest.raises(ValueError):
-        theta_split(path(3), A, fake)
+    with pytest.raises(ValueError, match="not in spectrum"):
+        twin_dichotomy(path(3), A, fake, decompose(path(3), A))
 
 
 def test_dichotomy_large_set_is_sedentary():
     g = star(4)
     ts = find_twin_sets(g)[0]
-    branch = twin_dichotomy(g, A, ts, 2)
-    assert branch.branch == "sedentary"
-    assert branch.partner is None
-    assert branch.strong_cospectrality is None
-    with pytest.raises(ValueError):
-        twin_dichotomy(g, A, ts, 0)
+    side = twin_dichotomy(g, A, ts, decompose(g, A))
+    assert side.theta == 0.0
+    assert side.pair is None
+    for rec in classify_all(g, A, vertices=ts.members):
+        assert rec.certificate[:2] == ("twin-set:size=4,theta=0", "twin-branch:sedentary")
+        assert rec.partner is None
 
 
 def test_dichotomy_pair_routes_to_transfer():
     g = complete(2)
     ts = find_twin_sets(g)[0]
-    branch = twin_dichotomy(g, A, ts, 0)
-    assert branch.branch == "pgst-pair"
-    assert branch.partner == 1
-    assert branch.strong_cospectrality is not None
+    side = twin_dichotomy(g, A, ts, decompose(g, A))
+    assert side.pair is not None
+    assert (side.pair.u, side.pair.v) == (0, 1)
     g = cycle(4)
     ts = _twin_set_of(g, 0)
     assert ts is not None and ts.members == (0, 2)
-    branch = twin_dichotomy(g, A, ts, 0)
-    assert branch.branch == "pgst-pair"
+    assert twin_dichotomy(g, A, ts, decompose(g, A)).pair is not None
+    # both members read the one decision, each with the other as partner
+    assert [rec.partner for rec in classify_all(g, A, vertices=[2, 0])] == [0, 2]
 
 
 def test_dichotomy_pair_blocked_by_extra_eigenvector():
@@ -226,39 +229,97 @@ def test_dichotomy_pair_blocked_by_extra_eigenvector():
     g = WeightedGraph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
     ts = _twin_set_of(g, 1)
     assert ts is not None and ts.members == (1, 2)
-    split = theta_split(g, A, ts)
-    assert split.theta_multiplicity == 2
-    assert split.f_rank == 1
-    assert split.f_diagonal(1) == pytest.approx(0.1, abs=1e-9)
-    branch = twin_dichotomy(g, A, ts, 1)
-    assert branch.branch == "sedentary"
-    assert branch.partner == 2
-    assert branch.strong_cospectrality is None
+    dec = decompose(g, A)
+    side = twin_dichotomy(g, A, ts, dec)
+    assert dec.multiplicities[side.eigen_index] == 2
+    # F[1, 1] = ||V[1]||^2 - 1/2
+    assert dec.diagonal_weights(1)[side.eigen_index] - 0.5 == pytest.approx(0.1, abs=1e-9)
+    assert side.pair is None
+
+
+def test_dichotomy_pair_checks_raise(monkeypatch):
+    g = complete(2)
+    ts = find_twin_sets(g)[0]
+    dec = decompose(g, A)
+    sc = dec.strongly_cospectral(0, 1)
+    assert sc is not None and len(sc.plus) == len(sc.minus) == 1
+    swapped = dataclasses.replace(sc, plus=sc.minus, minus=sc.plus)
+    monkeypatch.setattr(SpectralDecomposition, "strongly_cospectral", lambda *_: swapped)
+    with pytest.raises(ValueError, match="symmetric side"):
+        twin_dichotomy(g, A, ts, dec)
+    # theta = -1 has multiplicity one, so no extra eigenvector meets the pair
+    monkeypatch.setattr(SpectralDecomposition, "strongly_cospectral", lambda *_: None)
+    with pytest.raises(ValueError, match="no extra eigenvector"):
+        twin_dichotomy(g, A, ts, dec)
 
 
 def test_dichotomy_laplacian_pair():
     g = _k4_minus_edge()
     ts = _twin_set_of(g, 0)
     assert ts is not None
-    branch = twin_dichotomy(g, L, ts, 0)
-    assert branch.branch == "pgst-pair"
-    assert branch.split.theta == pytest.approx(float(ts.theta(g, L)))
+    side = twin_dichotomy(g, L, ts, decompose(g, L))
+    assert side.pair is not None
+    assert side.theta == pytest.approx(float(ts.theta(g, L)))
 
 
 def test_classify_all_splits_each_twin_set_once(monkeypatch):
-    calls = 0
-    real = twins_module.theta_split
+    calls: list[tuple[int, ...]] = []
+    real = sedentary_module.twin_dichotomy
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real(*args, **kwargs)
+    def counted(g, kind, twin_set, dec):
+        calls.append(twin_set.members)
+        return real(g, kind, twin_set, dec)
 
-    monkeypatch.setattr(twins_module, "theta_split", counted)
-    monkeypatch.setattr(sedentary_module, "theta_split", counted)
+    monkeypatch.setattr(sedentary_module, "twin_dichotomy", counted)
     results = classify_all(cocktail_party(6), L)
     assert len(results) == 12
-    assert calls == 6
+    assert calls == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)]
+    calls.clear()
+    classify_all(cocktail_party(6), L, vertices=[3, 2, 7])
+    assert calls == [(2, 3), (6, 7)]
+
+
+@st.composite
+def twin_graphs(draw) -> tuple[WeightedGraph, list[int]]:
+    """Up to 7 vertices, rational weights, with a planted twin set of two or
+    more; and a relabelling of the vertices."""
+    n = draw(st.integers(2, 7))
+    weight = st.sampled_from((None, 1, 2, 3, Fraction(1, 2), Fraction(1, 3)))
+    w = {(u, v): draw(weight) for u in range(n) for v in range(u, n)}
+    size = draw(st.integers(2, n))
+    eta = draw(weight)
+    for i in range(1, size):
+        w[i, i] = w[0, 0]
+        for x in range(size, n):
+            w[i, x] = w[0, x]
+        for j in range(i):
+            w[j, i] = eta
+    g = WeightedGraph.from_edges(n, [(u, v, x) for (u, v), x in w.items() if x is not None])
+    return g, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(twin_graphs(), st.sampled_from(["A", "L", "Mq:-1"]))
+def test_verdicts_follow_a_relabelling(case, kind):
+    """Vertex u of g and vertex perm[u] of its relabelled copy get the same
+    verdict, certified flag and constant, and partners that correspond; a
+    perfect-transfer partner transfers back."""
+    g, perm = case
+    kind = MatrixKind.parse(kind)
+    h = WeightedGraph.from_edges(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
+    before = classify_all(g, kind, grid_points=2001)
+    after = classify_all(h, kind, grid_points=2001)
+    for u, rec in enumerate(before):
+        moved = after[perm[u]]
+        assert (moved.verdict, moved.certified) == (rec.verdict, rec.certified), u
+        if rec.constant is None:
+            assert moved.constant is None, u
+        else:
+            assert moved.constant == pytest.approx(rec.constant, abs=1e-9), u
+        assert moved.partner == (None if rec.partner is None else perm[rec.partner]), u
+        if rec.verdict is Verdict.PST:
+            back = before[rec.partner]
+            assert (back.verdict, back.partner) == (Verdict.PST, u), u
 
 
 # -- the twin partition and the weight matrix against Fraction references --
