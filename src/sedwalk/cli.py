@@ -47,7 +47,7 @@ from .graphs import MatrixKind, WeightedGraph, _check_order, from_edge_list_text
 from .sedentary import Verdict, VertexClassification, classify_all
 from .spectral import LaplacianProductUnsupported, decompose
 from .twins import TwinSet, find_twin_sets
-from .walk import WalkEvaluator, _check_grid
+from .walk import WalkEvaluator, _check_grid, _check_series
 
 __all__ = ["main", "build_parser"]
 
@@ -412,13 +412,15 @@ def cmd_analyze(args: argparse.Namespace) -> str:
 
 
 def cmd_series(args: argparse.Namespace) -> Iterator[str]:
+    """The cell cap, ``--steps`` and ``--tmax`` are checked before the graph is
+    decomposed."""
     g, _src = _load_graph(args)
     kind = MatrixKind.parse(args.matrix)
-    ev = WalkEvaluator(decompose(g, kind))
     t_max = args.tmax if args.tmax is not None else 2.0 * math.pi
     steps = args.steps if args.steps is not None else 1001
     verts = _select_vertices(args, g.n)
-    table = ev.diagonal_series(verts, t_max, steps)
+    _check_series(t_max, steps, len(verts))
+    table = WalkEvaluator(decompose(g, kind)).diagonal_series(verts, t_max, steps)
     headers = ["t"] + [f"u{u}" for u in verts]
     rows = max(1, _CSV_BLOCK_CELLS // len(headers))
     return _render_rows(

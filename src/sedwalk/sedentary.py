@@ -454,6 +454,13 @@ def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassi
 # On one BLAS thread of a 2-vCPU VM, a one-period solve of degree 6 takes
 # about 0.35 ms, the time of some 4e6 of them, so this undercounts it.
 _SCAN_CALL = 1 << 20
+# A bounded scan costs 8 (16 + k) of those multiply-adds per grid point of a
+# k-class support.  On the same machine a float64 product of a 2048 x 2048
+# matrix by 256 columns takes 47 ms, 0.044 ns a multiply-add, and a scan of
+# 10^6 points takes 6.1 ms at k = 3 (CP(1028)), 8.6 ms at k = 16 (P(16)) and
+# 81 ms at k = 256 (P(256)): about 130 multiply-adds a point for the
+# magnitudes and the seed selection, plus 7 to 8 a point and class for the
+# phase product.
 
 
 @dataclass(frozen=True)
@@ -587,11 +594,12 @@ def _scan_leaders(
             continue
         exacts, form = facts.recognized(facts.support(members[0]))
         # multiply-adds of one scan: D^3 for a one-period root solve of
-        # degree D, points * k for a bounded scan of a k-class support
+        # degree D, 8 (16 + k) a grid point for a bounded scan of a k-class support
         if form is not None and max(form.steps) <= _MAX_DEGREE:
             cost = _SCAN_CALL + max(form.steps) ** 3
         else:
-            cost = _SCAN_CALL + _bounded_grid(dec, grid_points, horizon)[1] * len(indices)
+            points = _bounded_grid(dec, grid_points, horizon)[1]
+            cost = _SCAN_CALL + 8 * (16 + len(indices)) * points
         if n * n * len(indices) < cost:
             todo.append((members, exacts, cost))
     leader = {r: r for r in reps}
@@ -654,9 +662,9 @@ def classify_all(
     graph with float weights, a float q or larger counts forms no class, nor
     does a support the test costs more than it saves: about n^2 K
     multiply-adds per representative against the scan's fixed call cost
-    plus D^3 for a one-period root solve of degree D, or points * k for a
-    bounded scan of a k-class support.  Such vertices keep one scan per
-    representative.
+    plus D^3 for a one-period root solve of degree D, or 8 (16 + k) per grid
+    point for a bounded scan of a k-class support.  Such vertices keep one
+    scan per representative.
     """
     _check_grid(horizon, grid_points)
     verts = list(range(g.n) if vertices is None else vertices)

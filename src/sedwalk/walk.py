@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,8 +22,9 @@ __all__ = [
 ]
 
 # Largest steps * (1 + vertices) a time series may hold, and the most grid
-# points of a bounded scan.  At the cap the float table takes 128 MB and its
-# CSV text about twice that, so larger series and scans are refused before
+# points of a bounded scan.  It bounds the memory of a series, whose float
+# table takes 128 MB at the cap, and the time of a scan, which holds one row
+# block of its grid at a time.  Larger series and scans are refused before
 # any phase table is built.
 MAX_SERIES_CELLS = 1 << 24
 # Entries per row block of the baby-step/giant-step product that serves the scan and series.
@@ -50,6 +51,18 @@ def _check_grid(t_max: float | None, steps: int | None) -> None:
         raise ValueError("need at least 2 steps")
     if steps is not None and steps > MAX_SERIES_CELLS:
         raise ValueError(f"{steps} grid points are above the cap of {MAX_SERIES_CELLS}")
+
+
+def _check_series(t_max: float, steps: int, columns: int) -> None:
+    """Reject a series of more than ``MAX_SERIES_CELLS`` cells, ``steps`` times
+    (1 + ``columns``) with the time column, then a grid :func:`_check_grid` rejects."""
+    cells = steps * (1 + columns)
+    if cells > MAX_SERIES_CELLS:
+        raise ValueError(
+            f"series of {steps} steps for {columns} vertices has {cells} "
+            f"cells, above the cap of {MAX_SERIES_CELLS}"
+        )
+    _check_grid(t_max, steps)
 
 
 def _critical_angles(coefficients: np.ndarray) -> np.ndarray:
@@ -156,31 +169,59 @@ def _phase_jet(lams: np.ndarray, weights: np.ndarray) -> _Jet:
     return lambda times: columns @ np.exp(np.outer(ilam, times))
 
 
-def _grid_minimum(mags: np.ndarray, span: float, jet: _Jet) -> tuple[float, float]:
-    """Least (time, |g|) from the grid ``mags`` = |g| on np.linspace(0, span,
-    len(mags)): the least grid value, lowest index first among ties, unless
-    :func:`_refined_minimum` finds less within one grid step of the five least."""
-    pts = len(mags)
-    step = span / (pts - 1)
-    seeds = _least_indices(mags, 5)
-    # grid time i exactly as np.linspace(0, span, pts) computes it
-    times = np.where(seeds == pts - 1, span, seeds * step)
+def _grid_minimum(
+    blocks: Iterable[tuple[int, int, np.ndarray]], span: float, points: int, jet: _Jet
+) -> tuple[float, float]:
+    """Least (time, |g|) from the grid of |g| on np.linspace(0, span, points),
+    streamed as ``blocks`` (see :func:`_least_entries`): the least grid value,
+    lowest index first among ties, unless :func:`_refined_minimum` finds less
+    within one grid step of the five least."""
+    seeds, least = _least_entries(blocks, 5)
+    step = span / (points - 1)
+    # grid time i exactly as np.linspace(0, span, points) computes it
+    times = np.where(seeds == points - 1, span, seeds * step)
     t, value = _refined_minimum(jet, np.maximum(0.0, times - step), np.minimum(span, times + step))
-    if value < mags[seeds[0]]:
+    if value < least[0]:
         return t, value
-    return float(times[0]), float(mags[seeds[0]])
+    return float(times[0]), float(least[0])
 
 
-def _grid_magnitudes(lams: np.ndarray, weights: np.ndarray, span: float, out: np.ndarray) -> np.ndarray:
-    """Fill and return ``out``: out[m, v] = |sum_j weights[v, j] exp(i m h lams[j])|,
-    h = span / (len(out) - 1).
+def _least_entries(
+    blocks: Iterable[tuple[int, int, np.ndarray]], count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, values) of the ``count`` least entries of one row's grid,
+    streamed as :func:`_grid_blocks` yields it, ordered by (value, index):
+    the same indices as :func:`_least_indices` over the whole grid.
+
+    Once ``count`` entries are held, a block whose minimum is not strictly
+    below the last of them is skipped, since every entry of it orders after
+    every held one.  Otherwise the block's own ``count`` least entries join
+    the held ones and the ``count`` least of both are kept."""
+    indices, values = np.empty(0, dtype=np.intp), np.empty(0)
+    for _, lo, block in blocks:
+        if len(values) == count and not block.min() < values[-1]:
+            continue
+        local = _least_indices(block, count)
+        indices = np.concatenate([indices, lo + local])
+        values = np.concatenate([values, block[local]])
+        # held entries precede the block's, so a stable sort keeps (value, index) order
+        order = np.argsort(values, kind="stable")[:count]
+        indices, values = indices[order], values[order]
+    return indices, values
+
+
+def _grid_blocks(
+    lams: np.ndarray, weights: np.ndarray, span: float, points: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (v, lo, block): block[i] = |sum_j weights[v, j] exp(i m h lams[j])|
+    for m = lo + i, h = span / (points - 1), row by row and each row's grid in
+    order.  Every block is one reused buffer, overwritten by the next.
 
     Baby-step/giant-step: with B = ceil(sqrt(points)) and m = b B + r, the
     phase exp(i m h lambda) = exp(i b B h lambda) exp(i r h lambda).  The B baby
     and about points / B giant phases of the classes some row weighs are built
-    once; each row's weighted giant phases times the baby phases, one row block
-    of about ``_GRID_BLOCK`` entries at a time, fill its column."""
-    points = len(out)
+    once; each row's weighted giant phases times the baby phases give its
+    grid, one row block of about ``_GRID_BLOCK`` entries at a time."""
     used = weights.any(axis=0)
     lams, weights = lams[used], weights[:, used]
     h = span / (points - 1)
@@ -188,13 +229,14 @@ def _grid_magnitudes(lams: np.ndarray, weights: np.ndarray, span: float, out: np
     baby = np.exp(1j * np.outer(np.arange(baby_n) * h, lams)).T
     giant = np.exp(1j * np.outer(np.arange(0, points, baby_n) * h, lams))
     rows = max(1, _GRID_BLOCK // baby_n)
-    for v, (w, column) in enumerate(zip(weights, out.T)):
+    mags = np.empty(min(rows * baby_n, points))
+    for v, w in enumerate(weights):
         # no row needs the giant phases after the last one, so it weights them in place
         weighted = np.multiply(w, giant, out=giant if v == len(weights) - 1 else None)
         for lo in range(0, len(giant), rows):
-            dest = column[lo * baby_n : (lo + rows) * baby_n]
-            np.abs((weighted[lo : lo + rows] @ baby).ravel()[: len(dest)], out=dest)
-    return out
+            size = min(len(mags), points - lo * baby_n)
+            np.abs((weighted[lo : lo + rows] @ baby).ravel()[:size], out=mags[:size])
+            yield v, lo * baby_n, mags[:size]
 
 
 @dataclass(frozen=True)
@@ -222,25 +264,23 @@ class WalkEvaluator:
 
     def diagonal_grid_magnitudes(self, u: int, span: float, points: int) -> np.ndarray:
         """|U(m h)_{u,u}| for m < points, h = span / (points - 1): a series column."""
+        out = np.empty(points)
         weights = self.dec.diagonal_weights(u)[None]
-        return _grid_magnitudes(self.dec.eigenvalues, weights, span, np.empty((points, 1)))[:, 0]
+        for _, lo, block in _grid_blocks(self.dec.eigenvalues, weights, span, points):
+            out[lo : lo + len(block)] = block
+        return out
 
     def diagonal_series(self, vertices: Sequence[int], t_max: float, steps: int) -> np.ndarray:
         """Rows (t, |U(t)_{u,u}| for each u in ``vertices``) on np.linspace(0,
-        t_max, steps), the columns from one :func:`_grid_magnitudes` call.
-        More than ``MAX_SERIES_CELLS`` cells raise ValueError."""
-        cells = steps * (1 + len(vertices))
-        if cells > MAX_SERIES_CELLS:
-            raise ValueError(
-                f"series of {steps} steps for {len(vertices)} vertices has {cells} "
-                f"cells, above the cap of {MAX_SERIES_CELLS}"
-            )
-        _check_grid(t_max, steps)
+        t_max, steps), the columns from one :func:`_grid_blocks` call.
+        See :func:`_check_series` for the values refused."""
+        _check_series(t_max, steps, len(vertices))
         out = np.empty((steps, 1 + len(vertices)))
         out[:, 0] = np.linspace(0.0, t_max, steps)
         weights = np.array([self.dec.diagonal_weights(u) for u in vertices])
         weights = weights.reshape(len(vertices), len(self.dec.eigenvalues))
-        _grid_magnitudes(self.dec.eigenvalues, weights, t_max, out[:, 1:])
+        for v, lo, block in _grid_blocks(self.dec.eigenvalues, weights, t_max, steps):
+            out[lo : lo + len(block), 1 + v] = block
         return out
 
     def infimum_diagonal(
@@ -272,8 +312,9 @@ class WalkEvaluator:
             span, pts = _bounded_grid(self.dec, grid_points, horizon)
             weights = self.dec.diagonal_weights(u)
             keep = weights != 0.0
-            jet = _phase_jet(self.dec.eigenvalues[keep], weights[keep])
-            t, value = _grid_minimum(self.diagonal_grid_magnitudes(u, span, pts), span, jet)
+            lams, weights = self.dec.eigenvalues[keep], weights[keep]
+            blocks = _grid_blocks(lams, weights[None], span, pts)
+            t, value = _grid_minimum(blocks, span, pts, _phase_jet(lams, weights))
             return InfimumEstimate(value, t, InfimumMode.GRID_LOWER_CONFIDENCE, pts, span)
         times = angles / (float(form.g) * math.sqrt(form.delta))
         t, value = _earliest_minimum(times, np.abs(self.diagonal_amplitudes(u, times)))

@@ -175,6 +175,20 @@ def test_series_cell_cap_counts_the_time_column(capsys, monkeypatch):
     assert rc == 2 and out == "" and "33 cells" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--steps", str(walk_module.MAX_SERIES_CELLS // 2 + 1)), ("--tmax", "nan"), ("--steps", "1")],
+)
+def test_series_checks_its_grid_before_it_decomposes(capsys, monkeypatch, flag, value):
+    def refuse(*args):
+        raise AssertionError("decompose ran before the grid check")
+
+    monkeypatch.setattr(cli, "decompose", refuse)
+    rc, out, err = run(capsys, "series", "--graph", "P(30)", "--vertex", "0", flag, value)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_series_holds_one_block_of_text(tmp_path):
     # the float table (2,020,000 cells, 16.2 MB) and one block of text; the
     # whole text (30.5 MB) held as blocks and joined took 77.6 MB

@@ -31,7 +31,7 @@ from sedwalk import walk as walk_module
 from sedwalk.families import _complete_product_cosine_terms
 from sedwalk.graphs import WeightedGraph
 from sedwalk.spectral import SpectralDecomposition
-from sedwalk.walk import _SEED_CHUNK, _least_indices, _refined_minimum
+from sedwalk.walk import _SEED_CHUNK, _grid_blocks, _least_entries, _least_indices, _refined_minimum
 
 KINDS = [MatrixKind.adjacency(), MatrixKind.laplacian(), MatrixKind.generalized(Fraction(1, 2))]
 SCAN_KINDS = [MatrixKind.adjacency(), MatrixKind.laplacian(), MatrixKind.generalized(-1)]
@@ -310,10 +310,86 @@ def test_bounded_scan_memory_is_linear_in_the_grid(support_form):
     finally:
         tracemalloc.stop()
     assert est.grid_points == 1_000_001
-    # 1e6 magnitudes take 8 MB and one row block of the product 1 MB (9.6 MB measured);
-    # an argpartition of the whole grid would add 16 MB, the dense 1e6 x 16 complex
-    # phase matrix 256 MB
+    # the scan holds one row block of the product, 1 MB; the whole grid held
+    # 8 MB more (9.6 MB measured), an argpartition of it would add 16 MB, the
+    # dense 1e6 x 16 complex phase matrix 256 MB
     assert peak < 12e6
+
+
+def test_bounded_scan_holds_one_row_block():
+    ev = WalkEvaluator(decompose(path(9)))
+    tracemalloc.start()
+    try:
+        est = ev.infimum_diagonal(0, None, grid_points=1 << 22, horizon=3e5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.grid_points == 1 << 22
+    # one row block of the phase product (1 MB) and of its magnitudes (0.5 MB),
+    # and the baby and giant tables (2049 x 9 complex each, 0.3 MB); the whole
+    # grid took 32 MB more
+    assert peak < 4e6
+
+
+def _streamed_seeds(ev: WalkEvaluator, u: int, span: float, points: int):
+    """The bounded scan's five seeds and their values, from its streamed grid,
+    and the number of blocks the grid came in."""
+    starts = []
+
+    def blocks():
+        weights = ev.dec.diagonal_weights(u)[None]
+        for item in _grid_blocks(ev.dec.eigenvalues, weights, span, points):
+            starts.append(item[1])
+            yield item
+
+    seeds, values = _least_entries(blocks(), 5)
+    return seeds, values, len(starts)
+
+
+@pytest.mark.parametrize(
+    "graph, u, span, points, blocks",
+    [
+        pytest.param("P(9)", 0, 40.0, _SEED_CHUNK - 7, 1, id="below-one-chunk"),
+        # 256 giant rows of 256 baby steps: exactly one row block
+        pytest.param("P(16)", 3, 1e3, 1 << 16, 1, id="one-block"),
+        pytest.param("cprod(P(3),P(4))", 0, 3e4, 1_000_001, 16, id="many-blocks"),
+        # |U(t)_00| = |cos t| on K(2) is least at the last point, t = pi / 2
+        pytest.param("K(2)", 0, math.pi / 2, 70001, 2, id="minimum-at-the-last-point"),
+    ],
+)
+def test_streamed_seeds_match_the_whole_grid(graph, u, span, points, blocks):
+    ev = WalkEvaluator(decompose(parse_graph(graph)))
+    grid = ev.diagonal_grid_magnitudes(u, span, points)
+    want = _least_indices(grid, 5)
+    seeds, values, count = _streamed_seeds(ev, u, span, points)
+    assert count == blocks
+    np.testing.assert_array_equal(seeds, want)
+    np.testing.assert_array_equal(values, grid[want])
+    if graph == "K(2)":
+        assert seeds[0] == points - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cuts=st.lists(st.integers(1, 3 * _SEED_CHUNK), min_size=1, max_size=12),
+    levels=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cuts=[3], levels=2, seed=0)
+@example(cuts=[_SEED_CHUNK - 1, 1, _SEED_CHUNK], levels=1, seed=1)
+@example(cuts=[5, 5, 5, 5], levels=2, seed=2)
+@example(cuts=[2 * _SEED_CHUNK + 3] * 6, levels=3, seed=3)
+def test_least_entries_match_the_whole_grid(cuts, levels, seed):
+    # few distinct levels tie the least values within a block, across blocks
+    # and at the fifth value
+    rng = np.random.default_rng(seed)
+    grid = rng.random(levels)[rng.integers(0, levels, size=sum(cuts))]
+    starts = np.cumsum([0] + cuts[:-1]).tolist()
+    blocks = ((0, lo, grid[lo : lo + cut]) for lo, cut in zip(starts, cuts))
+    seeds, values = _least_entries(blocks, 5)
+    want = _least_indices(grid, 5)
+    np.testing.assert_array_equal(seeds, want)
+    np.testing.assert_array_equal(values, grid[want])
 
 
 def test_join_perturbation_bound_holds(oracle):
