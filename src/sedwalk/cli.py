@@ -127,8 +127,13 @@ def _json_num(x: float) -> str:
     return s if "." in s else s + ".0"
 
 
-def _json_floats(values: Sequence[float], sep: str) -> str:
-    """``sep.join(map(_json_num, values))`` with one ``%`` for the whole list.
+def _pct_tokens(values: Sequence[float]) -> list[str]:
+    """``[f"{v:.12g}" for v in values]`` with one ``%``."""
+    return (",".join(["%.12g"] * len(values)) % tuple(values)).split(",")
+
+
+def _json_tokens(values: Sequence[float]) -> list[str]:
+    """``[_json_num(v) for v in values]`` with one ``%`` for the whole list.
 
     A ``%.12g`` token is already what :func:`_json_num` writes when it has a
     point and no exponent, or a negative exponent other than ``e-3xx``.  Such
@@ -139,23 +144,77 @@ def _json_floats(values: Sequence[float], sep: str) -> str:
     ``4.94065645841e-324``), so every ``e-3xx`` token is rewritten.  The
     rewritten tokens (those and the integral, ``e+``, ``nan`` and ``inf``
     ones) go through ``_json_num(float(token))``, which is exact: the token
-    reads back to a float that formats to the same token.  ``sep`` holds no
-    ``.`` or ``e``."""
-    n = len(values)
-    text = sep.join(["%.12g"] * n) % tuple(values)
-    if text.count(".") == n and "e+" not in text and "e-3" not in text:
-        return text
-    return sep.join(
+    reads back to a float that formats to the same token."""
+    text = ",".join(["%.12g"] * len(values)) % tuple(values)
+    tokens = text.split(",")
+    if text.count(".") == len(values) and "e+" not in text and "e-3" not in text:
+        return tokens
+    return [
         tok
         if ("." in tok and "e" not in tok) or ("e-" in tok and tok[-5:-2] != "e-3")
         else _json_num(float(tok))
-        for tok in text.split(sep)
-    )
+        for tok in tokens
+    ]
 
 
-class _Numbers(str):
-    """A list of JSON numbers already formatted, as their comma-joined text;
-    :func:`_write_json` lays it out as a list."""
+def _json_floats(values: Sequence[float], sep: str) -> str:
+    """``sep.join(map(_json_num, values))``, by :func:`_json_tokens`."""
+    return sep.join(_json_tokens(values))
+
+
+# 10**k for k = 0 ... 111 as correctly rounded doubles, the scales of
+# :func:`_class_keys`
+_POW10 = np.array([float(f"1e{k}") for k in range(112)])
+# values that :func:`_value_tokens` takes at a time; each chunk's arrays are
+# small, and a block-wide sort raised the peak resident set
+_TOKEN_CHUNK = 1 << 13
+
+
+def _class_keys(x: np.ndarray) -> np.ndarray:
+    """A class key per value of the 1-D float64 array ``x``: values with one
+    key have the same 12-digit rounding, so the same ``%.12g`` and
+    :func:`_json_num` tokens.
+
+    For 1e-99 <= |x| < 1e11 let e = floor(log10 |x|), corrected once so that
+    m = |x| 10^(11 - e) lies in [1e11, 1e12).  The rounded power and the
+    product put the computed m within 2 units of 2^-53 (relative) of the
+    exact one, under 2.3e-4; so when m is further than 1e-3 from a
+    half-integer, the 12-digit rounding of x is sign(x) rint(m) 10^(e - 11),
+    and the key packs (sign, e, rint(m)) into a non-negative int64.  Every
+    other value (a zero, a subnormal or other value below 1e-99, one from
+    1e11 up, nan, inf, a near-tie, or m outside [1e11, 1e12)) is a class of
+    its own, keyed -1 minus its position."""
+    a = np.abs(x)
+    ok = (a >= 1e-99) & (a < 1e11)
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    m = a * _POW10[11 - e]
+    e += m >= 1e12
+    e -= m < 1e11
+    m = a * _POW10[11 - e]
+    r = np.rint(m)
+    ok &= (m >= 1e11) & (m < 1e12) & (np.abs(m - r) < 0.499)
+    # rint(m) <= 1e12 < 2^40 and e + 128 < 2^8
+    packed = ((x < 0) << 48) + ((e + 128) << 40) + r.astype(np.int64)
+    return np.where(ok, packed, -1 - np.arange(len(x)))
+
+
+def _value_tokens(x: np.ndarray, fmt: Callable[[Sequence[float]], list[str]]) -> list[str]:
+    """``fmt(x)``, formatting one member of each class of :func:`_class_keys`
+    per chunk of ``_TOKEN_CHUNK`` values and reusing its token for the rest."""
+    out: list[str] = []
+    for lo in range(0, len(x), _TOKEN_CHUNK):
+        part = x[lo : lo + _TOKEN_CHUNK]
+        classes, inv = np.unique(_class_keys(part), return_inverse=True)
+        members = np.empty(len(classes))
+        members[inv] = part
+        out += np.array(fmt(members.tolist()), dtype=object)[inv].tolist()
+    return out
+
+
+class _Numbers(list):
+    """A list of JSON numbers already formatted, as their tokens;
+    :func:`_write_json` lays it out as a list of numbers."""
 
 
 def _write_json(obj: object, pad: str, out: list[str]) -> None:
@@ -165,15 +224,13 @@ def _write_json(obj: object, pad: str, out: list[str]) -> None:
     if isinstance(obj, float):
         out.append(_json_num(obj))
     elif isinstance(obj, str):
-        if type(obj) is _Numbers:
-            inner = pad + "  "
-            out += ("[", inner, obj.replace(",", "," + inner), pad, "]") if obj else ("[]",)
-        else:
-            out.append(_json_str(obj))
+        out.append(_json_str(obj))
     elif isinstance(obj, (list, tuple)):
         inner = pad + "  "
         if not obj:
             out.append("[]")
+        elif type(obj) is _Numbers:
+            out += ("[", inner, ("," + inner).join(obj), pad, "]")
         elif set(map(type, obj)) == {float}:
             out += ("[", inner, _json_floats(obj, "," + inner), pad, "]")
         else:
@@ -212,6 +269,18 @@ def _dump_json(obj: object) -> str:
     _write_json(obj, "\n", out)
     out.append("\n")
     return "".join(out)
+
+
+def _stream_json_list(items: Iterable[object]) -> Iterator[str]:
+    """:func:`_dump_json` of the list of ``items``, one yielded piece per
+    item, so only one item's text is held."""
+    lead = "[\n  "
+    for item in items:
+        out = [lead]
+        _write_json(item, "\n  ", out)
+        lead = ",\n  "
+        yield "".join(out)
+    yield "[]\n" if lead == "[\n  " else "\n]\n"
 
 
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -452,44 +521,50 @@ def _spectrum_cells(
     vertex_text: Callable[[int], str],
     value_text: np.ndarray,
 ) -> Iterator[np.ndarray]:
-    """Per support block, the rows (vertex text, eigenvalue text, weight) of
-    its support entries, vertex by vertex, as an object array."""
+    """Per support block, the rows (vertex text, eigenvalue text, weight
+    text) of its support entries, vertex by vertex, as an object array."""
     for rows, weights, mask in blocks:
         at, cls = np.nonzero(mask)
         cells = np.empty((len(at), 3), dtype=object)
         cells[:, 0] = np.array([vertex_text(u) for u in rows.tolist()], dtype=object)[at]
         cells[:, 1] = value_text[cls]
-        cells[:, 2] = weights[mask]
+        cells[:, 2] = _value_tokens(weights[mask], _pct_tokens)
         yield cells
 
 
-def cmd_spectrum(args: argparse.Namespace) -> str | Iterator[str]:
-    """Each eigenvalue is formatted once and its text reused for every vertex;
-    weights are formatted one ``%`` per vertex list (JSON) or per block of
-    rows (CSV and table), from :meth:`SpectralDecomposition.support_blocks`."""
+def _spectrum_records(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], value_text: np.ndarray
+) -> Iterator[dict]:
+    """The JSON record of each vertex, one support block at a time."""
+    for rows, weights, mask in blocks:
+        value_list = value_text[np.nonzero(mask)[1]].tolist()
+        weight_list = _value_tokens(weights[mask], _json_tokens)
+        ends = np.cumsum(mask.sum(axis=1)).tolist()
+        for u, a, b in zip(rows.tolist(), [0] + ends, ends):
+            yield {
+                "vertex": u,
+                "values": _Numbers(value_list[a:b]),
+                "weights": _Numbers(weight_list[a:b]),
+            }
+
+
+def cmd_spectrum(args: argparse.Namespace) -> Iterator[str]:
+    """Each eigenvalue is formatted once and its text reused for every vertex,
+    and weights by :func:`_value_tokens`.  The output is streamed, computed
+    one block of :meth:`SpectralDecomposition.support_blocks` at a time."""
     g, _src = _load_graph(args)
     kind = MatrixKind.parse(args.matrix)
     dec = decompose(g, kind)
     verts = _select_vertices(args, g.n)
     values = dec.eigenvalues.tolist()
     if args.format == "json":
-        tokens = np.array(_json_floats(values, ",").split(","), dtype=object)
-        return _dump_json(
-            [
-                {
-                    "vertex": u,
-                    "values": _Numbers(",".join(tokens[m])),
-                    "weights": _Numbers(_json_floats(w[m].tolist(), ",")),
-                }
-                for rows, weights, mask in dec.support_blocks(verts)
-                for u, w, m in zip(rows.tolist(), weights, mask)
-            ]
-        )
-    text = np.array([f"{v:.12g}" for v in values], dtype=object)
+        text = np.array(_json_tokens(values), dtype=object)
+        return _stream_json_list(_spectrum_records(dec.support_blocks(verts), text))
+    text = np.array(_pct_tokens(values), dtype=object)
     if args.format == "csv":
         head = _render_csv(("vertex", "eigenvalue", "weight"), ())
         return _render_rows(
-            head, "%s,%s,%.12g\n", _spectrum_cells(dec.support_blocks(verts), str, text)
+            head, "%s,%s,%s\n", _spectrum_cells(dec.support_blocks(verts), str, text)
         )
     # a table's first two columns are as wide as their widest cell, so a
     # first pass finds the vertices and eigenvalues that have rows; the last
@@ -503,7 +578,7 @@ def cmd_spectrum(args: argparse.Namespace) -> str | Iterator[str]:
     head = f"{'vertex':<{vertex_width}}  {'eigenvalue':<{value_width}}  weight\n"
     return _render_rows(
         head,
-        "%s  %s  %.12g\n",
+        "%s  %s  %s\n",
         _spectrum_cells(
             dec.support_blocks(verts),
             lambda u: f"{u:<{vertex_width}}",

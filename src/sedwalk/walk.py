@@ -275,13 +275,15 @@ class WalkEvaluator:
         t_max, steps), the columns from one :func:`_grid_blocks` call.
         See :func:`_check_series` for the values refused."""
         _check_series(t_max, steps, len(vertices))
-        out = np.empty((steps, 1 + len(vertices)))
-        out[:, 0] = np.linspace(0.0, t_max, steps)
+        # filled column by column in a column-major table, so each block is
+        # written contiguously; the rows are its transpose
+        out = np.empty((1 + len(vertices), steps))
+        out[0] = np.linspace(0.0, t_max, steps)
         weights = np.array([self.dec.diagonal_weights(u) for u in vertices])
         weights = weights.reshape(len(vertices), len(self.dec.eigenvalues))
         for v, lo, block in _grid_blocks(self.dec.eigenvalues, weights, t_max, steps):
-            out[lo : lo + len(block), 1 + v] = block
-        return out
+            out[1 + v, lo : lo + len(block)] = block
+        return out.T
 
     def infimum_diagonal(
         self,

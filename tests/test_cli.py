@@ -600,6 +600,42 @@ def test_tiny_edge_is_not_certified_sedentary(capsys, tmp_path):
     assert not (row["certified"] and row["verdict"] == "sedentary")
 
 
+@pytest.mark.xfail(
+    reason="grouping merges the eigenvalues 2e9+2 and 2e9-1 into one class, so the "
+    "support looks like a singleton with constant 1, yet the constant is 1/3; the "
+    "vertex minimal polynomial has two roots (ROADMAP item 10)",
+)
+def test_generalized_k3_at_large_q_is_not_certified_constant_1(capsys):
+    # U(t)_{0,0} = e^{i(2e9)t} (e^{2it} + 2 e^{-it}) / 3, whose modulus falls to 1/3
+    rc, out, _ = run(
+        capsys, "classify", "--graph", "K(3)", "--matrix", "Mq:1e9", "--vertex", "0",
+        "--format", "json",
+    )
+    assert rc == 0
+    (row,) = json.loads(out)
+    assert not row["certified"] or (
+        row["verdict"] == "sedentary" and abs(row["constant"] - 1 / 3) <= 1e-9
+    )
+
+
+@pytest.mark.xfail(
+    reason="the support {0, +-sqrt(2)/3} is not recognized from floats, though the "
+    "same path with weights 3 is certified pst; scaling the matrix to integers "
+    "recognizes it (ROADMAP item 10)",
+)
+def test_third_weighted_path_certifies_pst(capsys, tmp_path):
+    # P(3) with both weights 1/3 is P(3)/3: end-to-end PST at 3 pi / sqrt(2)
+    path = tmp_path / "third-path.txt"
+    path.write_text("n 3\n0 1 1/3\n1 2 1/3\n")
+    rc, out, _ = run(
+        capsys, "classify", "--file", str(path), "--vertex", "0", "--format", "json"
+    )
+    assert rc == 0
+    (row,) = json.loads(out)
+    assert row["verdict"] == "pst" and row["partner"] == 2 and row["certified"] is True
+    assert abs(row["pst_time"] - 3 * math.pi / math.sqrt(2)) <= 1e-9
+
+
 @pytest.mark.parametrize("command", ["classify", "analyze"])
 def test_tiny_edge_with_one_exact_value_is_unrecognized(capsys, tmp_path, command):
     # grouping keeps +-6e-8 as two classes, and recognition rounds both to 0;
