@@ -22,19 +22,20 @@ and each stage appends its step to the certificate trail:
    below the infimum.
 
 The exact one-period minimum, or else a bounded-horizon grid scan, is the
-numeric evidence attached to every verdict.
+numeric evidence attached to every verdict.  Where a float fact contradicts
+what exact reasoning says it must be, the vertex ends undetermined and
+uncertified, with an ``inconsistent:<check>`` step, instead of raising.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import _EXACT_FLOAT, ADJACENCY, MatrixKind, WeightedGraph
+from .graphs import ADJACENCY, MatrixKind, WeightedGraph
 from .numtheory import (
     ExactEigenvalue,
     QuadraticIntegerForm,
@@ -49,7 +50,7 @@ from .spectral import (
     decompose,
 )
 from .twins import TwinDichotomy, TwinSet, find_twin_sets, twin_dichotomy
-from .walk import _MAX_DEGREE, InfimumEstimate, WalkEvaluator, _bounded_grid, _check_grid
+from .walk import InfimumEstimate, WalkEvaluator, _check_grid
 
 __all__ = [
     "Verdict",
@@ -276,20 +277,13 @@ def _twin_stage(
 
 
 def _period_minimum(
-    sup: EigenvalueSupport,
-    form: QuadraticIntegerForm,
-    scan: InfimumEstimate,
-    floor: float | None,
-    trail: list[str],
+    sup: EigenvalueSupport, form: QuadraticIntegerForm, scan: InfimumEstimate, trail: list[str]
 ) -> tuple[float, float | None]:
     """Constant and attaining time from a certified one-period minimum.
 
-    The minimum may not dip below a certified floor.  When it matches the
-    half-period dip, the exact dip and half the period replace the computed
-    ones.
+    When it matches the half-period dip, the exact dip and half the period
+    replace the computed ones.
     """
-    if floor is not None and scan.value < floor - MATCH_TOL:
-        raise ValueError("period minimum dipped below the certified floor")
     trail.append("period-minimum")
     dip = _half_period_dip(sup, form)
     if abs(dip - scan.value) > MATCH_TOL:
@@ -366,6 +360,11 @@ def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassi
             **fields,
         )
 
+    def inconsistent(check: str) -> VertexClassification:
+        # two float facts that exact reasoning says must agree do not
+        trail.append(f"inconsistent:{check}")
+        return record(Verdict.UNDETERMINED, certified=False)
+
     # support
     if len(sup) == 1:
         trail.append("support-singleton")
@@ -393,11 +392,11 @@ def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassi
         v, sc = pair
         plus_pos = _support_positions(sup, sc.plus)
         if len(plus_pos) + len(_support_positions(sup, sc.minus)) != len(sup):
-            raise ValueError("strong cospectrality split does not cover the support")
+            return inconsistent("sign-split")
         t1 = equality_time_criterion(form, plus_pos) if form is not None else None
         if t1 is not None:
             if ev.magnitude(u, v, t1) < 1.0 - PST_TOL:
-                raise ValueError("equality time failed to deliver the full transfer")
+                return inconsistent("pst-at-equality-time")
             trail.append(f"pst:time={t1:.12g}")
             return record(Verdict.PST, partner=v, pst_time=t1)
         if exacts is None:
@@ -407,7 +406,7 @@ def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassi
             if form is not None:
                 # periodic vertices attain what they approach, contradicting
                 # the failed equality test above
-                raise ValueError("parity and equality time disagree on a periodic pair")
+                return inconsistent("parity-against-period")
             return record(Verdict.PGST, partner=v)
         # blocked: the pair is sedentary; only a period minimum gives a constant
         if not scan.certified:
@@ -429,7 +428,10 @@ def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassi
             v, t1 = found
             trail.append(f"pst:time={t1:.12g}")
             return record(Verdict.PST, partner=v, pst_time=t1)
-        constant, t_time = _period_minimum(sup, form, scan, floor, trail)
+        # the minimum may not dip below a certified floor
+        if floor is not None and scan.value < floor - MATCH_TOL:
+            return inconsistent("floor-dip")
+        constant, t_time = _period_minimum(sup, form, scan, trail)
         # a minimum over one closed period is always attained
         return record(
             Verdict.SEDENTARY, constant=constant, tight=True, sharp=False, tightness_time=t_time
@@ -447,174 +449,27 @@ def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassi
     return record(Verdict.SEDENTARY, constant=floor, tight=False, sharp=sharp)
 
 
-# -- scan classes ---------------------------------------------------------------
+# -- scan sharing ---------------------------------------------------------------
 
-# The fixed cost of one scan call (its Python set-up, root solver or grid
-# tables) in multiply-adds of the closed-walk products that may replace it.
-# On one BLAS thread of a 2-vCPU VM, a one-period solve of degree 6 takes
-# about 0.35 ms, the time of some 4e6 of them, so this undercounts it.
-_SCAN_CALL = 1 << 20
-# A bounded scan costs 8 (16 + k) of those multiply-adds per grid point of a
-# k-class support.  On the same machine a float64 product of a 2048 x 2048
-# matrix by 256 columns takes 47 ms, 0.044 ns a multiply-add, and a scan of
-# 10^6 points takes 6.1 ms at k = 3 (CP(1028)), 8.6 ms at k = 16 (P(16)) and
-# 81 ms at k = 256 (P(256)): about 130 multiply-adds a point for the
-# magnitudes and the seed selection, plus 7 to 8 a point and class for the
-# phase product.
+# Two scan representatives share one scan when their diagonal weights differ
+# by at most this in sum: |U(t)_uu| and |U(t)_vv| then differ by at most as
+# much at every t.
+SHARE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class _ClosedWalks:
-    """B = M' - cI for the exact integer matrix M' = s' M(kind) of a walk.
-
-    ``b`` holds the integer entries of B as float64, and every row of |B|
-    sums to at most ``norm``.  B^i is a unit triangular combination of the
-    M'^j, j <= i, so two vertices agree on (B^i)_{uu} for every i < K exactly
-    when they agree on (M'^i)_{uu} for every i < K."""
-
-    b: np.ndarray
-    scale: int
-    shift: int
-    norm: int
-
-
-def _closed_walks(g: WeightedGraph, kind: MatrixKind) -> _ClosedWalks | None:
-    """The exact walk matrix of ``kind`` on ``g``, or None on float weights,
-    a float q, or a row of |M'| that may reach 2**53.
-
-    With (M, s) = ``g.scaled_adjacency`` and D' the degree numerators, a loop
-    counted twice as in :meth:`WeightedGraph.degree_matrix`, M' = a D' + b M:
-    (a, b) = (0, 1) with s' = s for A, (1, -1) with s' = s for L, and the
-    numerator and denominator of q with s' = den s for q D + A.  The shift c
-    minimizes the largest row sum of |M' - cI|."""
-    m, s = g.scaled_adjacency
-    if m.dtype != np.int64:
-        return None
-    if kind.label == "adjacency":
-        a, b, scale = 0, 1, s
-    elif kind.label == "laplacian":
-        a, b, scale = 1, -1, s
-    elif isinstance(kind.q, Fraction):
-        a, b, scale = kind.q.numerator, kind.q.denominator, kind.q.denominator * s
-    else:
-        return None
-    deg = m.sum(axis=1) + m.diagonal()
-    # M >= 0, so a row of |M'| sums to at most (|a| + |b|) times its degree numerator
-    if (abs(a) + abs(b)) * max(1, int(deg.max())) >= _EXACT_FLOAT:
-        return None
-    mp = b * m
-    diag = b * m.diagonal() + a * deg
-    off = np.abs(mp).sum(axis=1) - np.abs(mp.diagonal())
-    shift = (int((diag + off).max()) + int((diag - off).min())) // 2
-    mp.flat[:: len(mp) + 1] = diag - shift
-    norm = int((np.abs(diag - shift) + off).max())
-    return _ClosedWalks(mp.astype(np.float64), scale, shift, norm)
-
-
-def _annihilator(exacts: list[ExactEigenvalue], walks: _ClosedWalks) -> list[int] | None:
-    """Coefficients, constant first, of the monic p(x) = prod_j (x - (s'
-    lambda_j - c)) over the exact values lambda_j, one integer quadratic per
-    conjugate pair; None when p is not integral.  When the lambda_j are a
-    vertex's support, p(B) e_u = 0, which the caller checks exactly."""
-    p = [1]
-    for e in exacts:
-        if e.radical == 0 or e.delta == 1:
-            factor = [walks.shift - walks.scale * (e.rational + e.radical), 1]
-        elif e.radical > 0:
-            mid = walks.scale * e.rational - walks.shift
-            factor = [mid * mid - (walks.scale * e.radical) ** 2 * e.delta, -2 * mid, 1]
-        else:
-            continue  # its conjugate, of positive radical, gives the quadratic
-        # a monic factor of an integer polynomial is integral (Gauss's lemma)
-        if any(Fraction(c).denominator != 1 for c in factor):
-            return None
-        out = [0] * (len(p) + len(factor) - 1)
-        for i, x in enumerate(p):
-            for j, y in enumerate(factor):
-                out[i + j] += x * int(y)
-        p = out
-    return p
-
-
-def _count_leaders(
-    b: np.ndarray, reps: list[int], steps: int, p: list[int] | None
-) -> list[int] | None:
-    """For each of ``reps``, the first of ``reps`` with the same closed-walk
-    counts (B^i)_{uu} for every i < ``steps``.
-
-    ``p`` is a monic integer annihilator of degree ``steps``: a rep joins
-    another only once p(B) e_u = 0 is checked, and None says a rep that would
-    join was not annihilated.  Without ``p``, ``steps`` is n, and the
-    characteristic polynomial (Cayley-Hamilton) is the annihilator.  Then the
-    counts at every i agree, since each is the same combination of the ones
-    below.  A rep alone in its class at some i leaves the products.  The
-    caller bounds every partial sum below 2**53, so each product is exact."""
-    rows = np.asarray(reps)
-    active = np.arange(len(reps))
-    label = np.zeros(len(reps), dtype=np.intp)
-    x = np.zeros((len(b), len(reps)))
-    x[rows, active] = 1.0
-    acc = None if p is None else p[0] * x
-    for i in range(1, steps + (p is not None)):
-        x = b @ x
-        if acc is not None:
-            acc += p[i] * x
-        if i == steps:
-            break
-        counts = x[rows[active], np.arange(len(active))]
-        ids: dict[tuple[int, float], int] = {}
-        label = np.array([ids.setdefault(k, len(ids)) for k in zip(label.tolist(), counts.tolist())])
-        keep = np.bincount(label)[label] > 1
-        active, label, x = active[keep], label[keep], x[:, keep]
-        if acc is not None:
-            acc = acc[:, keep]
-        if not len(active):
-            break
-    if acc is not None and acc.any():
-        return None
-    leaders = list(range(len(reps)))
-    first: dict[int, int] = {}
-    for pos, lab in zip(active.tolist(), label.tolist()):
-        leaders[pos] = first.setdefault(lab, pos)
-    return [reps[j] for j in leaders]
-
-
-def _scan_leaders(
-    facts: _GraphFacts, reps: list[int], grid_points: int | None, horizon: float | None
-) -> dict[int, int]:
-    """Each scan representative mapped to the first of ``reps`` in its exact
-    cospectral class, or to itself; see :func:`classify_all`."""
-    dec, n = facts.dec, facts.dec.n
-    groups: dict[tuple[int, ...], list[int]] = {}
+def _scan_leaders(facts: _GraphFacts, reps: list[int]) -> dict[int, int]:
+    """Each scan representative mapped to the first earlier head it matches,
+    or to itself, a head; see :func:`classify_all`."""
+    heads: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    leader = {}
     for r in reps:
-        groups.setdefault(facts.support(r).indices, []).append(r)
-    todo = []
-    for indices, members in groups.items():
-        if len(members) < 2 or len(indices) < 2:
-            continue
-        exacts, form = facts.recognized(facts.support(members[0]))
-        # multiply-adds of one scan: D^3 for a one-period root solve of
-        # degree D, 8 (16 + k) a grid point for a bounded scan of a k-class support
-        if form is not None and max(form.steps) <= _MAX_DEGREE:
-            cost = _SCAN_CALL + max(form.steps) ** 3
-        else:
-            points = _bounded_grid(dec, grid_points, horizon)[1]
-            cost = _SCAN_CALL + 8 * (16 + len(indices)) * points
-        if n * n * len(indices) < cost:
-            todo.append((members, exacts, cost))
-    leader = {r: r for r in reps}
-    walks = _closed_walks(facts.g, facts.kind) if todo else None
-    if walks is None:
-        return leader
-    for members, exacts, cost in todo:
-        found = None
-        p = _annihilator(exacts, walks) if exacts is not None else None
-        if p is not None and sum(abs(c) * walks.norm**k for k, c in enumerate(p)) < _EXACT_FLOAT:
-            found = _count_leaders(walks.b, members, len(p) - 1, p)
-        if found is None and n**3 < cost and walks.norm ** (n - 1) < _EXACT_FLOAT:
-            found = _count_leaders(walks.b, members, n, None)
-        if found is not None:
-            leader.update(zip(members, found))
+        w = facts.dec.diagonal_weights(r)
+        # candidates share the support and the weights rounded to 6 places
+        bucket = heads.setdefault((facts.support(r).indices, hash(np.round(w, 6).tobytes())), [])
+        match = (h for h in bucket if np.abs(facts.dec.diagonal_weights(h) - w).sum() <= SHARE_TOL)
+        leader[r] = next(match, r)
+        if leader[r] == r:
+            bucket.append(r)
     return leader
 
 
@@ -643,28 +498,13 @@ def classify_all(
     Vertices that share a scan share its :class:`InfimumEstimate`.  Twins
     share their diagonal, so a twin set is scanned at its first member in
     ``vertices``, its representative; a vertex without a twin is its own.
-    Two representatives u and v also share one scan, made at the first, when
-    they are provably cospectral, (E_j)_{uu} = (E_j)_{vv} for every class j:
-
-    * they have the same support classes;
-    * on the exact integer matrix M' = s' M(kind) of the walk, the
-      closed-walk counts (M'^i)_{uu} and (M'^i)_{vv} agree for every i < K,
-      where K is the degree of a monic integer polynomial p with p(M') e_u =
-      p(M') e_v = 0.  Then every count agrees, since p gives the counts at i
-      >= K from those below.  p is the product over the recognized support
-      values of one linear factor per rational value and one quadratic per
-      conjugate pair, once p(M') e_u = 0 is checked exactly; failing that, it
-      is the characteristic polynomial (Cayley-Hamilton, K = n).
-
-    The products run in float64 only while every partial sum is provably an
-    integer below 2**53 (the sum over k of |p_k| ||M' - cI||^k, with c a
-    shift that makes the row-sum norm least, or ||M' - cI||^(n-1)).  A
-    graph with float weights, a float q or larger counts forms no class, nor
-    does a support the test costs more than it saves: about n^2 K
-    multiply-adds per representative against the scan's fixed call cost
-    plus D^3 for a one-period root solve of degree D, or 8 (16 + k) per grid
-    point for a bounded scan of a k-class support.  Such vertices keep one
-    scan per representative.
+    A representative v also takes the scan of the first earlier
+    representative u whose diagonal weights it matches: the same support
+    classes, and sum_j |(E_j)_{uu} - (E_j)_{vv}| <= ``SHARE_TOL``.  Then
+    ||U(t)_{uu}| - |U(t)_{vv}|| <= ``SHARE_TOL`` at every t, so the shared
+    minimum is within ``SHARE_TOL`` of v's own.  Candidates are found by the
+    weights rounded to 6 places, so a pair that rounding splits keeps two
+    scans.
     """
     _check_grid(horizon, grid_points)
     verts = list(range(g.n) if vertices is None else vertices)
@@ -683,7 +523,7 @@ def classify_all(
         first.setdefault(h, u)
     sides = {h: twin_dichotomy(g, kind, twin_of[h], dec) for h in first if h in twin_of}
     facts = _GraphFacts(g, kind, dec, WalkEvaluator(dec), twin_of, sides)
-    leader = _scan_leaders(facts, list(first.values()), grid_points, horizon)
+    leader = _scan_leaders(facts, list(first.values()))
     scans: dict[int, InfimumEstimate] = {}
     for r in leader.values():
         if r not in scans:

@@ -262,14 +262,6 @@ class WalkEvaluator:
         phases = np.exp(1j * np.outer(times, self.dec.eigenvalues))
         return phases @ weights
 
-    def diagonal_grid_magnitudes(self, u: int, span: float, points: int) -> np.ndarray:
-        """|U(m h)_{u,u}| for m < points, h = span / (points - 1): a series column."""
-        out = np.empty(points)
-        weights = self.dec.diagonal_weights(u)[None]
-        for _, lo, block in _grid_blocks(self.dec.eigenvalues, weights, span, points):
-            out[lo : lo + len(block)] = block
-        return out
-
     def diagonal_series(self, vertices: Sequence[int], t_max: float, steps: int) -> np.ndarray:
         """Rows (t, |U(t)_{u,u}| for each u in ``vertices``) on np.linspace(0,
         t_max, steps), the columns from one :func:`_grid_blocks` call.

@@ -55,7 +55,7 @@ def period_reference():
     at the reported time must equal it."""
 
     def check(ev, u: int, scan, points: int = 200_001) -> None:
-        grid_min = float(ev.diagonal_grid_magnitudes(u, scan.horizon, points).min())
+        grid_min = float(ev.diagonal_series([u], scan.horizon, points)[:, 1].min())
         lam = ev.dec.eigenvalues
         slope = float(ev.dec.diagonal_weights(u) @ (lam - lam.min()))
         step = scan.horizon / (points - 1)

@@ -19,9 +19,12 @@ import time
 
 # (argv, limit on the child's maximum resident set in MB, limit on its wall time in s or None)
 COMMANDS = (
-    (("analyze", "--graph", "CP(4096)", "--format", "json"), 1024, None),
-    # 512 twin pairs in one exact cospectral class: one degree-512 root solve
-    # serves them all; one per twin pair took 98 s
+    # 2,048 twin representatives with matching weights: one bounded scan
+    (("analyze", "--graph", "CP(4096)", "--format", "json"), 1024, 60),
+    # the paper's product family at the vertex cap: 4,096 vertices, one scan
+    (("analyze", "--graph", "dprod(K(64),K(64))", "--format", "json"), 1024, 60),
+    # 512 twin pairs with matching weights: one degree-512 root solve serves
+    # them all; one per twin pair took 98 s
     (("analyze", "--graph", "CP(1024)", "--format", "json"), 256, 30),
     (("spectrum", "--graph", "K(4096)", "--format", "csv"), 1024, None),
     # 166,111 steps x (1 + 100 vertices) = 16,777,211 cells, just under the cap

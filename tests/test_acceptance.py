@@ -49,7 +49,7 @@ def evaluator(g, kind) -> WalkEvaluator:
 
 def grid_min(ev: WalkEvaluator, u: int, span: float, pts: int) -> tuple[float, float]:
     """Minimum of |U(t)_{u,u}| on np.linspace(0, span, pts), with its argmin."""
-    mags = ev.diagonal_grid_magnitudes(u, span, pts)
+    mags = ev.diagonal_series([u], span, pts)[:, 1]
     k = int(np.argmin(mags))
     return float(mags[k]), k * span / (pts - 1)
 

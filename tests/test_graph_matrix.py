@@ -281,15 +281,16 @@ PARITY_STEPS = {"parity:all-even", "parity:odd-relation"}
 
 
 @settings(max_examples=150, deadline=None)
-@given(trees(pools=("int", "fraction", "float", "mixed")), st.sampled_from(["A", "L", "Mq:-1"]))
+@given(
+    trees(pools=("int", "fraction", "float", "mixed", "huge")),
+    st.sampled_from(["A", "L", "Mq:-1"]),
+)
 def test_relation_parity_always_decides_on_graphs_with_twins(tree, matrix):
     """Relation parity raises on an empty side or on mixed radicals; the
     classifier never hands it either, so on every graph with a twin each
     vertex classifies and each parity step is one of the two outcomes.
-
-    The "huge" weights are left out: near 2**50 the float check of an exact
-    equality time can fail and raise, a fault of its own that
-    ``test_sedentary.test_huge_loop_classifies`` pins."""
+    Near 2**50 the float check of an exact equality time can fail; the
+    vertex then ends undetermined (``test_sedentary.test_huge_loop_classifies``)."""
     g = _build(tree, graphs)
     kind = MatrixKind.parse(matrix)
     twin_sets = find_twin_sets(g)

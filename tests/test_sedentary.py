@@ -14,6 +14,7 @@ from closedforms import double_cone_real_minimum, valuation_equality_time
 from sedwalk import (
     MatrixKind,
     QuadraticIntegerForm,
+    InfimumEstimate,
     InfimumMode,
     Verdict,
     VertexClassification,
@@ -565,15 +566,28 @@ def test_blowup_pair_parity_outcomes():
     assert not any(step.startswith("parity:") for step in rec.certificate)
 
 
-@pytest.mark.xfail(
-    reason="a loop of weight 2**50 puts the spectral radius at 3.4e15, so eigh's "
-    "eigenvalues are off by up to about 0.75; at the exact equality time pi the float "
-    "|U(t)_{7,11}| is 0.90, and the 1 - PST_TOL check raises",
-)
 def test_huge_loop_classifies():
+    # a loop of weight 2**50 puts the spectral radius at 3.4e15, so eigh's
+    # eigenvalues are off by up to about 0.75; at the exact equality time pi
+    # the float |U(t)_{7,11}| is 0.90: the pair ends undetermined
     loop = WeightedGraph.from_edges(1, [(0, 0, 2**50)])
     g = direct_product(join(empty(1), empty(2)), join(complete(3), loop))
-    classify_all(g, MatrixKind.parse("Mq:-1"), grid_points=2001)
+    records = classify_all(g, MatrixKind.parse("Mq:-1"), grid_points=2001)
+    flagged = [rec for rec in records if "inconsistent:pst-at-equality-time" in rec.certificate]
+    assert [rec.vertex for rec in flagged] == [7, 11]
+    for rec in flagged:
+        assert rec.verdict is Verdict.UNDETERMINED and not rec.certified
+        assert rec.certificate[-1] == "inconsistent:pst-at-equality-time"
+
+
+def test_period_minimum_below_the_floor_is_downgraded(monkeypatch):
+    # a leaf of star(4) has the twin floor 2 (3/4) - 1 = 1/2; a one-period
+    # minimum of zero contradicts it
+    zero = InfimumEstimate(0.0, 0.0, InfimumMode.EXACT_ON_PERIOD, 2, math.pi)
+    monkeypatch.setattr(WalkEvaluator, "infimum_diagonal", lambda *args: zero)
+    rec = classify_all(star(4), A, vertices=(1,))[0]
+    assert rec.verdict is Verdict.UNDETERMINED and not rec.certified
+    assert rec.certificate[-2:] == ("projection-floor:a=0.75", "inconsistent:floor-dip")
 
 
 def test_join_transfer_constant():

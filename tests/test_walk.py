@@ -30,6 +30,7 @@ from sedwalk import (
 from sedwalk import walk as walk_module
 from sedwalk.families import _complete_product_cosine_terms
 from sedwalk.graphs import WeightedGraph
+from sedwalk.sedentary import SHARE_TOL
 from sedwalk.spectral import SpectralDecomposition
 from sedwalk.walk import _SEED_CHUNK, _grid_blocks, _least_entries, _least_indices, _refined_minimum
 
@@ -116,7 +117,7 @@ def test_diagonal_series_grid():
     ],
 )
 def test_series_shares_one_phase_table(graph, kind, steps, verts):
-    """Each series column is the bounded scan's grid, bit for bit, and lies
+    """Each series column is the one-vertex series, bit for bit, and lies
     within 1e-12 of one dense phase product."""
     ev = WalkEvaluator(decompose(graph, kind))
     verts = verts or list(range(0, ev.n, 7))
@@ -125,7 +126,7 @@ def test_series_shares_one_phase_table(graph, kind, steps, verts):
     phases = np.exp(1j * np.outer(times, ev.dec.eigenvalues))
     assert np.array_equal(table[:, 0], times)
     for col, u in enumerate(verts, start=1):
-        assert np.array_equal(table[:, col], ev.diagonal_grid_magnitudes(u, 23.5, steps)), u
+        assert np.array_equal(table[:, col], ev.diagonal_series([u], 23.5, steps)[:, 1]), u
         dense = np.abs(phases @ ev.dec.diagonal_weights(u))
         np.testing.assert_allclose(table[:, col], dense, rtol=0, atol=1e-12, err_msg=str(u))
 
@@ -278,7 +279,7 @@ def test_grid_kernel_matches_dense_phases(rand_graph, kind, points, span):
     g = rand_graph(rng, n=6, weights=(1, 2, 3))
     ev = WalkEvaluator(decompose(g, kind))
     u = int(rng.integers(g.n))
-    got = ev.diagonal_grid_magnitudes(u, span, points)
+    got = ev.diagonal_series([u], span, points)[:, 1]
     assert got.shape == (points,)
     times = np.linspace(0.0, span, points)
     # both kernels round the phase t * lambda, so they differ by about eps * |t lambda|
@@ -359,7 +360,7 @@ def _streamed_seeds(ev: WalkEvaluator, u: int, span: float, points: int):
 )
 def test_streamed_seeds_match_the_whole_grid(graph, u, span, points, blocks):
     ev = WalkEvaluator(decompose(parse_graph(graph)))
-    grid = ev.diagonal_grid_magnitudes(u, span, points)
+    grid = ev.diagonal_series([u], span, points)[:, 1]
     want = _least_indices(grid, 5)
     seeds, values, count = _streamed_seeds(ev, u, span, points)
     assert count == blocks
@@ -497,7 +498,7 @@ def test_refined_scan_minimum_is_a_least_bracket_value(
     points = int(span * max(spread, 1.0) * density / (2 * math.pi)) + 2
     est = ev.infimum_diagonal(u, support_form(ev.dec, u), grid_points=points, horizon=span)
     assume(est.mode is InfimumMode.GRID_LOWER_CONFIDENCE)
-    grid = ev.diagonal_grid_magnitudes(u, span, points)
+    grid = ev.diagonal_series([u], span, points)[:, 1]
     assert est.value <= grid.min()
     assert abs(ev.magnitude(u, u, est.attained_time) - est.value) <= 1e-12
     h = span / (points - 1)
@@ -549,13 +550,14 @@ def _path(n: int, weight) -> WeightedGraph:
         pytest.param("dprod(K(3),K(5))", "A", [0], id="dprod(K(3),K(5))-A"),
         # the mirror pairs of P(8): four bounded scans instead of eight
         pytest.param(_path(8, 1), "A", [0, 1, 2, 3], id="P(8)-A"),
-        # float weights may not decide a merge
-        pytest.param(_path(8, 1.0), "A", list(range(8)), id="P(8)-float-weights"),
-        # with weight 2**20, the closed-walk counts pass 2**53
-        pytest.param(_path(8, 2**20), "A", list(range(8)), id="P(8)-weight-2**20"),
-        # six twin pairs: a float q keeps one scan per twin set
+        # the weights are compared as floats, whatever the edge weights are
+        pytest.param(_path(8, 1.0), "A", [0, 1, 2, 3], id="P(8)-float-weights"),
+        pytest.param(_path(8, 2**20), "A", [0, 1, 2, 3], id="P(8)-weight-2**20"),
+        # six twin pairs: one scan, with an exact or a float q
         pytest.param("CP(12)", "Mq:2", [0], id="CP(12)-Mq:2"),
-        pytest.param("CP(12)", "Mq:2.0", [0, 2, 4, 6, 8, 10], id="CP(12)-Mq:2.0"),
+        pytest.param("CP(12)", "Mq:2.0", [0], id="CP(12)-Mq:2.0"),
+        # the mirror pairs of P(54): one scan per pair
+        pytest.param("P(54)", "A", list(range(27)), id="P(54)-A"),
     ],
 )
 def test_one_scan_per_exact_cospectral_class(monkeypatch, graph, kind, scans):
@@ -614,6 +616,10 @@ def test_shared_scans_have_equal_diagonals(oracle, n, picks, mirror, kind, times
     records = classify_all(g, kind, grid_points=2001)
     first: dict[int, int] = {}
     shared = [(first.setdefault(id(rec.evidence), u), u) for u, rec in enumerate(records)]
+    dec = decompose(g, kind)
+    for w, u in shared:
+        gap = np.abs(dec.diagonal_weights(w) - dec.diagonal_weights(u)).sum()
+        assert gap <= SHARE_TOL, (w, u, gap)
     for t in times:
         u_t = oracle(g, kind, t)
         for w, u in shared:
