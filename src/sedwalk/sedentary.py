@@ -464,7 +464,8 @@ def _scan_leaders(facts: _GraphFacts, reps: list[int]) -> dict[int, int]:
     leader = {}
     for r in reps:
         w = facts.dec.diagonal_weights(r)
-        # candidates share the support and the weights rounded to 6 places
+        # candidates share the support and the hash of the weights rounded to
+        # 6 places; a hash collision only adds a candidate
         bucket = heads.setdefault((facts.support(r).indices, hash(np.round(w, 6).tobytes())), [])
         match = (h for h in bucket if np.abs(facts.dec.diagonal_weights(h) - w).sum() <= SHARE_TOL)
         leader[r] = next(match, r)
