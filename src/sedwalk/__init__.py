@@ -65,7 +65,6 @@ from .sedentary import (
 )
 from .spectral import (
     EigenvalueSupport,
-    LaplacianProductUnsupported,
     SpectralDecomposition,
     StrongCospectrality,
     decompose,
@@ -124,7 +123,6 @@ __all__ = [
     "EigenvalueSupport",
     "InfimumEstimate",
     "InfimumMode",
-    "LaplacianProductUnsupported",
     "SpectralDecomposition",
     "StrongCospectrality",
     "WalkEvaluator",

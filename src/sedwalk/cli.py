@@ -13,10 +13,11 @@ All numbers are printed with 12 significant digits so identical commands
 produce byte-identical output.  Times appear in radians and, when they are a
 small rational multiple of pi, annotated like ``1.5707963268 (pi/2)``.
 
-Exit status: 0 on success (an undetermined verdict is still a success), 2 for
-unusable input (expression, file or flag values, a graph too large for
-memory, or a number beyond the float range), and 3 when a Laplacian walk is
-requested on a direct product with an irregular factor.
+Exit status: 0 on success (an undetermined verdict is still a success) and 2
+for unusable input (expression, file or flag values, a graph too large for
+memory, or a number beyond the float range).  A graph is its weight matrix,
+so every spelling of one matrix (DSL expression or edge list) prints the
+same output.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .families import (
 )
 from .graphs import MatrixKind, WeightedGraph, _check_order, from_edge_list_text
 from .sedentary import Verdict, VertexClassification, classify_all
-from .spectral import LaplacianProductUnsupported, decompose
+from .spectral import decompose
 from .twins import TwinSet, find_twin_sets
 from .walk import WalkEvaluator, _check_grid, _check_series
 
@@ -157,11 +158,6 @@ def _json_tokens(values: Sequence[float]) -> list[str]:
     ]
 
 
-def _json_floats(values: Sequence[float], sep: str) -> str:
-    """``sep.join(map(_json_num, values))``, by :func:`_json_tokens`."""
-    return sep.join(_json_tokens(values))
-
-
 # 10**k for k = 0 ... 111 as correctly rounded doubles, the scales of
 # :func:`_class_keys`
 _POW10 = np.array([float(f"1e{k}") for k in range(112)])
@@ -231,8 +227,6 @@ def _write_json(obj: object, pad: str, out: list[str]) -> None:
             out.append("[]")
         elif type(obj) is _Numbers:
             out += ("[", inner, ("," + inner).join(obj), pad, "]")
-        elif set(map(type, obj)) == {float}:
-            out += ("[", inner, _json_floats(obj, "," + inner), pad, "]")
         else:
             lead = "[" + inner
             for v in obj:
@@ -841,9 +835,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 fh.writelines(pieces)
         else:
             sys.stdout.writelines(pieces)
-    except LaplacianProductUnsupported as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,8 +10,10 @@ A graph *is* its n-by-n weight matrix ``M = s * A``, held read-only:
 * a graph that mixes ``Fraction`` and float weights keeps them as given in
   an object matrix with ``s = 1``, so that its sums add them as Python does.
 
-Edges, incidences, weights and degrees are read from ``M`` on demand.  The
-constructors are the matrix identities, with ``J`` the all-ones matrix:
+Edges, incidences, weights and degrees are read from ``M`` on demand, and
+graphs with equal weights are equal and hash alike, whichever constructor
+built them.  The constructors are the matrix identities, with ``J`` the
+all-ones matrix:
 
 * ``complete``, ``empty``, ``path``, ``cycle``, ``star``,
   ``complete_multipartite`` (parts laid out in the given order) and
@@ -174,16 +176,15 @@ class WeightedGraph:
     ``weights`` is the read-only matrix ``M`` and ``scale`` is ``s`` (see the
     module docstring); build graphs with :meth:`from_edges` or the
     constructors, which keep that form canonical.  A diagonal entry is a
-    loop.  Two graphs are equal when they have the same ``n``, the same
-    weights and the same ``laplacian_safe`` flag.  ``memo`` holds structures
-    other modules derive from the graph once (the twin partition); it takes
+    loop.  Two graphs are equal when they have the same ``n`` and the same
+    weights, whichever constructor built them; ``memo`` holds structures
+    other modules derive from the graph once (the twin partition) and takes
     no part in equality.
     """
 
     n: int
     weights: np.ndarray = field(repr=False)
     scale: int = 1
-    laplacian_safe: bool = True
     memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -197,7 +198,7 @@ class WeightedGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        if (self.n, self.laplacian_safe) != (other.n, other.laplacian_safe):
+        if self.n != other.n:
             return False
         if self.scale == other.scale and self.weights.dtype == other.weights.dtype:
             return bool(np.array_equal(self.weights, other.weights))
@@ -205,7 +206,7 @@ class WeightedGraph:
 
     def __hash__(self) -> int:
         # equal graphs share their edge positions whatever their dtype
-        return hash((self.n, self.laplacian_safe, np.flatnonzero(self.weights).tobytes()))
+        return hash((self.n, np.flatnonzero(self.weights).tobytes()))
 
     # -- construction -------------------------------------------------
 
@@ -214,7 +215,6 @@ class WeightedGraph:
         cls,
         n: int,
         edges: Iterable[tuple[int, int, object]] | Mapping[tuple[int, int], object] = (),
-        laplacian_safe: bool = True,
     ) -> "WeightedGraph":
         """Graph from ``(u, v, w)`` triples (``w`` defaults to 1) or a
         ``{(u, v): w}`` map.  An edge may repeat with an equal weight."""
@@ -249,18 +249,9 @@ class WeightedGraph:
             keep = np.delete(order, repeats).tolist()
             rows, cols = [rows[i] for i in keep], [cols[i] for i in keep]
             ws = [ws[i] for i in keep]
-        return _from_entries(n, rows, cols, ws, laplacian_safe)
+        return _from_entries(n, rows, cols, ws)
 
     # -- views derived from M -------------------------------------------
-
-    @property
-    def scaled_adjacency(self) -> tuple[np.ndarray, int]:
-        """``(M, s)`` with ``M = s * A``; ``M`` is read-only.
-
-        On an int64 ``M`` every entry and degree numerator is below 2**53,
-        so ``M / s`` rounds each entry exactly as ``float(Fraction)`` does.
-        """
-        return self.weights, self.scale
 
     @cached_property
     def exact(self) -> bool:
@@ -323,17 +314,18 @@ class WeightedGraph:
     def degrees(self) -> tuple[Weight, ...]:
         if not self.exact:
             return tuple(self._python_row_sums(2))
-        m, s = self.scaled_adjacency
+        m, s = self.weights, self.scale
         return tuple(Fraction(int(d), s) for d in m.sum(axis=1) + m.diagonal())
 
     # -- matrices ------------------------------------------------------
 
     def adjacency_matrix(self) -> np.ndarray:
-        m, s = self.scaled_adjacency
-        return np.asarray(m / s, dtype=np.float64)
+        # on an int64 M every entry and degree numerator is below 2**53, so
+        # M / s rounds each entry exactly as float(Fraction) does
+        return np.asarray(self.weights / self.scale, dtype=np.float64)
 
     def degree_matrix(self) -> np.ndarray:
-        m, s = self.scaled_adjacency
+        m, s = self.weights, self.scale
         if m.dtype == np.int64:
             # numerators below 2**53: one rounding each, as float(Fraction(d, s)),
             # with no Fraction per vertex
@@ -359,7 +351,7 @@ class WeightedGraph:
         exactly, float graphs within a relative 1e-9 tolerance.
         """
         if self.exact:
-            m, s = self.scaled_adjacency
+            m, s = self.weights, self.scale
             sums = m.sum(axis=1)
             return Fraction(int(sums[0]), s) if (sums == sums[0]).all() else None
         sums = self._python_row_sums(1)
@@ -388,9 +380,7 @@ class WeightedGraph:
 # -- canonical forms ------------------------------------------------------
 
 
-def _from_entries(
-    n: int, rows, cols, ws: list[Weight], laplacian_safe: bool = True
-) -> WeightedGraph:
+def _from_entries(n: int, rows, cols, ws: list[Weight]) -> WeightedGraph:
     """The graph with weight ``ws[i]`` at ``(rows[i], cols[i])`` and its mirror."""
     if all(isinstance(w, Fraction) for w in ws):
         s = math.lcm(*(w.denominator for w in ws))
@@ -405,17 +395,17 @@ def _from_entries(
     m = np.zeros((n, n), dtype=dtype)
     if ws:
         m[rows, cols] = m[cols, rows] = np.array(vals, dtype=dtype)
-    return WeightedGraph(n, m, s, laplacian_safe)
+    return WeightedGraph(n, m, s)
 
 
-def _from_values(m: np.ndarray, laplacian_safe: bool = True) -> WeightedGraph:
+def _from_values(m: np.ndarray) -> WeightedGraph:
     """The graph of an object matrix of weights (Fractions and floats)."""
     nz = np.flatnonzero(m)
     rows, cols = np.divmod(nz, len(m))
-    return _from_entries(len(m), rows, cols, m.flat[nz].tolist(), laplacian_safe)
+    return _from_entries(len(m), rows, cols, m.flat[nz].tolist())
 
 
-def _exact(m: np.ndarray, s: int, laplacian_safe: bool = True) -> WeightedGraph:
+def _exact(m: np.ndarray, s: int) -> WeightedGraph:
     """The exact graph ``A = m / s``: reduced to the least common
     denominator, int64 while the 2**53 bounds hold and Python ints beyond."""
     n = len(m)
@@ -424,7 +414,7 @@ def _exact(m: np.ndarray, s: int, laplacian_safe: bool = True) -> WeightedGraph:
         if g > 1:
             m, s = m // g, s // g
     fits = s < _EXACT_FLOAT and 2 * n * int(m.max()) < _EXACT_FLOAT
-    return WeightedGraph(n, m.astype(np.int64 if fits else object, copy=False), s, laplacian_safe)
+    return WeightedGraph(n, m.astype(np.int64 if fits else object, copy=False), s)
 
 
 def _values(g: WeightedGraph) -> np.ndarray:
@@ -443,7 +433,6 @@ def _combine(
     y: WeightedGraph,
     build: Callable[[np.ndarray, np.ndarray, object], np.ndarray],
     product: bool = False,
-    laplacian_safe: bool = True,
 ) -> WeightedGraph:
     """The graph of ``build(mx, my, one)`` for matrices of ``x`` and ``y`` in
     one number system, where ``one`` stands for a unit weight.
@@ -455,8 +444,8 @@ def _combine(
     entry is the Python sum or product it was edge by edge.
     """
     if not (x.exact and y.exact):
-        return _from_values(build(_values(x), _values(y), Fraction(1)), laplacian_safe)
-    (mx, sx), (my, sy) = x.scaled_adjacency, y.scaled_adjacency
+        return _from_values(build(_values(x), _values(y), Fraction(1)))
+    mx, sx, my, sy = x.weights, x.scale, y.weights, y.scale
     if product:
         s, fx, fy = sx * sy, 1, 1
         top = int(mx.max()) * int(my.max())
@@ -469,7 +458,7 @@ def _combine(
     mx, my = mx.astype(dtype, copy=False), my.astype(dtype, copy=False)
     if fx != 1 or fy != 1:
         mx, my = mx * fx, my * fy
-    return _exact(build(mx, my, s), s, laplacian_safe)
+    return _exact(build(mx, my, s), s)
 
 
 def _block_diagonal(mx: np.ndarray, my: np.ndarray, one: object = None) -> np.ndarray:
@@ -608,13 +597,9 @@ def threshold_cells(parts: Sequence[int]) -> list[range]:
 def direct_product(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     """Direct (tensor/categorical) product; adjacency is the Kronecker product.
 
-    Vertex ``(u, v)`` maps to index ``u * y.n + v``.  When either factor fails
-    to be weighted-regular the result is tagged ``laplacian_safe=False``:
-    Laplacian walks on such products are not supported by the analyzers.
-    """
+    Vertex ``(u, v)`` maps to index ``u * y.n + v``."""
     _check_order(x.n * y.n)
-    safe = x.is_weighted_regular() is not None and y.is_weighted_regular() is not None
-    return _combine(x, y, lambda mx, my, one: np.kron(mx, my), product=True, laplacian_safe=safe)
+    return _combine(x, y, lambda mx, my, one: np.kron(mx, my), product=True)
 
 
 def cartesian_product(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:

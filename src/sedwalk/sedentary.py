@@ -491,7 +491,8 @@ def classify_all(
     ``vertices`` with the side of the twin dichotomy each falls on, the
     support of each vertex and the exact values of each distinct support,
     which the scan and the decision tree both read.
-    Pass ``dec`` or ``twin_sets`` to reuse ones the caller already holds.
+    Pass ``dec`` or ``twin_sets`` to reuse ones the caller already holds;
+    a ``dec`` of another matrix kind or vertex count raises ``ValueError``.
     ``grid_points`` and ``horizon`` size every bounded scan, twin or not
     (see :meth:`WalkEvaluator.infimum_diagonal`); they are checked even
     when no vertex uses them.
@@ -514,6 +515,11 @@ def classify_all(
             raise ValueError(f"vertex {u} out of range")
     if dec is None:
         dec = decompose(g, kind)
+    elif (dec.n, dec.matrix_kind) != (g.n, kind):
+        raise ValueError(
+            f"decomposition of a {dec.n}-vertex {dec.matrix_kind.short_name} matrix "
+            f"passed for the {g.n}-vertex {kind.short_name} matrix"
+        )
     if twin_sets is None:
         twin_sets = find_twin_sets(g, verts)
     twin_of = {m: ts for ts in twin_sets for m in ts.members}

@@ -15,7 +15,6 @@ from .graphs import ADJACENCY, MatrixKind, WeightedGraph
 __all__ = [
     "GROUPING_TOL",
     "SUPPORT_TOL",
-    "LaplacianProductUnsupported",
     "EigenvalueSupport",
     "StrongCospectrality",
     "SpectralDecomposition",
@@ -33,15 +32,6 @@ SIGN_MATCH_TOL = 1e-7
 INDEX_TOL = 1e-6
 # Entries of V a run of :meth:`SpectralDecomposition.support_blocks` reads.
 _BLOCK_ENTRIES = 1 << 16
-
-
-class LaplacianProductUnsupported(ValueError):
-    """Raised for Laplacian walks on direct products with an irregular factor.
-
-    There is no factorization of that walk through the factor walks, so the
-    library refuses the combination instead of computing something the theory
-    does not cover.
-    """
 
 
 @dataclass(frozen=True)
@@ -191,11 +181,6 @@ def decompose(g: WeightedGraph, kind: MatrixKind = ADJACENCY) -> SpectralDecompo
     tolerance of GROUPING_TOL * max(1, spectral radius); integer spectra are
     separated by at least 1, so grouping never over-merges on those.
     """
-    if kind.label == "laplacian" and not g.laplacian_safe:
-        raise LaplacianProductUnsupported(
-            "Laplacian walk on a direct product with an irregular factor is "
-            "not defined by the underlying theory"
-        )
     mat = g.matrix(kind)
     try:
         vals, vecs = np.linalg.eigh(mat)

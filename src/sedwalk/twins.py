@@ -35,7 +35,7 @@ def are_twins(g: WeightedGraph, u: int, v: int) -> bool:
     """Exact combinatorial twin test: equal loops, equal view of the rest."""
     if u == v:
         raise ValueError("a vertex is not its own twin")
-    return _same_view(g.scaled_adjacency[0], u, v)
+    return _same_view(g.weights, u, v)
 
 
 def _same_view(m: np.ndarray, u: int, v: int) -> bool:
@@ -105,7 +105,7 @@ def _twin_partition(g: WeightedGraph) -> dict[int, TwinSet]:
     """
     if "twins" in g.memo:
         return g.memo["twins"]
-    m, _ = g.scaled_adjacency
+    m = g.weights
     bits = np.fromiter(map(hash, m.flat), np.int64, m.size) if m.dtype == object else m
     h = _mix(bits.reshape(m.shape).view(np.uint64))
     r = _mix(np.arange(1, g.n + 1, dtype=np.uint64)) | 1

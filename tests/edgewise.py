@@ -5,8 +5,8 @@ every constructor adds one Python weight per edge, as sedwalk's graphs were
 built before they became their weight matrix.  Every derived quantity is
 computed from the triples alone.  The one contract that changed with the
 matrix representation is kept here on purpose: a graph mixing ``Fraction``
-and float weights has an object ``scaled_adjacency`` holding the weights as
-given (it was their float64 rounding).
+and float weights has an object weight matrix holding the weights as given
+(it was their float64 rounding).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ def coerce_weight(w):
 class EdgeGraph:
     n: int
     edges: tuple
-    laplacian_safe: bool = True
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -54,7 +53,7 @@ class EdgeGraph:
             seen.add((u, v))
 
     @classmethod
-    def from_edges(cls, n, edges=(), laplacian_safe=True) -> "EdgeGraph":
+    def from_edges(cls, n, edges=()) -> "EdgeGraph":
         if isinstance(edges, dict):
             items = [(u, v, w) for (u, v), w in edges.items()]
         else:
@@ -66,7 +65,7 @@ class EdgeGraph:
             if (u, v) in canon and canon[(u, v)] != weight:
                 raise ValueError(f"conflicting weights for edge ({u},{v})")
             canon[(u, v)] = weight
-        return cls(n, tuple(sorted((u, v, w) for (u, v), w in canon.items())), laplacian_safe)
+        return cls(n, tuple(sorted((u, v, w) for (u, v), w in canon.items())))
 
     @property
     def exact(self) -> bool:
@@ -83,7 +82,9 @@ class EdgeGraph:
         """(neighbour, weight) pairs of ``u`` in increasing neighbour order."""
         return [(v, w) for v in range(self.n) if (w := self.weight(u, v))]
 
-    def scaled_adjacency(self) -> tuple[np.ndarray, int]:
+    def weight_matrix(self) -> tuple[np.ndarray, int]:
+        """``(M, s)`` as :class:`WeightedGraph` holds them in ``weights``
+        and ``scale``."""
         if self.exact:
             s = math.lcm(*(w.denominator for _, _, w in self.edges))
             nums = [w.numerator * (s // w.denominator) for _, _, w in self.edges]
@@ -214,14 +215,13 @@ def _ordered_entries(g: EdgeGraph) -> list:
 
 
 def direct_product(x: EdgeGraph, y: EdgeGraph) -> EdgeGraph:
-    safe = x.is_weighted_regular() is not None and y.is_weighted_regular() is not None
     acc = {}
     for a, b, w1 in _ordered_entries(x):
         for c, d, w2 in _ordered_entries(y):
             i, j = a * y.n + c, b * y.n + d
             if i <= j:
                 acc[(i, j)] = w1 * w2
-    return EdgeGraph.from_edges(x.n * y.n, acc, laplacian_safe=safe)
+    return EdgeGraph.from_edges(x.n * y.n, acc)
 
 
 def cartesian_product(x: EdgeGraph, y: EdgeGraph) -> EdgeGraph:

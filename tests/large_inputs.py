@@ -23,6 +23,8 @@ COMMANDS = (
     (("analyze", "--graph", "CP(4096)", "--format", "json"), 1024, 60),
     # the paper's product family at the vertex cap: 4,096 vertices, one scan
     (("analyze", "--graph", "dprod(K(64),K(64))", "--format", "json"), 1024, 60),
+    # a direct product with an irregular factor under the Laplacian, at the cap
+    (("analyze", "--graph", "dprod(P(64),K(64))", "--matrix", "L", "--format", "json"), 1024, 60),
     # 512 twin pairs with matching weights: one degree-512 root solve serves
     # them all; one per twin pair took 98 s
     (("analyze", "--graph", "CP(1024)", "--format", "json"), 256, 30),

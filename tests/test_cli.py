@@ -11,7 +11,14 @@ import tracemalloc
 
 import pytest
 
-from sedwalk import MatrixKind, classify_vertex, cli, from_edge_list_text
+from sedwalk import (
+    MatrixKind,
+    classify_vertex,
+    cli,
+    from_edge_list_text,
+    parse_graph,
+    to_edge_list_text,
+)
 from sedwalk import walk as walk_module
 from sedwalk.cli import main
 
@@ -297,11 +304,34 @@ def test_infinite_weight_is_refused_by_name(capsys, tmp_path):
     assert err == "error: weight '1e400' is not a finite float\n"
 
 
-def test_exit_code_for_unsupported_laplacian(capsys):
-    rc, out, err = run(capsys, "classify", "--graph", "dprod(P(3),K(2))", "--matrix", "L")
-    assert rc == 3
-    assert out == ""
-    assert err.startswith("error:")
+@pytest.mark.parametrize("matrix", ["A", "L", "Mq:-1"])
+def test_spellings_of_one_weight_matrix_classify_alike(capsys, tmp_path, oracle, matrix):
+    """A direct product with an irregular factor, its one-copy blow-up and
+    its edge list are one weight matrix: one graph, and one output under
+    every matrix kind, the Laplacian included."""
+    exprs = ("dprod(P(3),K(2))", "blowup(1,dprod(P(3),K(2)))")
+    product, blown = map(parse_graph, exprs)
+    edge_file = tmp_path / "dprod.txt"
+    edge_file.write_text(to_edge_list_text(product))
+    read = from_edge_list_text(edge_file.read_text())
+    assert product == blown == read
+    assert hash(product) == hash(blown) == hash(read)
+    outs = set()
+    for source in (("--graph", exprs[0]), ("--graph", exprs[1]), ("--file", str(edge_file))):
+        rc, out, err = run(capsys, "classify", *source, "--matrix", matrix, "--format", "json")
+        assert (rc, err) == (0, "")
+        outs.add(out)
+    assert len(outs) == 1
+    if matrix == "L":
+        (out,) = outs
+        records = json.loads(out)
+        assert [rec["vertex"] for rec in records] == list(range(6))
+        for rec in records:
+            assert (rec["verdict"], rec["certified"]) == ("sedentary", True)
+            assert rec["constant"] == pytest.approx(1 / 3, abs=1e-12)
+            u = rec["vertex"]
+            at = abs(oracle(product, MatrixKind.laplacian(), rec["tightness_time"])[u, u])
+            assert at == pytest.approx(rec["constant"], abs=1e-9)
 
 
 def test_exit_code_for_parse_error(capsys):

@@ -13,7 +13,6 @@ from sedwalk import (
     complete,
     complete_multipartite,
     cycle,
-    decompose,
     direct_product,
     empty,
     join,
@@ -21,7 +20,6 @@ from sedwalk import (
     path,
     threshold,
 )
-from sedwalk.spectral import LaplacianProductUnsupported
 
 A = MatrixKind.adjacency()
 L = MatrixKind.laplacian()
@@ -85,19 +83,6 @@ def test_blowup_of_an_edge_is_complete_bipartite():
     assert len(g.edges) == 9
     lam = np.linalg.eigvalsh(g.matrix(A))
     assert np.allclose(lam, [-3, 0, 0, 0, 0, 3], atol=1e-9)
-
-
-def test_parse_preserves_laplacian_safety():
-    assert parse_graph("dprod(P(3),K(2))").laplacian_safe is False
-    assert parse_graph("dprod(K(3),K(4))").laplacian_safe is True
-    assert parse_graph("join(O(2),K(6))").laplacian_safe is True
-
-
-def test_unsafe_product_rejects_laplacian_decomposition():
-    g = parse_graph("dprod(P(3),K(2))")
-    with pytest.raises(LaplacianProductUnsupported):
-        decompose(g, L)
-    decompose(g, A)  # adjacency stays fine
 
 
 @pytest.mark.parametrize(

@@ -149,18 +149,17 @@ def _entries(m: np.ndarray) -> list[str]:
 def assert_same_graph(g: WeightedGraph, r: ref.EdgeGraph) -> None:
     assert g.n == r.n
     assert repr(g.edges) == repr(r.edges)
-    (m, s), (mr, sr) = g.scaled_adjacency, r.scaled_adjacency()
+    (m, s), (mr, sr) = (g.weights, g.scale), r.weight_matrix()
     assert (m.dtype, s) == (mr.dtype, sr)
     assert _entries(m) == _entries(mr)
     assert repr(g.degrees) == repr(r.degrees)
     for kind in KINDS:
         assert g.matrix(kind).tobytes() == r.matrix(kind).tobytes(), kind
-    assert g.laplacian_safe == r.laplacian_safe
     assert g.exact == r.exact
     assert repr(g.is_weighted_regular()) == repr(r.is_weighted_regular())
     assert repr(find_twin_sets(g)) == repr(r.twin_sets())
     assert g.edge_count == len(r.edges)
-    again = WeightedGraph.from_edges(g.n, g.edges, g.laplacian_safe)
+    again = WeightedGraph.from_edges(g.n, g.edges)
     assert again == g and hash(again) == hash(g)
 
 
@@ -247,7 +246,7 @@ def test_equality_compares_weights_across_representations():
     assert hash(exact) == hash(floats) == hash(mixed)
     assert exact != WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, Fraction(1, 3))])
     assert exact != WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1 / 3)])
-    assert exact != WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, Fraction(1, 2))], False)
+    assert exact != WeightedGraph.from_edges(4, [(0, 1, 1), (1, 2, Fraction(1, 2))])
 
 
 def test_dense_graph_builds_in_bounded_memory():
@@ -294,7 +293,7 @@ def test_relation_parity_always_decides_on_graphs_with_twins(tree, matrix):
     g = _build(tree, graphs)
     kind = MatrixKind.parse(matrix)
     twin_sets = find_twin_sets(g)
-    assume(twin_sets and (kind.label != "laplacian" or g.laplacian_safe))
+    assume(twin_sets)
     results = classify_all(g, kind, twin_sets=twin_sets, grid_points=2001)
     steps = [s for c in results for s in c.certificate if s.startswith("parity:")]
     assert set(steps) <= PARITY_STEPS

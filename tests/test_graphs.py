@@ -138,11 +138,6 @@ def test_direct_product_k2_k2_disconnected():
     assert {(u, v) for u, v, _ in g.edges} == {(0, 3), (1, 2)}
 
 
-def test_direct_product_laplacian_safety_flag():
-    assert direct_product(complete(3), cycle(4)).laplacian_safe
-    assert not direct_product(path(3), complete(2)).laplacian_safe
-
-
 def test_cartesian_product_matrix():
     x, y = complete(2), path(3)
     g = cartesian_product(x, y)

@@ -277,6 +277,26 @@ def test_classify_vertex_range_check():
         classify_vertex(complete(3), A, 3)
 
 
+@pytest.mark.parametrize(
+    "g, kind, dec",
+    [
+        (path(5), L, lambda: decompose(path(5), A)),
+        (cocktail_party(6), L, lambda: decompose(cocktail_party(6), A)),
+        (path(5), MatrixKind.parse("Mq:2"), lambda: decompose(path(5), MatrixKind.parse("Mq:3"))),
+        (path(5), A, lambda: decompose(path(6), A)),
+    ],
+    ids=["P(5)-L-of-A", "CP(6)-L-of-A", "P(5)-Mq:2-of-Mq:3", "P(5)-of-P(6)"],
+)
+def test_decomposition_of_another_matrix_is_refused(g, kind, dec):
+    """A decomposition of another matrix kind or vertex count would be read as
+    the walk's own: P(5) under L took A's spectrum and certified vertex 2
+    not sedentary, while every L record of P(5) is undetermined."""
+    with pytest.raises(ValueError, match="decomposition of a"):
+        classify_all(g, kind, dec())
+    with pytest.raises(ValueError, match="decomposition of a"):
+        classify_vertex(g, kind, 2, dec())
+
+
 def test_classify_plain_vertex_honors_grid_knobs():
     g = _p5_prime()
     cls = classify_vertex(g, A, 2, grid_points=5001, horizon=50.0)

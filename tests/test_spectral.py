@@ -13,13 +13,11 @@ from hypothesis import strategies as st
 
 from closedforms import projector
 from sedwalk import (
-    LaplacianProductUnsupported,
     MatrixKind,
     cocktail_party,
     complete,
     cycle,
     decompose,
-    direct_product,
     path,
     star,
 )
@@ -283,17 +281,6 @@ def test_eigenvalue_index_lookup():
     assert dec.eigenvalue_index(-2.0 + 1e-9) == 2
     with pytest.raises(ValueError):
         dec.eigenvalue_index(1.0)
-
-
-def test_laplacian_product_guard():
-    g = direct_product(path(3), complete(2))
-    with pytest.raises(LaplacianProductUnsupported):
-        decompose(g, MatrixKind.laplacian())
-    assert isinstance(LaplacianProductUnsupported("x"), ValueError)
-    dec = decompose(g)  # adjacency stays available
-    assert dec.n == 6
-    safe = direct_product(complete(3), complete(2))
-    assert decompose(safe, MatrixKind.laplacian()).n == 6
 
 
 def test_entries_match_projector():

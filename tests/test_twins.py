@@ -442,19 +442,19 @@ def test_weight_matrix_matches_fraction_reference(g):
 
 def test_weight_matrix_dtype_follows_the_53_bit_bound():
     small = WeightedGraph.from_edges(3, [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 6)), (2, 2, 5)])
-    m, s = small.scaled_adjacency
+    m, s = small.weights, small.scale
     assert m.dtype == np.int64 and s == 6 and m[1, 2] == 1 and m[2, 2] == 30
     assert not m.flags.writeable
     huge = WeightedGraph.from_edges(
         3, [(0, 1, Fraction(1, 2**31 - 1)), (1, 2, Fraction(1, 2**61 - 1)), (0, 0, 1)]
     )
-    m, s = huge.scaled_adjacency
+    m, s = huge.weights, huge.scale
     assert m.dtype == object and s == (2**31 - 1) * (2**61 - 1)
     assert list(map(repr, huge.degrees)) == list(map(repr, _reference_degrees(huge)))
     for kind in ("A", "L", "Mq:-1"):
         assert huge.matrix(MatrixKind.parse(kind)).tobytes() == _reference_matrix(huge, kind).tobytes()
     floats = WeightedGraph.from_edges(2, [(0, 1, 0.25)])
-    m, s = floats.scaled_adjacency
+    m, s = floats.weights, floats.scale
     assert m.dtype == np.float64 and s == 1
 
 
