@@ -334,6 +334,16 @@ def test_spellings_of_one_weight_matrix_classify_alike(capsys, tmp_path, oracle,
             assert at == pytest.approx(rec["constant"], abs=1e-9)
 
 
+def test_exit_code_for_unsupported_laplacian(capsys):
+    """The Laplacian of a direct product with an irregular factor used to be
+    refused with exit status 3.  D - A of any weighted graph is symmetric,
+    so every command that reads a walk now runs on it and exits 0."""
+    for command in ("classify", "analyze", "spectrum", "twins"):
+        rc, out, err = run(capsys, command, "--graph", "dprod(P(3),K(2))", "--matrix", "L")
+        assert (rc, err) == (0, "")
+        assert out
+
+
 def test_exit_code_for_parse_error(capsys):
     rc, _, err = run(capsys, "classify", "--graph", "K(3")
     assert rc == 2

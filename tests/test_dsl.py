@@ -9,10 +9,12 @@ from sedwalk import (
     MatrixKind,
     blow_up,
     cartesian_product,
+    classify_all,
     cocktail_party,
     complete,
     complete_multipartite,
     cycle,
+    decompose,
     direct_product,
     empty,
     join,
@@ -83,6 +85,30 @@ def test_blowup_of_an_edge_is_complete_bipartite():
     assert len(g.edges) == 9
     lam = np.linalg.eigvalsh(g.matrix(A))
     assert np.allclose(lam, [-3, 0, 0, 0, 0, 3], atol=1e-9)
+
+
+def test_parse_preserves_laplacian_safety():
+    """Every parsed spelling carries the Laplacian D - A of its weights, and
+    no flag of its own: regular product factors or not, one weight matrix
+    is one graph."""
+    for text in ("dprod(P(3),K(2))", "dprod(K(3),K(4))", "join(O(2),K(6))"):
+        g = parse_graph(text)
+        assert not hasattr(g, "laplacian_safe")
+        adj = g.matrix(A)
+        np.testing.assert_array_equal(g.matrix(L), np.diag(adj.sum(axis=1)) - adj)
+    assert parse_graph("dprod(P(3),K(2))") == parse_graph("blowup(1,dprod(P(3),K(2)))")
+
+
+def test_unsafe_product_rejects_laplacian_decomposition():
+    """A direct product with an irregular factor decomposes under L like any
+    graph.  What the classifier rejects is that Laplacian decomposition
+    handed in for another matrix kind, which it would read as the walk's own."""
+    g = parse_graph("dprod(P(3),K(2))")
+    dec = decompose(g, L)
+    assert dec.matrix_kind == L and sum(dec.multiplicities) == g.n
+    with pytest.raises(ValueError, match="matrix"):
+        classify_all(g, A, dec=dec)
+    assert len(classify_all(g, L, dec=dec)) == g.n
 
 
 @pytest.mark.parametrize(

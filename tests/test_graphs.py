@@ -138,6 +138,17 @@ def test_direct_product_k2_k2_disconnected():
     assert {(u, v) for u, v, _ in g.edges} == {(0, 3), (1, 2)}
 
 
+def test_direct_product_laplacian_safety_flag():
+    """direct_product tags its result with no Laplacian-safety flag: it
+    equals, and hashes like, the graph of the same weights built from its
+    edges, whether its factors are regular or not."""
+    for x, y in ((complete(3), cycle(4)), (path(3), complete(2))):
+        g = direct_product(x, y)
+        assert not hasattr(g, "laplacian_safe")
+        same = WeightedGraph.from_edges(g.n, g.edges)
+        assert g == same and hash(g) == hash(same)
+
+
 def test_cartesian_product_matrix():
     x, y = complete(2), path(3)
     g = cartesian_product(x, y)

@@ -18,6 +18,7 @@ from sedwalk import (
     complete,
     cycle,
     decompose,
+    direct_product,
     path,
     star,
 )
@@ -281,6 +282,19 @@ def test_eigenvalue_index_lookup():
     assert dec.eigenvalue_index(-2.0 + 1e-9) == 2
     with pytest.raises(ValueError):
         dec.eigenvalue_index(1.0)
+
+
+def test_laplacian_product_guard():
+    """No guard is left on the Laplacian of a direct product: its
+    decomposition rebuilds D - A for irregular and regular factors alike."""
+    assert not hasattr(spectral, "LaplacianProductUnsupported")
+    lap = MatrixKind.laplacian()
+    for g in (direct_product(path(3), complete(2)), direct_product(complete(3), complete(2))):
+        dec = decompose(g, lap)
+        assert dec.n == 6
+        projectors = [projector(dec, j) for j in range(dec.k)]
+        rebuilt = sum(lam * ej for lam, ej in zip(dec.eigenvalues, projectors))
+        np.testing.assert_allclose(rebuilt, g.matrix(lap), atol=1e-9)
 
 
 def test_entries_match_projector():
