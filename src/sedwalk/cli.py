@@ -409,36 +409,27 @@ def _render_classifications(results: list[VertexClassification], fmt: str) -> st
 
 
 def _classify(
-    args: argparse.Namespace, all_twin_sets: bool
-) -> tuple[WeightedGraph, str, MatrixKind, list[TwinSet], list[VertexClassification]]:
-    """Classify the selected vertices; ``all_twin_sets`` finds every twin set once.
-    ``--steps`` and ``--tmax`` are checked before the graph is built."""
+    args: argparse.Namespace,
+) -> tuple[WeightedGraph, str, MatrixKind, list[VertexClassification]]:
+    """Classify the selected vertices.  ``--steps`` and ``--tmax`` are checked
+    before the graph is built."""
     _check_grid(args.tmax, args.steps)
     g, src = _load_graph(args)
     kind = MatrixKind.parse(args.matrix)
-    dec = decompose(g, kind)
     vertices = _select_vertices(args, g.n)
-    twin_sets = find_twin_sets(g) if all_twin_sets else None
-    results = classify_all(
-        g,
-        kind,
-        dec,
-        vertices=vertices,
-        twin_sets=twin_sets,
-        grid_points=args.steps,
-        horizon=args.tmax,
-    )
-    return g, src, kind, twin_sets or [], results
+    results = classify_all(g, kind, vertices=vertices, grid_points=args.steps, horizon=args.tmax)
+    return g, src, kind, results
 
 
 def cmd_classify(args: argparse.Namespace) -> str:
-    *_, results = _classify(args, all_twin_sets=False)
+    *_, results = _classify(args)
     return _render_classifications(results, args.format)
 
 
 def cmd_analyze(args: argparse.Namespace) -> str:
-    g, src, kind, twin_sets, results = _classify(args, all_twin_sets=True)
-    twins = [_twin_record(g, kind, ts) for ts in twin_sets]
+    g, src, kind, results = _classify(args)
+    # classify_all has found the graph's twin partition; this reads it back
+    twins = [_twin_record(g, kind, ts) for ts in find_twin_sets(g)]
     row_sum = g.is_weighted_regular()
     if args.format == "json":
         return _dump_json(
@@ -642,50 +633,34 @@ def _family_rows(args: argparse.Namespace, kind: MatrixKind) -> list[dict]:
         raise ValueError("--start and --stop are required for this family")
     if args.start > args.stop:
         raise ValueError("--start must not exceed --stop")
+    sizes = range(args.start, args.stop + 1)
+    verdict_fn = multipartite_laplacian_verdict if kind.label == "laplacian" else multipartite_adjacency_verdict
     if fam == "cp":
         if args.start < 1:
             raise ValueError("cp sweep starts at k=1")
         _check_order(2 * args.stop)
-        verdict_fn = multipartite_laplacian_verdict if kind.label == "laplacian" else multipartite_adjacency_verdict
-
-        def work(k: int) -> list[dict]:
-            fv = verdict_fn([2] * k, 0)
-            return [_family_record(f"CP({2 * k})", 0, fv)]
-
-        jobs = list(range(args.start, args.stop + 1))
-    elif fam == "clique-minus-edge":
+        return [_family_record(f"CP({2 * k})", 0, verdict_fn([2] * k, 0)) for k in sizes]
+    if fam == "clique-minus-edge":
         if args.start < 3:
             raise ValueError("clique-minus-edge sweep starts at n=3")
         _check_order(args.stop)
-        verdict_fn = multipartite_laplacian_verdict if kind.label == "laplacian" else multipartite_adjacency_verdict
-
-        def work(n: int) -> list[dict]:
+        out = []
+        for n in sizes:
             parts = [2] + [1] * (n - 2)
             name = "KM(" + ",".join(str(p) for p in parts) + ")"
-            out = [_family_record(name, 0, verdict_fn(parts, 0))]
-            if n > 2:
-                out.append(_family_record(name, 2, verdict_fn(parts, 1)))
-            return out
-
-        jobs = list(range(args.start, args.stop + 1))
-    elif fam == "product":
+            out.append(_family_record(name, 0, verdict_fn(parts, 0)))
+            out.append(_family_record(name, 2, verdict_fn(parts, 1)))
+        return out
+    if fam == "product":
         if args.start < 2:
             raise ValueError("product sweep starts at factor size 2")
         _check_order(args.stop**2)
-
-        def work(pair: tuple[int, int]) -> list[dict]:
-            m, n = pair
-            fv = complete_product_verdict([m, n])
-            return [_family_record(f"dprod(K({m}),K({n}))", 0, fv)]
-
-        jobs = [
-            (m, n)
-            for m in range(args.start, args.stop + 1)
+        return [
+            _family_record(f"dprod(K({m}),K({n}))", 0, complete_product_verdict([m, n]))
+            for m in sizes
             for n in range(m, args.stop + 1)
         ]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown family {fam!r}")
-    return [rec for job in jobs for rec in work(job)]
+    raise ValueError(f"unknown family {fam!r}")  # pragma: no cover - argparse restricts choices
 
 
 def cmd_families(args: argparse.Namespace) -> str:

@@ -56,7 +56,6 @@ class FamilyVerdict:
     time: float | None = None
     tight: bool | None = None
     sharp: bool | None = None
-    partner_kind: str | None = None
     certified: bool = True
 
 
@@ -125,9 +124,7 @@ def multipartite_laplacian_verdict(parts: Sequence[int], ell: int) -> FamilyVerd
     if n == 2:
         eq = _integer_equality_time([0, 2], [0])
         assert eq is not None
-        return FamilyVerdict(
-            Verdict.PST, "two-vertices", time=eq, partner_kind="adjacent-twin"
-        )
+        return FamilyVerdict(Verdict.PST, "two-vertices", time=eq)
     if nl == 1:
         eq = _integer_equality_time([0, n], [n])
         assert eq is not None
@@ -144,9 +141,7 @@ def multipartite_laplacian_verdict(parts: Sequence[int], ell: int) -> FamilyVerd
         if n % 4 == 0:
             eq = _integer_equality_time(support, [0, n])
             assert eq is not None
-            return FamilyVerdict(
-                Verdict.PST, "pair-part-pst", time=eq, partner_kind="part-twin"
-            )
+            return FamilyVerdict(Verdict.PST, "pair-part-pst", time=eq)
         if n % 2 == 0:
             eq = _integer_equality_time(support, [0, n - 2])
             assert eq is not None
@@ -246,26 +241,20 @@ def _adjacency_apex_verdict(sizes: list[int], n: int) -> FamilyVerdict | None:
             # a single edge
             eq = _integer_equality_time([1, -1], [1])
             assert eq is not None
-            return FamilyVerdict(
-                Verdict.PST, "two-vertices", time=eq, partner_kind="other-apex"
-            )
+            return FamilyVerdict(Verdict.PST, "two-vertices", time=eq)
         if not uniform:
             return None
         m = rest[0]
         disc = (n - m - 3) ** 2 + 8 * (n - 2)
         square, root = is_perfect_square(disc)
         if not square:
-            return FamilyVerdict(
-                Verdict.PGST, "two-apexes-pgst", partner_kind="other-apex"
-            )
+            return FamilyVerdict(Verdict.PGST, "two-apexes-pgst")
         lam_hi = (n - m - 1 + root) // 2
         lam_lo = (n - m - 1 - root) // 2
         eq = _integer_equality_time([lam_hi, -1, lam_lo], [lam_hi, lam_lo])
         _check(nu2(n - m + 1) != nu2(root), eq)
         if eq is not None:
-            return FamilyVerdict(
-                Verdict.PST, "two-apexes-pst", time=eq, partner_kind="other-apex"
-            )
+            return FamilyVerdict(Verdict.PST, "two-apexes-pst", time=eq)
         return FamilyVerdict(Verdict.SEDENTARY, "two-apexes-blocked")
     # ones >= 3: the apexes form a clique of adjacent twins
     bound = 1.0 - 2.0 / ones
@@ -330,22 +319,16 @@ def _adjacency_pair_verdict(others: list[int], n: int) -> FamilyVerdict | None:
             # bipartite with symmetric support {+sqrt(2(n-2)), 0, -sqrt(2(n-2))}
             eq = equality_time_criterion(_plus_minus_form(disc), (0, 2))
             assert eq is not None
-            return FamilyVerdict(
-                Verdict.PST, "pair-bipartite-pst", time=eq, partner_kind="part-twin"
-            )
+            return FamilyVerdict(Verdict.PST, "pair-bipartite-pst", time=eq)
         square, root = is_perfect_square(disc)
         if not square:
-            return FamilyVerdict(
-                Verdict.PGST, "pair-uniform-pgst", partner_kind="part-twin"
-            )
+            return FamilyVerdict(Verdict.PGST, "pair-uniform-pgst")
         lam_hi = (d + root) // 2
         lam_lo = (d - root) // 2
         eq = _integer_equality_time([lam_hi, 0, lam_lo], [lam_hi, lam_lo])
         _check(nu2(d) != nu2(root), eq)
         if eq is not None:
-            return FamilyVerdict(
-                Verdict.PST, "pair-uniform-pst", time=eq, partner_kind="part-twin"
-            )
+            return FamilyVerdict(Verdict.PST, "pair-uniform-pst", time=eq)
         s = (root - d) // 2
         if s < 1 or s * (d + s) != 2 * (n - 2):
             raise ValueError("inconsistent pair parametrization")
@@ -364,9 +347,7 @@ def _adjacency_pair_verdict(others: list[int], n: int) -> FamilyVerdict | None:
         if 2 not in others:
             return None
         if n % 4 == 3:
-            return FamilyVerdict(
-                Verdict.PGST, "pair-mixed-pgst", partner_kind="part-twin"
-            )
+            return FamilyVerdict(Verdict.PGST, "pair-mixed-pgst")
         return FamilyVerdict(Verdict.SEDENTARY, "pair-mixed-blocked")
     return None
 
@@ -474,17 +455,6 @@ class ThresholdSpec:
         the end.  The sums are built once per spec."""
         return self._betas[ell - 1] if ell <= self.h else 0
 
-    def cell_of(self, u: int) -> int:
-        """1-based cell index of vertex ``u`` under consecutive numbering."""
-        if not 0 <= u < self.n:
-            raise ValueError(f"vertex {u} out of range")
-        acc = 0
-        for j, c in enumerate(self.cells, start=1):
-            acc += c
-            if u < acc:
-                return j
-        raise AssertionError("unreachable")
-
 
 def _canonical(spec: ThresholdSpec, j: int) -> tuple[ThresholdSpec, int]:
     """Merge leading size-one cells into their neighbor.
@@ -575,9 +545,7 @@ def threshold_vertex_verdict(spec: ThresholdSpec, j: int) -> FamilyVerdict:
         # then an equality time is exactly the perfect-transfer pattern
         _check(threshold_pst_congruences(spec.cells), eq)
         if eq is not None:
-            return FamilyVerdict(
-                Verdict.PST, "first-cell-pst", time=eq, partner_kind="cell-mate"
-            )
+            return FamilyVerdict(Verdict.PST, "first-cell-pst", time=eq)
         return FamilyVerdict(Verdict.SEDENTARY, case)
     if eq is not None:
         return FamilyVerdict(

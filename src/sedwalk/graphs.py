@@ -59,7 +59,6 @@ __all__ = [
     "complete_multipartite",
     "cocktail_party",
     "threshold",
-    "threshold_cells",
     "direct_product",
     "cartesian_product",
     "blow_up",
@@ -278,10 +277,6 @@ class WeightedGraph:
         m = self.weights
         u, v = np.nonzero(np.triu(m))
         return tuple(zip(u.tolist(), v.tolist(), map(self._weight, m[u, v].tolist())))
-
-    @property
-    def edge_map(self) -> dict[tuple[int, int], Weight]:
-        return {(u, v): w for u, v, w in self.edges}
 
     @property
     def edge_count(self) -> int:
@@ -583,15 +578,6 @@ def threshold(parts: Sequence[int], starts_empty: bool = True) -> WeightedGraph:
     m = is_clique[np.maximum(cell[:, None], cell[None, :])].astype(np.int64)
     np.fill_diagonal(m, 0)
     return WeightedGraph(len(m), m)
-
-
-def threshold_cells(parts: Sequence[int]) -> list[range]:
-    """Vertex ranges of each cell in the graph built by :func:`threshold`."""
-    out, start = [], 0
-    for m in parts:
-        out.append(range(start, start + m))
-        start += m
-    return out
 
 
 def direct_product(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:

@@ -225,7 +225,6 @@ def _half_period_dip(sup: EigenvalueSupport, form: QuadraticIntegerForm) -> floa
 class _GraphFacts:
     """What every vertex of one graph shares, computed once per graph."""
 
-    g: WeightedGraph
     kind: MatrixKind
     dec: SpectralDecomposition
     evaluator: WalkEvaluator
@@ -477,22 +476,18 @@ def _scan_leaders(facts: _GraphFacts, reps: list[int]) -> dict[int, int]:
 def classify_all(
     g: WeightedGraph,
     kind: MatrixKind = ADJACENCY,
-    dec: SpectralDecomposition | None = None,
     *,
     vertices: Sequence[int] | None = None,
-    twin_sets: list[TwinSet] | None = None,
     grid_points: int | None = None,
     horizon: float | None = None,
 ) -> list[VertexClassification]:
     """Classify ``vertices`` (default: every vertex) in order.
 
-    The graph-level facts are computed once and shared by every vertex:
-    the decomposition and its walk evaluator, the twin sets that meet
-    ``vertices`` with the side of the twin dichotomy each falls on, the
-    support of each vertex and the exact values of each distinct support,
-    which the scan and the decision tree both read.
-    Pass ``dec`` or ``twin_sets`` to reuse ones the caller already holds;
-    a ``dec`` of another matrix kind or vertex count raises ``ValueError``.
+    The graph-level facts are computed here, once, and shared by every
+    vertex: the decomposition of ``kind`` and its walk evaluator, the twin
+    sets that meet ``vertices`` with the side of the twin dichotomy each
+    falls on, the support of each vertex and the exact values of each
+    distinct support, which the scan and the decision tree both read.
     ``grid_points`` and ``horizon`` size every bounded scan, twin or not
     (see :meth:`WalkEvaluator.infimum_diagonal`); they are checked even
     when no vertex uses them.
@@ -513,23 +508,15 @@ def classify_all(
     for u in verts:
         if not 0 <= u < g.n:
             raise ValueError(f"vertex {u} out of range")
-    if dec is None:
-        dec = decompose(g, kind)
-    elif (dec.n, dec.matrix_kind) != (g.n, kind):
-        raise ValueError(
-            f"decomposition of a {dec.n}-vertex {dec.matrix_kind.short_name} matrix "
-            f"passed for the {g.n}-vertex {kind.short_name} matrix"
-        )
-    if twin_sets is None:
-        twin_sets = find_twin_sets(g, verts)
-    twin_of = {m: ts for ts in twin_sets for m in ts.members}
+    dec = decompose(g, kind)
+    twin_of = {m: ts for ts in find_twin_sets(g, verts) for m in ts.members}
     # a twin set is keyed by its least member, a vertex without a twin by itself
     homes = [twin_of[u].members[0] if u in twin_of else u for u in verts]
     first: dict[int, int] = {}
     for u, h in zip(verts, homes):
         first.setdefault(h, u)
     sides = {h: twin_dichotomy(g, kind, twin_of[h], dec) for h in first if h in twin_of}
-    facts = _GraphFacts(g, kind, dec, WalkEvaluator(dec), twin_of, sides)
+    facts = _GraphFacts(kind, dec, WalkEvaluator(dec), twin_of, sides)
     leader = _scan_leaders(facts, list(first.values()))
     scans: dict[int, InfimumEstimate] = {}
     for r in leader.values():
@@ -543,11 +530,9 @@ def classify_vertex(
     g: WeightedGraph,
     kind: MatrixKind,
     u: int,
-    dec: SpectralDecomposition | None = None,
+    *,
     grid_points: int | None = None,
     horizon: float | None = None,
 ) -> VertexClassification:
     """Classify one vertex; see :func:`classify_all`."""
-    return classify_all(
-        g, kind, dec, vertices=(u,), grid_points=grid_points, horizon=horizon
-    )[0]
+    return classify_all(g, kind, vertices=(u,), grid_points=grid_points, horizon=horizon)[0]

@@ -9,6 +9,7 @@ import math
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sedwalk import (
@@ -19,6 +20,7 @@ from sedwalk import (
     parse_graph,
     to_edge_list_text,
 )
+from sedwalk import twins as twins_module
 from sedwalk import walk as walk_module
 from sedwalk.cli import main
 
@@ -421,6 +423,40 @@ def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch):
         cli._parser.cache_clear()
         assert outcome(argv) == seen, argv
     assert builds == 1 + len(commands)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--graph", "CP(6)", "--matrix", "L", "--vertex", "3"],
+        ["classify", "--graph", "P(5)", "--vertex", "0", "--format", "json"],
+        ["analyze", "--graph", "KM(2,2,2)", "--matrix", "L"],
+        ["analyze", "--graph", "join(O(2),K(3))", "--vertex", "4", "--format", "json"],
+        ["analyze", "--graph", "dprod(P(3),K(2))", "--matrix", "L", "--format", "csv"],
+    ],
+)
+def test_each_op_decomposes_and_finds_twins_once(capsys, monkeypatch, argv):
+    """One ``eigh`` and one twin partition per op: the classifier computes
+    both, and ``analyze`` reads the partition back from the graph's memo for
+    its report."""
+    eighs = misses = 0
+    eigh, partition = np.linalg.eigh, twins_module._twin_partition
+
+    def counted_eigh(mat):
+        nonlocal eighs
+        eighs += 1
+        return eigh(mat)
+
+    def counted_partition(g):
+        nonlocal misses
+        misses += "twins" not in g.memo
+        return partition(g)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(twins_module, "_twin_partition", counted_partition)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "") and out
+    assert (eighs, misses) == (1, 1)
 
 
 def test_repeated_runs_are_identical(capsys):

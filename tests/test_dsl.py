@@ -101,14 +101,19 @@ def test_parse_preserves_laplacian_safety():
 
 def test_unsafe_product_rejects_laplacian_decomposition():
     """A direct product with an irregular factor decomposes under L like any
-    graph.  What the classifier rejects is that Laplacian decomposition
-    handed in for another matrix kind, which it would read as the walk's own."""
+    graph.  The classifier takes no decomposition from its caller, so that
+    Laplacian decomposition cannot be read as the walk's own under A: it
+    decomposes the graph under the kind it is asked for."""
     g = parse_graph("dprod(P(3),K(2))")
     dec = decompose(g, L)
     assert dec.matrix_kind == L and sum(dec.multiplicities) == g.n
-    with pytest.raises(ValueError, match="matrix"):
+    with pytest.raises(TypeError):
+        classify_all(g, A, dec)
+    with pytest.raises(TypeError):
         classify_all(g, A, dec=dec)
-    assert len(classify_all(g, L, dec=dec)) == g.n
+    for kind in (A, L):
+        records = classify_all(g, kind)
+        assert len(records) == g.n and {rec.matrix_kind for rec in records} == {kind}
 
 
 @pytest.mark.parametrize(

@@ -64,11 +64,6 @@ def test_multipartite_laplacian_cases(parts, ell, verdict, case, constant, time)
     assert fv.time == pytest.approx(time)
 
 
-def test_multipartite_laplacian_pst_partner_kind():
-    assert multipartite_laplacian_verdict([2, 2], 0).partner_kind == "part-twin"
-    assert multipartite_laplacian_verdict([1, 1], 0).partner_kind == "adjacent-twin"
-
-
 def test_multipartite_laplacian_three_part_pair():
     fv = multipartite_laplacian_verdict([2, 1], 0)
     assert fv.case == "pair-part-three"
@@ -109,7 +104,6 @@ def test_multipartite_adjacency_cases(parts, ell, verdict, case):
 def test_multipartite_adjacency_values():
     fv = multipartite_adjacency_verdict([2, 3], 0)
     assert fv.time == pytest.approx(math.pi / math.sqrt(6))
-    assert fv.partner_kind == "part-twin"
 
     fv = multipartite_adjacency_verdict([3, 6], 0)
     assert fv.constant == pytest.approx(1 / 3)
@@ -175,7 +169,6 @@ def test_threshold_spec_accessors():
     assert spec.n == 9
     assert [spec.alpha(j) for j in (0, 1, 2, 3)] == [0, 2, 5, 9]
     assert [spec.beta(ell) for ell in (1, 2, 3, 4)] == [6, 3, 4, 0]
-    assert [spec.cell_of(u) for u in range(9)] == [1, 1, 2, 2, 2, 3, 3, 3, 3]
     assert [spec.is_clique_cell(j) for j in (1, 2, 3)] == [False, True, False]
     kspec = ThresholdSpec((2, 2, 4), starts_empty=False)
     assert [kspec.is_clique_cell(j) for j in (1, 2, 3)] == [True, False, True]
@@ -186,9 +179,6 @@ def test_threshold_spec_validation():
         ThresholdSpec(())
     with pytest.raises(ValueError):
         ThresholdSpec((2, 0, 3))
-    spec = ThresholdSpec((2, 3))
-    with pytest.raises(ValueError):
-        spec.cell_of(5)
 
 
 def test_threshold_congruences():
@@ -278,8 +268,6 @@ def test_threshold_vertex_verdicts(cells, starts_empty, j, verdict, case, consta
         assert fv.time is None
     else:
         assert fv.time == pytest.approx(time)
-    if verdict is Verdict.PST:
-        assert fv.partner_kind == "cell-mate"
 
 
 def test_threshold_verdicts_match_engine():

@@ -153,9 +153,8 @@ def test_shared_period_table_changes_no_bits(period_reference, support_form, nam
     g = GRAPHS[name]() if name in GRAPHS else parse_graph(name)
     dec = decompose(g, kind)
     ev = WalkEvaluator(dec)
-    twin_sets = find_twin_sets(g)
-    records = classify_all(g, kind, dec, twin_sets=twin_sets)
-    for ts in twin_sets:
+    records = classify_all(g, kind)
+    for ts in find_twin_sets(g):
         assert all(records[m].evidence is records[ts.members[0]].evidence for m in ts.members)
     representative: dict[int, int] = {}
     for u, rec in enumerate(records):

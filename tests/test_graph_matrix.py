@@ -292,8 +292,7 @@ def test_relation_parity_always_decides_on_graphs_with_twins(tree, matrix):
     vertex then ends undetermined (``test_sedentary.test_huge_loop_classifies``)."""
     g = _build(tree, graphs)
     kind = MatrixKind.parse(matrix)
-    twin_sets = find_twin_sets(g)
-    assume(twin_sets)
-    results = classify_all(g, kind, twin_sets=twin_sets, grid_points=2001)
+    assume(find_twin_sets(g))
+    results = classify_all(g, kind, grid_points=2001)
     steps = [s for c in results for s in c.certificate if s.startswith("parity:")]
     assert set(steps) <= PARITY_STEPS

@@ -30,7 +30,6 @@ from sedwalk.graphs import (
     path,
     star,
     threshold,
-    threshold_cells,
     to_edge_list_text,
 )
 
@@ -118,7 +117,6 @@ def test_threshold_structure_and_cells():
     g = threshold([2, 3])
     assert g.n == 5
     assert len(g.edges) == 9
-    assert threshold_cells([2, 3]) == [range(0, 2), range(2, 5)]
     gk = threshold([1, 1], starts_empty=False)
     assert gk.n == 2 and len(gk.edges) == 0
     g22 = threshold([2, 2])

@@ -30,6 +30,7 @@ from sedwalk import (
     direct_product,
     empty,
     equality_time_criterion,
+    find_twin_sets,
     join,
     parse_graph,
     path,
@@ -288,13 +289,27 @@ def test_classify_vertex_range_check():
     ids=["P(5)-L-of-A", "CP(6)-L-of-A", "P(5)-Mq:2-of-Mq:3", "P(5)-of-P(6)"],
 )
 def test_decomposition_of_another_matrix_is_refused(g, kind, dec):
-    """A decomposition of another matrix kind or vertex count would be read as
-    the walk's own: P(5) under L took A's spectrum and certified vertex 2
-    not sedentary, while every L record of P(5) is undetermined."""
-    with pytest.raises(ValueError, match="decomposition of a"):
-        classify_all(g, kind, dec())
-    with pytest.raises(ValueError, match="decomposition of a"):
-        classify_vertex(g, kind, 2, dec())
+    """The classifier decomposes the graph under ``kind`` and finds its twins
+    itself; it takes neither from its caller.  A decomposition of another
+    matrix kind or vertex count would be read as the walk's own: P(5) under
+    L took A's spectrum and certified vertex 2 not sedentary, while every L
+    record of P(5) is undetermined."""
+    for call in (
+        lambda: classify_all(g, kind, dec()),
+        lambda: classify_all(g, kind, dec=dec()),
+        lambda: classify_all(g, kind, twin_sets=find_twin_sets(g)),
+        lambda: classify_vertex(g, kind, 2, dec()),
+        lambda: classify_vertex(g, kind, 2, dec=dec()),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    records = classify_all(g, kind)
+    assert [rec.vertex for rec in records] == list(range(g.n))
+    assert {rec.matrix_kind for rec in records} == {kind}
+    if g == path(5) and kind == L:
+        assert [(rec.verdict, rec.certified) for rec in records] == [
+            (Verdict.UNDETERMINED, False)
+        ] * 5
 
 
 def test_classify_plain_vertex_honors_grid_knobs():
@@ -380,7 +395,7 @@ def test_recognized_periods_bring_the_walk_home(oracle, n, picks, kind):
         if form is not None and form.period is not None:
             assert abs(oracle(g, kind, form.period)[u, u]) >= 1 - 1e-9, u
     # the period a classification reports is one too
-    for rec in classify_all(g, kind, dec, grid_points=2001):
+    for rec in classify_all(g, kind, grid_points=2001):
         scan = rec.evidence
         if scan.certified and scan.grid_points > 1:
             assert abs(oracle(g, kind, scan.horizon)[rec.vertex, rec.vertex]) >= 1 - 1e-9

@@ -340,11 +340,7 @@ def _reference_twin_sets(g: WeightedGraph) -> list[TwinSet]:
 
 def _reference_row(g: WeightedGraph, u: int) -> list:
     """(neighbour, weight) pairs of ``u`` in increasing neighbour order."""
-    return [
-        (v, g.edge_map[min(u, v), max(u, v)])
-        for v in range(g.n)
-        if (min(u, v), max(u, v)) in g.edge_map
-    ]
+    return [(v, g.weight(u, v)) for v in range(g.n) if g.weight(u, v) != 0]
 
 
 def _reference_degrees(g: WeightedGraph) -> list:
