@@ -25,6 +25,8 @@ from itertools import product as iter_product
 from operator import add
 from typing import Sequence
 
+import numpy as np
+
 from .numtheory import QuadraticIntegerForm, is_perfect_square, nu2, square_free_part
 from .sedentary import Verdict, equality_time_criterion
 
@@ -585,6 +587,10 @@ def _complete_product_cosine_terms(ms: list[int]) -> list[tuple[float, int]]:
     return sorted(((c, f) for f, c in terms.items()), reverse=True)
 
 
+# Sign-scan samples evaluated per numpy call.
+_SCAN_CHUNK = 1 << 14
+
+
 def _real_diagonal_zero_search(
     cosine_terms: list[tuple[float, float]], horizon: float, samples_per_period: int
 ) -> float | None:
@@ -594,6 +600,12 @@ def _real_diagonal_zero_search(
     the fastest term (at least 1000 points), and bisects it down to |value|
     < 1e-12; a sign change certifies the zero by continuity, so the result
     is a proof, unlike a small grid minimum of a modulus.
+
+    numpy samples the times ``horizon * i / steps`` in chunks.  Its cosines
+    may differ from ``math.cos`` by a few ulps, so every step whose two
+    samples are not both of one sign and clear of zero by ``slack`` is
+    tested again with the scalar ``f``: the first step that stops the scan
+    is the one a scalar loop over every sample stops at.
     """
     fmax = max(abs(f) for _, f in cosine_terms)
 
@@ -601,29 +613,38 @@ def _real_diagonal_zero_search(
         return sum(c * math.cos(fr * t) for c, fr in cosine_terms)
 
     steps = max(1000, int(samples_per_period * horizon * fmax / (2.0 * math.pi)))
-    prev_t, prev_v = 0.0, f(0.0)
-    for i in range(1, steps + 1):
-        t = horizon * i / steps
-        v = f(t)
-        if prev_v == 0.0:
-            return prev_t
-        if prev_v * v < 0:
-            lo, hi, v_lo = prev_t, t, prev_v
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                v_mid = f(mid)
-                if abs(v_mid) < 1e-12:
-                    return mid
-                if v_lo * v_mid < 0:
-                    hi = mid
-                else:
-                    lo, v_lo = mid, v_mid
-            mid = 0.5 * (lo + hi)
-            if abs(f(mid)) < 1e-12:
-                return mid
-            raise ArithmeticError("bisection failed to settle the zero")
-        prev_t, prev_v = t, v
+    slack = 1e-9 * sum(abs(c) for c, _ in cosine_terms)
+    for start in range(1, steps + 1, _SCAN_CHUNK):
+        idx = np.arange(start - 1, min(start + _SCAN_CHUNK, steps + 1))
+        times = horizon * idx / steps
+        vals = sum(c * np.cos(fr * times) for c, fr in cosine_terms)
+        clear = np.abs(vals) > slack
+        same = clear[:-1] & clear[1:] & ((vals[:-1] > 0) == (vals[1:] > 0))
+        for i in (idx[1:][~same]).tolist():
+            prev_t, t = horizon * (i - 1) / steps, horizon * i / steps
+            prev_v = f(prev_t)
+            if prev_v == 0.0:
+                return prev_t
+            if prev_v * f(t) < 0:
+                return _bisect_zero(f, prev_t, t, prev_v)
     return None
+
+
+def _bisect_zero(f, lo: float, hi: float, v_lo: float) -> float:
+    """A point of [lo, hi] where |f| < 1e-12, given a sign change across it."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        v_mid = f(mid)
+        if abs(v_mid) < 1e-12:
+            return mid
+        if v_lo * v_mid < 0:
+            hi = mid
+        else:
+            lo, v_lo = mid, v_mid
+    mid = 0.5 * (lo + hi)
+    if abs(f(mid)) < 1e-12:
+        return mid
+    raise ArithmeticError("bisection failed to settle the zero")
 
 
 def complete_product_verdict(factors: Sequence[int]) -> FamilyVerdict:

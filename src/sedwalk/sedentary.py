@@ -29,7 +29,7 @@ uncertified, with an ``inconsistent:<check>`` step, instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -502,6 +502,15 @@ def classify_all(
     minimum is within ``SHARE_TOL`` of v's own.  Candidates are found by the
     weights rounded to 6 places, so a pair that rounding splits keeps two
     scans.
+
+    A twin set is also classified once, at its representative, and every
+    other member takes that record with its own ``vertex``; on the pair
+    side the member's partner is the representative.  Swapping two twins is
+    an automorphism of the weight matrix, so members share their support,
+    exact values, dichotomy side and scan, and the decision tree takes the
+    same branches at each; its per-member floats agree to rounding.  A
+    vertex without a twin is classified on its own, since its
+    perfect-transfer partner scan depends on the vertex.
     """
     _check_grid(horizon, grid_points)
     verts = list(range(g.n) if vertices is None else vertices)
@@ -523,7 +532,24 @@ def classify_all(
         if r not in scans:
             _, form = facts.recognized(facts.support(r))
             scans[r] = facts.evaluator.infimum_diagonal(r, form, grid_points, horizon)
-    return [_classify(facts, u, scans[leader[first[h]]]) for u, h in zip(verts, homes)]
+    records: dict[int, VertexClassification] = {}
+    out = []
+    for u, h in zip(verts, homes):
+        r = first[h]
+        if r not in records:
+            records[r] = _classify(facts, r, scans[leader[r]])
+        out.append(_as_member(records[r], u))
+    return out
+
+
+def _as_member(rec: VertexClassification, u: int) -> VertexClassification:
+    """The record of a twin set's representative relabelled for member ``u``:
+    a pair partner, always the other member, becomes the representative."""
+    if rec.vertex == u:
+        return rec
+    assert rec.partner in (None, u), "a twin's partner is the other member of its pair"
+    partner = None if rec.partner is None else rec.vertex
+    return replace(rec, vertex=u, partner=partner)
 
 
 def classify_vertex(

@@ -178,8 +178,15 @@ def decompose(g: WeightedGraph, kind: MatrixKind = ADJACENCY) -> SpectralDecompo
     """Eigendecompose M(g) and group near-equal eigenvalues into classes.
 
     Grouping is single-linkage on the sorted eigenvalues with an absolute
-    tolerance of GROUPING_TOL * max(1, spectral radius); integer spectra are
-    separated by at least 1, so grouping never over-merges on those.
+    tolerance of GROUPING_TOL * max(1, spectral radius).  Distinct integer
+    eigenvalues are at least 1 apart, so grouping cannot over-merge an
+    integer spectrum while that tolerance stays below 1, a spectral radius
+    below 1e7.  Past it, it can: ``K(3)`` under ``Mq:1e9`` and ``CP(6)``
+    under ``Mq:1e8`` collapse to one class and are certified sedentary with
+    constant 1, where the constant is 1/3 (the strict xfails
+    ``test_generalized_k3_at_large_q_is_not_certified_constant_1`` and
+    ``test_cocktail_party_at_large_q_is_not_certified_constant_1`` in
+    ``tests/test_cli.py``).
     """
     mat = g.matrix(kind)
     try:

@@ -414,3 +414,92 @@ def test_product_verdict_against_engine_series():
     ts = np.linspace(0.0, 2 * math.pi, 2001)
     series = WalkEvaluator(decompose(g, A)).diagonal_amplitudes(0, ts)
     assert np.min(np.abs(series)) == pytest.approx(fv.constant, abs=1e-6)
+
+
+# ---------------------------------------------------------------- product zero scan
+
+
+def _scalar_zero_search(cosine_terms, horizon, samples_per_period):
+    """The sign-change scan one ``math.cos`` sum at a time: the reference the
+    chunked numpy scan of ``families._real_diagonal_zero_search`` must match
+    bit for bit."""
+    fmax = max(abs(f) for _, f in cosine_terms)
+
+    def f(t):
+        return sum(c * math.cos(fr * t) for c, fr in cosine_terms)
+
+    steps = max(1000, int(samples_per_period * horizon * fmax / (2.0 * math.pi)))
+    prev_t, prev_v = 0.0, f(0.0)
+    for i in range(1, steps + 1):
+        t = horizon * i / steps
+        v = f(t)
+        if prev_v == 0.0:
+            return prev_t
+        if prev_v * v < 0:
+            lo, hi, v_lo = prev_t, t, prev_v
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                v_mid = f(mid)
+                if abs(v_mid) < 1e-12:
+                    return mid
+                if v_lo * v_mid < 0:
+                    hi = mid
+                else:
+                    lo, v_lo = mid, v_mid
+            mid = 0.5 * (lo + hi)
+            if abs(f(mid)) < 1e-12:
+                return mid
+            raise ArithmeticError("bisection failed to settle the zero")
+        prev_t, prev_v = t, v
+    return None
+
+
+def _scalar_product_zero(ms):
+    terms = families._complete_product_cosine_terms(ms)
+    samples = 40
+    while (zero := _scalar_zero_search(terms, 2.0 * math.pi, samples)) is None:
+        samples *= 2
+    return zero
+
+
+PRODUCT_ZERO_FACTORS = [[2, m] for m in range(2, 65)] + [
+    [2, 2, 2],
+    [2, 2, 5],
+    [2, 3, 3],
+    [2, 3, 7],
+    [3, 2, 4],
+    [2, 5, 6],
+    [2, 9, 9],
+    [2, 3, 3, 3],
+]
+
+
+@pytest.mark.parametrize("ms", PRODUCT_ZERO_FACTORS, ids=lambda ms: "x".join(map(str, ms)))
+def test_product_zero_equals_the_scalar_scan(ms):
+    fv = complete_product_verdict(ms)
+    assert fv.verdict is Verdict.NOT_SEDENTARY
+    assert fv.time == _scalar_product_zero(ms)
+    # every rung of the doubling loop, including the ones that miss
+    terms = families._complete_product_cosine_terms(ms)
+    for samples in (40, 80, 160):
+        got = families._real_diagonal_zero_search(terms, 2.0 * math.pi, samples)
+        assert got == _scalar_zero_search(terms, 2.0 * math.pi, samples)
+
+
+@pytest.mark.parametrize(
+    "terms,horizon",
+    [
+        ([(1.0, 1.0)], 2.0),
+        ([(0.75, 0.0), (0.25, 2.0)], 10.0),
+        ([(1.0, 0.0)], 5.0),
+        ([(0.5, 1.0), (0.5, 3.0)], 2.0 * math.pi),  # cos t + cos 3t = 0 at pi/4
+        ([(0.0, 1.0)], 1.0),  # identically zero: stops at t = 0
+        ([(1.0, 1.0)], 100.0),  # 1000 samples cover several sign changes
+        ([(1.0, 0.005), (1e-6, 10.0)], 400.0),  # the zero is in the second chunk
+        ([(0.75, 0.0), (0.25, 1.0)], 3000.0),  # two chunks without a zero
+    ],
+)
+def test_zero_scan_equals_the_scalar_scan_on_edge_cases(terms, horizon):
+    assert families._real_diagonal_zero_search(terms, horizon, 40) == _scalar_zero_search(
+        terms, horizon, 40
+    )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -635,3 +636,97 @@ def test_join_transfer_constant():
     assert rec.verdict is Verdict.SEDENTARY and rec.certified
     assert rec.constant == pytest.approx(0.28, abs=1e-12)
     assert rec.constant >= c_x - 2 / x.n - 1e-12
+
+
+# -- one decision per twin set -----------------------------------------------
+
+TWIN_GRAPHS = [
+    "CP(4)",
+    "CP(6)",
+    "KM(2,3)",
+    "KM(1,2,3)",
+    "blowup(2,K(3))",
+    "blowup(3,C(5))",
+    "join(K(2),O(3))",
+    "join(K(3),O(2))",
+    "Gamma(2,1,1,2)",
+    "Gamma(1,2,3)",
+]
+TWIN_KINDS = [A, L, MatrixKind.parse("Mq:2")]
+
+_NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan"
+
+
+def _assert_same_record(got: VertexClassification, own: VertexClassification) -> None:
+    """Equal verdicts, certification, partners and trail step names; floats,
+    in the fields and in the trail, within 1e-12."""
+    assert (got.vertex, got.verdict, got.certified, got.partner) == (
+        own.vertex, own.verdict, own.certified, own.partner
+    )
+    assert (got.tight, got.sharp) == (own.tight, own.sharp)
+    assert [s.split(":")[0] for s in got.certificate] == [
+        s.split(":")[0] for s in own.certificate
+    ]
+    for a, b in zip(got.certificate, own.certificate):
+        xs, ys = re.findall(_NUMBER, a), re.findall(_NUMBER, b)
+        assert len(xs) == len(ys), (a, b)
+        assert all(math.isclose(float(x), float(y), abs_tol=1e-12) for x, y in zip(xs, ys))
+    for name in ("constant", "tightness_time", "pst_time"):
+        x, y = getattr(got, name), getattr(own, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x == pytest.approx(y, abs=1e-12), name
+    # the set shares one scan, so only its well-conditioned minimum is
+    # compared: a polished argmin on a flat minimum moves by ~1e-8
+    assert got.evidence.value == pytest.approx(own.evidence.value, abs=1e-12)
+    assert got.evidence.certified == own.evidence.certified
+
+
+@pytest.mark.parametrize("kind", TWIN_KINDS, ids=lambda k: k.short_name)
+@pytest.mark.parametrize("spec", TWIN_GRAPHS)
+def test_twin_members_share_their_sets_decision(spec, kind):
+    # each member's record from the whole-graph run equals the one it gets
+    # classified alone, where it is its set's representative
+    g = parse_graph(spec)
+    records = classify_all(g, kind)
+    members = [u for ts in find_twin_sets(g) for u in ts.members]
+    assert members
+    for u in members:
+        _assert_same_record(records[u], classify_all(g, kind, vertices=[u])[0])
+    for ts in find_twin_sets(g):
+        assert len({id(records[u].evidence) for u in ts.members}) == 1
+
+
+@pytest.mark.parametrize("kind", TWIN_KINDS, ids=lambda k: k.short_name)
+@pytest.mark.parametrize("spec", TWIN_GRAPHS)
+def test_decision_tree_runs_once_per_twin_set(spec, kind, monkeypatch):
+    g = parse_graph(spec)
+    calls = []
+    real = sedentary_module._classify
+
+    def counting(facts, u, scan):
+        calls.append(u)
+        return real(facts, u, scan)
+
+    monkeypatch.setattr(sedentary_module, "_classify", counting)
+    records = classify_all(g, kind)
+    sets = find_twin_sets(g)
+    twin_free = g.n - sum(len(ts) for ts in sets)
+    assert len(calls) == len(sets) + twin_free
+    assert [r.vertex for r in records] == list(range(g.n))
+    assert sorted(calls) == sorted({ts.members[0] for ts in sets} | {
+        u for u in range(g.n) if not any(u in ts for ts in sets)
+    })
+
+
+def test_pair_member_takes_the_representative_as_partner():
+    # CP(4) under A: each antipodal pair has PST; listing the larger member
+    # first makes it the representative
+    g = parse_graph("CP(4)")
+    (ts, *_) = find_twin_sets(g)
+    u, v = ts.members
+    first, second = classify_all(g, A, vertices=[v, u])
+    assert first.verdict is second.verdict is Verdict.PST
+    assert (first.vertex, first.partner) == (v, u)
+    assert (second.vertex, second.partner) == (u, v)
+    assert first.pst_time == second.pst_time
