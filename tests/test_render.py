@@ -3,7 +3,7 @@ writer against the stdlib encoder.
 
 ``golden/render.json`` maps each command line below to its exact standard
 output.  The commands cover every output format of ``spectrum``, ``series``,
-``twins``, ``families`` and ``analyze``, with values printed in exponent
+``twins``, ``families``, ``analyze`` and ``classify``, with values printed in exponent
 form (Laplacian zero eigenvalues near 1e-16), integral floats, a one-vertex
 graph, empty containers, a weighted edge-list file and ``Mq:-1``.
 
@@ -75,6 +75,13 @@ COMMANDS = (
     "spectrum --graph P(40) --vertex 7",
     "spectrum --graph KM(1,3) --format csv",
     f"spectrum --file {WEIGHTED} --format csv",
+    "classify --graph join(O(2),K(6)) --matrix L --format table",
+    "classify --graph join(O(2),K(6)) --matrix L --format csv",
+    "classify --graph P(5) --steps 2001 --format table",
+    "classify --graph P(5) --steps 2001 --format csv",
+    "analyze --graph KM(2,2,2) --matrix L --format table",
+    "analyze --graph KM(2,2,2) --matrix L --format csv",
+    "families --family product --start 2 --stop 5",
 )
 
 
