@@ -31,6 +31,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -45,7 +46,7 @@ from .families import (
     threshold_vertex_verdict,
 )
 from .graphs import MatrixKind, WeightedGraph, _check_order, from_edge_list_text
-from .sedentary import Verdict, VertexClassification, classify_all
+from .sedentary import VertexClassification, classify_all
 from .spectral import decompose
 from .twins import TwinSet, find_twin_sets
 from .walk import WalkEvaluator, _check_grid, _check_series
@@ -80,9 +81,12 @@ def _time_cell(t: float | None) -> str:
 
 
 def _cell(x: object) -> str:
-    """Table cell rendering: '-' for None, yes/no for booleans."""
+    """Table cell rendering: '-' for None, yes/no for booleans, a list's
+    cells joined by ',' ('-' when empty)."""
     if x is None:
         return "-"
+    if isinstance(x, list):
+        return ",".join(map(_cell, x)) if x else "-"
     if isinstance(x, bool):
         return "yes" if x else "no"
     if isinstance(x, (int, np.integer)):
@@ -95,6 +99,8 @@ def _cell(x: object) -> str:
 def _csv_val(x: object) -> str:
     if x is None:
         return ""
+    if isinstance(x, list):
+        return "|".join(map(_csv_val, x))
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -291,6 +297,33 @@ def _render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return sio.getvalue()
 
 
+# A report column: its header and the getter of its value from a record.
+Columns = Sequence[tuple[str, Callable[[dict], object]]]
+
+
+def _keys(*keys: str) -> list[tuple[str, Callable[[dict], object]]]:
+    """Columns that print the record fields of these names under them."""
+    return [(key, itemgetter(key)) for key in keys]
+
+
+def _render_records(
+    records: list[dict], fmt: str, table: Columns, csv_columns: Columns | None = None
+) -> str:
+    """``records`` as the JSON list, or as a table or CSV with a row per
+    record and the given columns over it (CSV takes ``table`` when it has no
+    columns of its own).  A table prints its ``time`` column with the pi note
+    of :func:`_time_cell`."""
+    if fmt == "json":
+        return _dump_json(records)
+    if fmt == "csv":
+        columns = csv_columns or table
+        rows = [[_csv_val(get(rec)) for _, get in columns] for rec in records]
+        return _render_csv([head for head, _ in columns], rows)
+    cells = [(_time_cell if head == "time" else _cell, get) for head, get in table]
+    rows = [[cell(get(rec)) for cell, get in cells] for rec in records]
+    return _render_table([head for head, _ in table], rows)
+
+
 # Cells of a numeric table formatted by one ``%``, rounded to whole rows.
 _CSV_BLOCK_CELLS = 1 << 15
 
@@ -340,69 +373,18 @@ def _twin_record(g: WeightedGraph, kind: MatrixKind, ts: TwinSet) -> dict:
 
 # -- classification rendering ----------------------------------------------
 
-_CLASSIFY_TABLE_HEADERS = (
-    "vertex",
-    "verdict",
-    "constant",
-    "tight",
-    "sharp",
-    "time",
-    "partner",
-    "certified",
-    "trail",
+_CLASSIFY_TABLE = (
+    *_keys("vertex", "verdict", "constant", "tight", "sharp"),
+    ("time", lambda rec: rec["pst_time"] if rec["verdict"] == "pst" else rec["tightness_time"]),
+    *_keys("partner", "certified"),
+    ("trail", itemgetter("lemma_trail")),
 )
-_CLASSIFY_CSV_HEADERS = (
-    "vertex",
-    "matrix",
-    "verdict",
-    "constant",
-    "tight",
-    "sharp",
-    "tightness_time",
-    "partner",
-    "pst_time",
-    "certified",
-    "trail",
+_CLASSIFY_CSV = (
+    *_keys("vertex"),
+    ("matrix", itemgetter("matrix_kind")),
+    *_keys("verdict", "constant", "tight", "sharp", "tightness_time", "partner", "pst_time", "certified"),
+    ("trail", itemgetter("lemma_trail")),
 )
-
-
-def _classification_table_row(c: VertexClassification) -> list[str]:
-    t = c.pst_time if c.verdict is Verdict.PST else c.tightness_time
-    return [
-        str(c.vertex),
-        c.verdict.value,
-        _cell(c.constant),
-        _cell(c.tight),
-        _cell(c.sharp),
-        _time_cell(t),
-        _cell(c.partner),
-        _cell(c.certified),
-        ",".join(c.certificate) if c.certificate else "-",
-    ]
-
-
-def _classification_csv_row(c: VertexClassification) -> list[str]:
-    return [
-        str(c.vertex),
-        c.matrix_kind.short_name,
-        c.verdict.value,
-        _csv_val(c.constant),
-        _csv_val(c.tight),
-        _csv_val(c.sharp),
-        _csv_val(c.tightness_time),
-        _csv_val(c.partner),
-        _csv_val(c.pst_time),
-        _csv_val(c.certified),
-        "|".join(c.certificate),
-    ]
-
-
-def _render_classifications(results: list[VertexClassification], fmt: str) -> str:
-    if fmt == "json":
-        return _dump_json([c.to_json_dict() for c in results])
-    if fmt == "csv":
-        return _render_csv(_CLASSIFY_CSV_HEADERS, [_classification_csv_row(c) for c in results])
-    return _render_table(_CLASSIFY_TABLE_HEADERS, [_classification_table_row(c) for c in results])
 
 
 # -- subcommands -------------------------------------------------------------
@@ -423,7 +405,8 @@ def _classify(
 
 def cmd_classify(args: argparse.Namespace) -> str:
     *_, results = _classify(args)
-    return _render_classifications(results, args.format)
+    records = [c.to_json_dict() for c in results]
+    return _render_records(records, args.format, _CLASSIFY_TABLE, _CLASSIFY_CSV)
 
 
 def cmd_analyze(args: argparse.Namespace) -> str:
@@ -431,6 +414,7 @@ def cmd_analyze(args: argparse.Namespace) -> str:
     # classify_all has found the graph's twin partition; this reads it back
     twins = [_twin_record(g, kind, ts) for ts in find_twin_sets(g)]
     row_sum = g.is_weighted_regular()
+    records = [c.to_json_dict() for c in results]
     if args.format == "json":
         return _dump_json(
             {
@@ -443,26 +427,25 @@ def cmd_analyze(args: argparse.Namespace) -> str:
                     "regular_row_sum": None if row_sum is None else float(row_sum),
                 },
                 "twin_sets": twins,
-                "classification": [c.to_json_dict() for c in results],
+                "classification": records,
             }
         )
+    rows = _render_records(records, args.format, _CLASSIFY_TABLE, _CLASSIFY_CSV)
     if args.format == "csv":
-        return _render_classifications(results, "csv")
+        return rows
     head = [
         f"graph: {src}",
         f"vertices: {g.n}  edges: {g.edge_count}  matrix: {kind.short_name}",
         "regular row sum: " + ("-" if row_sum is None else _num(float(row_sum))),
     ]
     for rec in twins:
-        members = ",".join(str(m) for m in rec["members"])
         head.append(
-            f"twin set {{{members}}}  omega={_num(rec['omega'])}"
+            f"twin set {{{_cell(rec['members'])}}}  omega={_num(rec['omega'])}"
             f"  eta={_num(rec['eta'])}  theta={_num(rec['theta'])}"
         )
     if not twins:
         head.append("twin sets: none")
-    table = _render_classifications(results, "table")
-    return "\n".join(head) + "\n\n" + table
+    return "\n".join(head) + "\n\n" + rows
 
 
 def cmd_series(args: argparse.Namespace) -> Iterator[str]:
@@ -488,17 +471,7 @@ def cmd_twins(args: argparse.Namespace) -> str:
     g, _src = _load_graph(args)
     kind = MatrixKind.parse(args.matrix)
     twins = [_twin_record(g, kind, ts) for ts in find_twin_sets(g)]
-    if args.format == "json":
-        return _dump_json(twins)
-    headers = ("members", "omega", "eta", "theta")
-    sep = "|" if args.format == "csv" else ","
-    rows = [
-        [sep.join(str(m) for m in rec["members"])] + [_num(rec[key]) for key in headers[1:]]
-        for rec in twins
-    ]
-    if args.format == "csv":
-        return _render_csv(headers, rows)
-    return _render_table(headers, rows)
+    return _render_records(twins, args.format, _keys("members", "omega", "eta", "theta"))
 
 
 def _spectrum_cells(
@@ -573,20 +546,6 @@ def cmd_spectrum(args: argparse.Namespace) -> Iterator[str]:
 
 
 # -- family sweeps ------------------------------------------------------------
-
-_FAMILY_TABLE_HEADERS = (
-    "graph",
-    "vertex",
-    "case",
-    "verdict",
-    "constant",
-    "bound",
-    "time",
-    "tight",
-    "sharp",
-    "certified",
-)
-
 
 def _family_record(graph: str, vertex: int, fv: FamilyVerdict) -> dict:
     return {
@@ -667,30 +626,10 @@ def cmd_families(args: argparse.Namespace) -> str:
     kind = MatrixKind.parse(args.matrix)
     if kind.label == "generalized":
         raise ValueError("family sweeps support matrix kinds A and L")
-    records = _family_rows(args, kind)
-    if args.format == "json":
-        return _dump_json(records)
-    as_csv = args.format == "csv"
-    value = _csv_val if as_csv else _cell
-    rows = []
-    for rec in records:
-        rows.append(
-            [
-                rec["graph"],
-                str(rec["vertex"]),
-                rec["case"],
-                rec["verdict"],
-                value(rec["constant"]),
-                value(rec["bound"]),
-                _csv_val(rec["time"]) if as_csv else _time_cell(rec["time"]),
-                value(rec["tight"]),
-                value(rec["sharp"]),
-                value(rec["certified"]),
-            ]
-        )
-    if as_csv:
-        return _render_csv(_FAMILY_TABLE_HEADERS, rows)
-    return _render_table(_FAMILY_TABLE_HEADERS, rows)
+    columns = _keys(
+        "graph", "vertex", "case", "verdict", "constant", "bound", "time", "tight", "sharp", "certified"
+    )
+    return _render_records(_family_rows(args, kind), args.format, columns)
 
 
 # -- argument parsing ---------------------------------------------------------
