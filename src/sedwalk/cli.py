@@ -363,11 +363,14 @@ def _select_vertices(args: argparse.Namespace, n: int) -> list[int]:
 
 
 def _twin_record(g: WeightedGraph, kind: MatrixKind, ts: TwinSet) -> dict:
+    theta = float(ts.theta(g, kind))
+    if not math.isfinite(theta):
+        raise OverflowError(f"the {kind.short_name} eigenvalue of twin set {list(ts.members)} is not finite")
     return {
         "members": list(ts.members),
         "omega": float(ts.omega),
         "eta": float(ts.eta),
-        "theta": float(ts.theta(g, kind)),
+        "theta": theta,
     }
 
 

@@ -328,13 +328,17 @@ class WeightedGraph:
         return np.diag([float(d) for d in self.degrees])
 
     def matrix(self, kind: MatrixKind = ADJACENCY) -> np.ndarray:
+        """The walk matrix of ``kind``.  Raises OverflowError when a diagonal
+        entry leaves the float range; the others are weights, finite already."""
         a = self.adjacency_matrix()
         if kind.label == "adjacency":
             return a
         d = self.degree_matrix()
-        if kind.label == "laplacian":
-            return d - a
-        return float(kind.q) * d + a
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = d - a if kind.label == "laplacian" else float(kind.q) * d + a
+        if not np.isfinite(m.diagonal()).all():
+            raise OverflowError(f"a diagonal entry of the {kind.short_name} matrix is not finite")
+        return m
 
     # -- structural queries ---------------------------------------------
 

@@ -298,6 +298,41 @@ def test_spectrum_beyond_the_float_range_exits_2(capsys, tmp_path):
     assert "float range" in err
 
 
+# finite weights whose degree, or q times it, passes the float range
+_WALK_MATRIX_OVERFLOWS = (
+    ("n 3\n0 1 1e308\n1 2 1e308\n", "L"),
+    ("n 3\n0 1 1e300\n1 2 1e300\n", "Mq:1e9"),
+    ("n 4\n0 1 1e300\n1 2 1e300\n2 3 2e300\n", "Mq:1e9"),
+)
+
+
+@pytest.mark.parametrize(
+    "listing,matrix,command",
+    [
+        pytest.param(*case, command, id=f"{i}-{command}")
+        for i, case in enumerate(_WALK_MATRIX_OVERFLOWS)
+        for command in ("spectrum", "series", "classify", "analyze")
+    ]
+    # twins builds no walk matrix; it fails on the twin eigenvalue q*deg of {0, 2}
+    + [pytest.param(*_WALK_MATRIX_OVERFLOWS[1], "twins", id="1-twins")],
+)
+def test_walk_matrix_beyond_the_float_range_exits_2(capsys, tmp_path, listing, matrix, command):
+    path = tmp_path / "huge.txt"
+    path.write_text(listing)
+    rc, out, err = run(capsys, command, "--file", str(path), "--matrix", matrix)
+    assert rc == 2 and out == "" and _one_error_line(err)
+    assert "float range" in err
+
+
+def test_twins_print_a_finite_eigenvalue_of_an_overflowing_walk_matrix(capsys, tmp_path):
+    # the Laplacian's diagonal holds 2e308 at vertex 1, but the twin eigenvalue
+    # of {0, 2} is deg(0) = 1e308
+    path = tmp_path / "huge.txt"
+    path.write_text(_WALK_MATRIX_OVERFLOWS[0][0])
+    rc, out, err = run(capsys, "twins", "--file", str(path), "--matrix", "L", "--format", "csv")
+    assert (rc, out, err) == (0, "members,omega,eta,theta\n0|2,0,0,1e+308\n", "")
+
+
 def test_infinite_weight_is_refused_by_name(capsys, tmp_path):
     path = tmp_path / "inf.txt"
     path.write_text("n 2\n0 1 1e400\n")
