@@ -72,13 +72,16 @@ def _critical_angles(coefficients: np.ndarray) -> np.ndarray:
 
     They are 0, pi, the roots of p' (colleague-matrix eigenvalues projected onto
     the real axis) and the mean of each cluster of roots within 1e-3, into which
-    the solver scatters a multiple root."""
+    the solver scatters a multiple root.  A root within 1e-13 of +-1 is
+    dropped: arccos turns an error e there into one of sqrt(2e), and 0 and pi
+    are candidates anyway, since |U|^2 is even about both."""
     from numpy.polynomial import chebyshev  # about 1 MB: loaded only where a period is solved
     roots = np.sort_complex(chebyshev.chebroots(chebyshev.chebder(coefficients)))
     clusters = np.split(roots, np.flatnonzero(np.abs(np.diff(roots)) > 1e-3) + 1)
     means = [c.mean().real for c in clusters if len(c) > 1]
-    xs = np.concatenate([roots.real, means, [-1.0, 1.0]])
-    return np.unique(np.arccos(np.clip(xs, -1.0, 1.0)))
+    xs = np.concatenate([roots.real, means])
+    xs = np.append(xs[np.abs(xs) < 1.0 - 1e-13], [-1.0, 1.0])
+    return np.unique(np.arccos(xs))
 
 
 def _earliest_minimum(times: np.ndarray, values: np.ndarray) -> tuple[float, float]:

@@ -676,10 +676,13 @@ def _assert_same_record(got: VertexClassification, own: VertexClassification) ->
         assert (x is None) == (y is None), name
         if x is not None:
             assert x == pytest.approx(y, abs=1e-12), name
-    # the set shares one scan, so only its well-conditioned minimum is
-    # compared: a polished argmin on a flat minimum moves by ~1e-8
+    # the set shares one scan; an exact one-period scan places its argmin
+    # alike, but a bounded scan's polished argmin on a flat minimum moves by
+    # ~1e-9, so there only the well-conditioned minimum is compared
     assert got.evidence.value == pytest.approx(own.evidence.value, abs=1e-12)
     assert got.evidence.certified == own.evidence.certified
+    if got.evidence.certified:
+        assert got.evidence.attained_time == pytest.approx(own.evidence.attained_time, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", TWIN_KINDS, ids=lambda k: k.short_name)
