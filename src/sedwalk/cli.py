@@ -301,7 +301,7 @@ def _render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 Columns = Sequence[tuple[str, Callable[[dict], object]]]
 
 
-def _keys(*keys: str) -> list[tuple[str, Callable[[dict], object]]]:
+def _keys(*keys: str) -> Columns:
     """Columns that print the record fields of these names under them."""
     return [(key, itemgetter(key)) for key in keys]
 

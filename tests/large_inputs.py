@@ -4,7 +4,8 @@ Each command runs in a child process and must exit 0 with a maximum resident
 set under its own limit, and within its wall-time limit where it has one.  The child's resource usage is taken from
 ``os.wait4`` on that child alone, so a large command does not mask the rows
 after it (``RUSAGE_CHILDREN`` is the largest over every child waited for).
-The commands take minutes, so they stay out of the pytest suite.  Run from
+Each child turns a ``RuntimeWarning`` into an error, as the pytest settings
+do.  The commands take minutes, so they stay out of the pytest suite.  Run from
 anywhere:
 
     python tests/large_inputs.py
@@ -68,7 +69,9 @@ def main() -> int:
     for argv, limit_mb, limit_s in COMMANDS:
         start = time.perf_counter()
         proc = subprocess.Popen(
-            [sys.executable, "-c", ENTRY, *argv], stdout=subprocess.DEVNULL, env=env
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", ENTRY, *argv],
+            stdout=subprocess.DEVNULL,
+            env=env,
         )
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
