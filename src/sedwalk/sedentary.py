@@ -324,21 +324,18 @@ def _parity_stage(
 def _pst_partner_scan(
     facts: _GraphFacts, u: int, sup: EigenvalueSupport, form: QuadraticIntegerForm
 ) -> tuple[int, float] | None:
-    """Perfect-transfer partner for a periodic vertex whose diagonal dies."""
-    dec, ev = facts.dec, facts.evaluator
-    for v in range(dec.n):
-        if v == u:
-            continue
-        sc = dec.strongly_cospectral(u, v)
-        if sc is None:
-            continue
-        plus_pos = _support_positions(sup, sc.plus)
-        if not plus_pos or len(plus_pos) == len(sup):
-            continue
-        t1 = equality_time_criterion(form, plus_pos)
-        if t1 is not None and ev.magnitude(u, v, t1) >= 1.0 - PST_TOL:
-            return v, t1
-    return None
+    """Perfect-transfer partner for a periodic vertex whose diagonal dies.  A
+    partner's entry in column u of U(P/2), the one time :func:`equality_time_criterion`
+    returns, has modulus 1; the column has norm 1, so only its largest entry off u can."""
+    column = np.abs(facts.evaluator.column(u, form.period / 2))
+    column[u] = 0.0
+    v = int(np.argmax(column))
+    if column[v] < 1.0 - PST_TOL:
+        return None
+    sc = facts.dec.strongly_cospectral(u, v)
+    plus_pos = _support_positions(sup, sc.plus) if sc is not None else ()
+    t1 = equality_time_criterion(form, plus_pos) if 0 < len(plus_pos) < len(sup) else None
+    return None if t1 is None else (v, t1)
 
 
 def _classify(facts: _GraphFacts, u: int, scan: InfimumEstimate) -> VertexClassification:

@@ -142,18 +142,13 @@ class SpectralDecomposition:
         x, y = self.vectors[u], self.vectors[v]
         rows = np.stack([x, y, x - y, x + y])
         norm_u, norm_v, norm_minus, norm_plus = np.sqrt(np.add.reduceat(rows**2, self.starts, 1))
-        plus: list[int] = []
-        minus: list[int] = []
-        for j in range(self.k):
-            if norm_u[j] <= SUPPORT_TOL and norm_v[j] <= SUPPORT_TOL:
-                continue
-            if norm_minus[j] <= SIGN_MATCH_TOL:
-                plus.append(j)
-            elif norm_plus[j] <= SIGN_MATCH_TOL:
-                minus.append(j)
-            else:
-                return None
-        return StrongCospectrality(u=u, v=v, plus=tuple(plus), minus=tuple(minus))
+        # a class counts unless it is at or below SUPPORT_TOL at both vertices
+        counts = ~((norm_u <= SUPPORT_TOL) & (norm_v <= SUPPORT_TOL))
+        plus = counts & (norm_minus <= SIGN_MATCH_TOL)
+        minus = counts & ~plus & (norm_plus <= SIGN_MATCH_TOL)
+        if not np.array_equal(counts, plus | minus):
+            return None
+        return StrongCospectrality(u, v, *(tuple(np.flatnonzero(s).tolist()) for s in (plus, minus)))
 
     def min_gap(self) -> float:
         if self.k < 2:

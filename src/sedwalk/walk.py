@@ -259,6 +259,13 @@ class WalkEvaluator:
     def magnitude(self, u: int, v: int, t: float) -> float:
         return abs(self.amplitude(u, v, t))
 
+    def column(self, u: int, t: float) -> np.ndarray:
+        """U(t) e_u = V (phi * V[u]), phi the phase of each column's class, from real
+        cosine and sine parts: V times a complex vector would copy V to complex."""
+        x = self.dec.vectors[u]
+        phases = t * np.repeat(self.dec.eigenvalues, self.dec.multiplicities)
+        return self.dec.vectors @ np.column_stack([np.cos(phases) * x, np.sin(phases) * x]) @ [1, 1j]
+
     def diagonal_amplitudes(self, u: int, times: np.ndarray) -> np.ndarray:
         """Vectorized U(t)_{u,u} over an array of times."""
         weights = self.dec.diagonal_weights(u)

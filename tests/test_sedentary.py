@@ -16,6 +16,7 @@ from sedwalk import (
     MatrixKind,
     QuadraticIntegerForm,
     InfimumEstimate,
+    SpectralDecomposition,
     InfimumMode,
     Verdict,
     VertexClassification,
@@ -730,3 +731,78 @@ def test_pair_member_takes_the_representative_as_partner():
     assert (first.vertex, first.partner) == (v, u)
     assert (second.vertex, second.partner) == (u, v)
     assert first.pst_time == second.pst_time
+
+
+# -- perfect-transfer partners of twin-free vertices -------------------------
+
+
+def _pst_partner_search(facts, u, sup, form):
+    """The partner search one vertex at a time: the reference the column read
+    of ``sedentary._pst_partner_scan`` must match."""
+    dec, ev = facts.dec, facts.evaluator
+    for v in range(dec.n):
+        if v == u:
+            continue
+        sc = dec.strongly_cospectral(u, v)
+        if sc is None:
+            continue
+        plus_pos = sedentary_module._support_positions(sup, sc.plus)
+        if not plus_pos or len(plus_pos) == len(sup):
+            continue
+        t1 = equality_time_criterion(form, plus_pos)
+        if t1 is not None and ev.magnitude(u, v, t1) >= 1.0 - sedentary_module.PST_TOL:
+            return v, t1
+    return None
+
+
+def _cube(d: int) -> str:
+    return "K(2)" if d == 1 else f"cprod(K(2),{_cube(d - 1)})"
+
+
+# d-cubes have PST between antipodes (the 2-cube is C(4), whose antipodes are
+# twins); the direct products and C(6) have zero minima, and K(2) x K(4), the
+# 3-cube again, and K(2) x K(8) have partners
+ZERO_MINIMUM_GRAPHS = [_cube(d) for d in range(3, 7)] + [
+    f"dprod(K(2),K({m}))" for m in range(3, 9)
+] + ["C(6)"]
+
+
+def _zero_minimum_vertices(records) -> list[int]:
+    return [
+        r.vertex for r in records if any(s.startswith("zero-at-minimum") for s in r.certificate)
+    ]
+
+
+@pytest.mark.parametrize("kind", TWIN_KINDS, ids=lambda k: k.short_name)
+@pytest.mark.parametrize("spec", ZERO_MINIMUM_GRAPHS)
+def test_partner_read_matches_the_search(spec, kind, monkeypatch):
+    g = parse_graph(spec)
+    assert not find_twin_sets(g)
+    records = classify_all(g, kind)
+    zeros = _zero_minimum_vertices(records)
+    assert zeros
+    monkeypatch.setattr(sedentary_module, "_pst_partner_scan", _pst_partner_search)
+    reference = classify_all(g, kind)
+    assert _zero_minimum_vertices(reference) == zeros
+    for u in zeros:
+        got, want = records[u], reference[u]
+        assert (got.verdict, got.partner, got.pst_time) == (want.verdict, want.partner, want.pst_time)
+    if spec.startswith("cprod"):
+        assert all(records[u].verdict is Verdict.PST for u in zeros)
+
+
+@pytest.mark.parametrize("kind", TWIN_KINDS, ids=lambda k: k.short_name)
+@pytest.mark.parametrize("spec", [_cube(4), "dprod(K(2),K(5))", "C(6)"])
+def test_partner_read_tests_one_candidate(spec, kind, monkeypatch):
+    # the search tested every other vertex: 128 calls on the 4-cube
+    calls = 0
+    real = SpectralDecomposition.strongly_cospectral
+
+    def counted(self, u, v):
+        nonlocal calls
+        calls += 1
+        return real(self, u, v)
+
+    monkeypatch.setattr(SpectralDecomposition, "strongly_cospectral", counted)
+    records = classify_all(parse_graph(spec), kind)
+    assert calls <= len(_zero_minimum_vertices(records))
