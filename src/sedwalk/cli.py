@@ -45,7 +45,7 @@ from .families import (
     multipartite_laplacian_verdict,
     threshold_vertex_verdict,
 )
-from .graphs import MatrixKind, WeightedGraph, _check_order, from_edge_list_text
+from .graphs import MatrixKind, WeightedGraph, _check_order, _finite, from_edge_list_text
 from .sedentary import VertexClassification, classify_all
 from .spectral import decompose
 from .twins import TwinSet, find_twin_sets
@@ -363,14 +363,14 @@ def _select_vertices(args: argparse.Namespace, n: int) -> list[int]:
 
 
 def _twin_record(g: WeightedGraph, kind: MatrixKind, ts: TwinSet) -> dict:
-    theta = float(ts.theta(g, kind))
-    if not math.isfinite(theta):
+    theta = ts.theta(g, kind)
+    if not _finite(theta):
         raise OverflowError(f"the {kind.short_name} eigenvalue of twin set {list(ts.members)} is not finite")
     return {
         "members": list(ts.members),
         "omega": float(ts.omega),
         "eta": float(ts.eta),
-        "theta": theta,
+        "theta": float(theta),
     }
 
 

@@ -325,7 +325,8 @@ class WeightedGraph:
             # numerators below 2**53: one rounding each, as float(Fraction(d, s)),
             # with no Fraction per vertex
             return np.diag((m.sum(axis=1) + m.diagonal()) / s)
-        return np.diag([float(d) for d in self.degrees])
+        # a degree past the float range is inf, for matrix() to name
+        return np.diag([float(d) if _finite(d) else math.inf for d in self.degrees])
 
     def matrix(self, kind: MatrixKind = ADJACENCY) -> np.ndarray:
         """The walk matrix of ``kind``.  Raises OverflowError when a diagonal

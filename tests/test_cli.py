@@ -324,6 +324,34 @@ def test_walk_matrix_beyond_the_float_range_exits_2(capsys, tmp_path, listing, m
     assert "float range" in err
 
 
+@pytest.mark.parametrize(
+    "listing,command",
+    [
+        pytest.param(listing, command, id=f"{i}-{command}")
+        for i, listing in enumerate(
+            (
+                "n 3\n0 1 {w}\n1 2 {w}\n",
+                # twin set {0, 1}: its L eigenvalue deg(0) and every q*deg leave the range
+                "n 4\n0 2 {w}\n0 3 {w}\n1 2 {w}\n1 3 {w}\n",
+            )
+        )
+        for command in ("spectrum", "series", "classify", "analyze", "twins")
+    ],
+)
+@pytest.mark.parametrize("matrix", ["L", "Mq:2"])
+def test_spellings_of_a_weight_past_the_float_range_fail_alike(
+    capsys, tmp_path, listing, command, matrix
+):
+    # 10^308 written out is an exact weight, whose degree 2 * 10^308 is a
+    # Python int that float() refuses; written 1e308 it is a float
+    results = []
+    for w in (str(10**308), "1e308"):
+        path = tmp_path / "huge.txt"
+        path.write_text(listing.format(w=w))
+        results.append(run(capsys, command, "--file", str(path), "--matrix", matrix))
+    assert results[0] == results[1]
+
+
 def test_twins_print_a_finite_eigenvalue_of_an_overflowing_walk_matrix(capsys, tmp_path):
     # the Laplacian's diagonal holds 2e308 at vertex 1, but the twin eigenvalue
     # of {0, 2} is deg(0) = 1e308
