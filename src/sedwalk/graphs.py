@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -210,18 +210,12 @@ class WeightedGraph:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges: Iterable[tuple[int, int, object]] | Mapping[tuple[int, int], object] = (),
-    ) -> "WeightedGraph":
-        """Graph from ``(u, v, w)`` triples (``w`` defaults to 1) or a
-        ``{(u, v): w}`` map.  An edge may repeat with an equal weight."""
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int, object]] = ()) -> "WeightedGraph":
+        """Graph from ``(u, v, w)`` triples, ``w`` defaulting to 1 in a
+        ``(u, v)`` pair.  An edge may repeat with an equal weight."""
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         _check_order(n)
-        if isinstance(edges, Mapping):
-            edges = ((u, v, w) for (u, v), w in edges.items())
         rows: list[int] = []
         cols: list[int] = []
         ws: list[Weight] = []
