@@ -30,7 +30,7 @@ COMMANDS = (
     # them all; one per twin pair took 98 s
     (("analyze", "--graph", "CP(1024)", "--format", "json"), 256, 30),
     # the 11-cube: 2,048 twin-free vertices, each with its antipode as partner,
-    # read off one column of U(t); a search over every vertex took 292 s
+    # read off one column of U(t); testing every vertex as a partner took 262 s
     (("analyze", "--graph", "cprod(K(2)," * 10 + "K(2)" + ")" * 10, "--format", "json"), 512, 60),
     (("spectrum", "--graph", "K(4096)", "--format", "csv"), 1024, None),
     # 166,111 steps x (1 + 100 vertices) = 16,777,211 cells, just under the cap

@@ -48,6 +48,8 @@ def test_matrix_matches_expm(rand_graph, oracle, kind, seed):
         u_t = np.array([[ev.amplitude(u, v, float(t)) for v in range(g.n)] for u in range(g.n)])
         np.testing.assert_allclose(u_t, oracle(g, kind, float(t)), atol=1e-9)
         np.testing.assert_allclose(u_t @ u_t.conj().T, np.eye(g.n), atol=1e-9)
+        columns = np.column_stack([ev.column(u, float(t)) for u in range(g.n)])
+        np.testing.assert_allclose(columns, u_t, atol=1e-12)
 
 
 def test_amplitude_entries_consistent(rand_graph):
