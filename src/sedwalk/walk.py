@@ -175,7 +175,7 @@ def _phase_jet(lams: np.ndarray, weights: np.ndarray) -> _Jet:
 def _grid_minimum(
     blocks: Iterable[tuple[int, int, np.ndarray]], span: float, points: int, jet: _Jet
 ) -> tuple[float, float]:
-    """Least (time, |g|) from the grid of |g| on np.linspace(0, span, points),
+    """Least (time, |g|) from the grid of |g|^2 on np.linspace(0, span, points),
     streamed as ``blocks`` (see :func:`_least_entries`): the least grid value,
     lowest index first among ties, unless :func:`_refined_minimum` finds less
     within one grid step of the five least."""
@@ -184,9 +184,10 @@ def _grid_minimum(
     # grid time i exactly as np.linspace(0, span, points) computes it
     times = np.where(seeds == points - 1, span, seeds * step)
     t, value = _refined_minimum(jet, np.maximum(0.0, times - step), np.minimum(span, times + step))
-    if value < least[0]:
+    grid_value = math.sqrt(least[0])
+    if value < grid_value:
         return t, value
-    return float(times[0]), float(least[0])
+    return float(times[0]), grid_value
 
 
 def _least_entries(
@@ -196,15 +197,22 @@ def _least_entries(
     streamed as :func:`_grid_blocks` yields it, ordered by (value, index):
     the same indices as :func:`_least_indices` over the whole grid.
 
-    Once ``count`` entries are held, a block whose minimum is not strictly
-    below the last of them is skipped, since every entry of it orders after
-    every held one.  Otherwise the block's own ``count`` least entries join
-    the held ones and the ``count`` least of both are kept."""
+    Once ``count`` entries are held, only a block's entries strictly below the
+    last of them can join, since every other entry orders after every held
+    one; they are sorted alone unless more than ``_SEED_CHUNK`` qualify, when
+    the block's own ``count`` least entries are taken instead.  The joining
+    entries and the held ones are cut to the ``count`` least of both."""
     indices, values = np.empty(0, dtype=np.intp), np.empty(0)
     for _, lo, block in blocks:
-        if len(values) == count and not block.min() < values[-1]:
-            continue
-        local = _least_indices(block, count)
+        held = len(values) == count
+        if held:
+            below = np.flatnonzero(block < values[-1])
+            if not len(below):
+                continue
+        if held and len(below) <= _SEED_CHUNK:
+            local = below[np.argsort(block[below], kind="stable")[:count]]
+        else:
+            local = _least_indices(block, count)
         indices = np.concatenate([indices, lo + local])
         values = np.concatenate([values, block[local]])
         # held entries precede the block's, so a stable sort keeps (value, index) order
@@ -216,30 +224,46 @@ def _least_entries(
 def _grid_blocks(
     lams: np.ndarray, weights: np.ndarray, span: float, points: int
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (v, lo, block): block[i] = |sum_j weights[v, j] exp(i m h lams[j])|
+    """Yield (v, lo, block): block[i] = |sum_j weights[v, j] exp(i m h lams[j])|^2
     for m = lo + i, h = span / (points - 1), row by row and each row's grid in
-    order.  Every block is one reused buffer, overwritten by the next.
+    order.  Every block is one reused buffer, overwritten by the next.  A
+    square below about 1e-308, of a magnitude below about 1e-154, underflows:
+    such a magnitude is float noise.
 
     Baby-step/giant-step: with B = ceil(sqrt(points)) and m = b B + r, the
-    phase exp(i m h lambda) = exp(i b B h lambda) exp(i r h lambda).  The B baby
-    and about points / B giant phases of the classes some row weighs are built
-    once; each row's weighted giant phases times the baby phases give its
-    grid, one row block of about ``_GRID_BLOCK`` entries at a time."""
+    phase exp(i m h lambda) = exp(i b B h lambda) exp(i r h lambda).  The
+    cosines and sines of the B baby and about points / B giant phases of the
+    classes some row weighs are built once.  With c + i s a giant phase times
+    a row's weight, the real and imaginary parts of the row's grid are the real
+    products [c, -s] and [s, c] with the baby table [cos; sin], one row block
+    of about ``_GRID_BLOCK`` entries at a time, and their squares are summed."""
     used = weights.any(axis=0)
     lams, weights = lams[used], weights[:, used]
     h = span / (points - 1)
     baby_n = math.isqrt(points - 1) + 1
-    baby = np.exp(1j * np.outer(np.arange(baby_n) * h, lams)).T
-    giant = np.exp(1j * np.outer(np.arange(0, points, baby_n) * h, lams))
+    phases = np.outer(lams, np.arange(baby_n) * h)
+    baby = np.concatenate([np.cos(phases), np.sin(phases)])
+    phases = np.outer(np.arange(0, points, baby_n) * h, lams)
+    cos, sin = np.cos(phases), np.sin(phases)
+    giant = np.hstack([cos, -sin]), np.hstack([sin, cos])
+    giant_n = len(phases)
+    del phases, cos, sin  # only the two giant parts are held while the grid streams
     rows = max(1, _GRID_BLOCK // baby_n)
-    mags = np.empty(min(rows * baby_n, points))
+    # no more rows than the grid has: a short grid, as of 50,001 points, fills fewer than ``rows``
+    real, imag = np.empty((2, min(rows, giant_n), baby_n))
+    squares = real.ravel()
     for v, w in enumerate(weights):
-        # no row needs the giant phases after the last one, so it weights them in place
-        weighted = np.multiply(w, giant, out=giant if v == len(weights) - 1 else None)
-        for lo in range(0, len(giant), rows):
-            size = min(len(mags), points - lo * baby_n)
-            np.abs((weighted[lo : lo + rows] @ baby).ravel()[:size], out=mags[:size])
-            yield v, lo * baby_n, mags[:size]
+        # no row needs the giant parts after the last one, so it weights them in place
+        last, both = v == len(weights) - 1, np.tile(w, 2)
+        left, right = (np.multiply(both, p, out=p if last else None) for p in giant)
+        for lo in range(0, giant_n, rows):
+            re, im = real[: giant_n - lo], imag[: giant_n - lo]
+            np.matmul(left[lo : lo + rows], baby, out=re)
+            np.matmul(right[lo : lo + rows], baby, out=im)
+            re *= re
+            im *= im
+            re += im
+            yield v, lo * baby_n, squares[: min(re.size, points - lo * baby_n)]
 
 
 @dataclass(frozen=True)
@@ -284,7 +308,7 @@ class WalkEvaluator:
         weights = np.array([self.dec.diagonal_weights(u) for u in vertices])
         weights = weights.reshape(len(vertices), len(self.dec.eigenvalues))
         for v, lo, block in _grid_blocks(self.dec.eigenvalues, weights, t_max, steps):
-            out[1 + v, lo : lo + len(block)] = block
+            np.sqrt(block, out=out[1 + v, lo : lo + len(block)])
         return out.T
 
     def infimum_diagonal(

@@ -34,7 +34,7 @@ COMMANDS = (
     (("analyze", "--graph", "cprod(K(2)," * 10 + "K(2)" + ")" * 10, "--format", "json"), 512, 60),
     (("spectrum", "--graph", "K(4096)", "--format", "csv"), 1024, None),
     # 166,111 steps x (1 + 100 vertices) = 16,777,211 cells, just under the cap
-    (("series", "--graph", "P(100)", "--steps", "166111"), 400, None),
+    (("series", "--graph", "P(100)", "--steps", "166111"), 400, 30),
     # every vertex of a large graph at few steps: the phase tables are shared, not per vertex
     (("series", "--graph", "P(1000)", "--all-vertices", "--steps", "1001"), 256, None),
     # streamed one support block at a time (79 MB measured; 170 MB while
@@ -44,6 +44,13 @@ COMMANDS = (
     # the most grid points a bounded scan takes, one row block held at a time
     # (36 MB measured; 164 MB while the scan held its whole grid)
     (("classify", "--graph", "P(9)", "--vertex", "0", "--steps", str(2**24)), 64, 30),
+    # the same on a grid under L: no period, all 9 classes weighed by the vertex
+    (
+        ("classify", "--graph", "cprod(P(4),P(4))", "--matrix", "L", "--vertex", "1",
+         "--steps", str(2**24)),
+        64,
+        30,
+    ),
     # the largest sweep of each family: its largest graph has 4,096 vertices
     (("families", "--family", "cp", "--start", "1", "--stop", "2048", "--format", "json"), 256, 30),
     (

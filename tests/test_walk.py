@@ -313,9 +313,9 @@ def test_bounded_scan_memory_is_linear_in_the_grid(support_form):
     finally:
         tracemalloc.stop()
     assert est.grid_points == 1_000_001
-    # the scan holds one row block of the product, 1 MB; the whole grid held
-    # 8 MB more (9.6 MB measured), an argpartition of it would add 16 MB, the
-    # dense 1e6 x 16 complex phase matrix 256 MB
+    # the scan holds the real and imaginary parts of one row block, 1 MB; the
+    # whole grid held 8 MB more (9.6 MB measured), an argpartition of it would
+    # add 16 MB, the dense 1e6 x 16 complex phase matrix 256 MB
     assert peak < 12e6
 
 
@@ -328,9 +328,10 @@ def test_bounded_scan_holds_one_row_block():
     finally:
         tracemalloc.stop()
     assert est.grid_points == 1 << 22
-    # one row block of the phase product (1 MB) and of its magnitudes (0.5 MB),
-    # and the baby and giant tables (2049 x 9 complex each, 0.3 MB); the whole
-    # grid took 32 MB more
+    # the real and imaginary parts of one row block (31 x 2049 floats, 0.5 MB
+    # each; the squares overwrite the real part), the [cos; sin] baby table
+    # (18 x 2049 floats, 0.3 MB) and the two giant parts (2048 x 18 floats,
+    # 0.3 MB each): 2.1 MB measured; the whole grid took 32 MB more
     assert peak < 4e6
 
 
@@ -367,7 +368,8 @@ def test_streamed_seeds_match_the_whole_grid(graph, u, span, points, blocks):
     seeds, values, count = _streamed_seeds(ev, u, span, points)
     assert count == blocks
     np.testing.assert_array_equal(seeds, want)
-    np.testing.assert_array_equal(values, grid[want])
+    # the scan holds squares; a series column is their square root, bit for bit
+    np.testing.assert_array_equal(np.sqrt(values), grid[want])
     if graph == "K(2)":
         assert seeds[0] == points - 1
 
@@ -377,16 +379,25 @@ def test_streamed_seeds_match_the_whole_grid(graph, u, span, points, blocks):
     cuts=st.lists(st.integers(1, 3 * _SEED_CHUNK), min_size=1, max_size=12),
     levels=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
+    decreasing=st.booleans(),
 )
-@example(cuts=[3], levels=2, seed=0)
-@example(cuts=[_SEED_CHUNK - 1, 1, _SEED_CHUNK], levels=1, seed=1)
-@example(cuts=[5, 5, 5, 5], levels=2, seed=2)
-@example(cuts=[2 * _SEED_CHUNK + 3] * 6, levels=3, seed=3)
-def test_least_entries_match_the_whole_grid(cuts, levels, seed):
+@example(cuts=[3], levels=2, seed=0, decreasing=False)
+@example(cuts=[_SEED_CHUNK - 1, 1, _SEED_CHUNK], levels=1, seed=1, decreasing=False)
+@example(cuts=[5, 5, 5, 5], levels=2, seed=2, decreasing=False)
+@example(cuts=[2 * _SEED_CHUNK + 3] * 6, levels=3, seed=3, decreasing=False)
+# more than _SEED_CHUNK entries of the second block lie below the fifth held value
+@example(cuts=[5, 3 * _SEED_CHUNK], levels=6, seed=4, decreasing=True)
+# every later block's minimum equals the fifth held value, at a later index: skipped
+@example(cuts=[5, 3, _SEED_CHUNK], levels=1, seed=5, decreasing=False)
+@example(cuts=[1] * 12, levels=3, seed=6, decreasing=False)
+@example(cuts=[1] * 12, levels=6, seed=7, decreasing=True)
+def test_least_entries_match_the_whole_grid(cuts, levels, seed, decreasing):
     # few distinct levels tie the least values within a block, across blocks
-    # and at the fifth value
+    # and at the fifth value; a decreasing grid puts most of a block below it
     rng = np.random.default_rng(seed)
     grid = rng.random(levels)[rng.integers(0, levels, size=sum(cuts))]
+    if decreasing:
+        grid = np.sort(grid)[::-1]
     starts = np.cumsum([0] + cuts[:-1]).tolist()
     blocks = ((0, lo, grid[lo : lo + cut]) for lo, cut in zip(starts, cuts))
     seeds, values = _least_entries(blocks, 5)
