@@ -168,6 +168,13 @@ def _near_fraction(value: float, max_den: int, tol: float) -> Fraction | None:
     return cand if abs(value - float(cand)) <= tol else None
 
 
+def _near_half_integer(value: float, tol: float) -> Fraction | None:
+    """``_near_fraction(value, 2, tol)``, the nearest half-integer (the integer
+    on a tie), with the fraction built only when it is within ``tol``."""
+    twice = round(2 * value)
+    return Fraction(twice, 2) if abs(value - twice / 2) <= tol else None
+
+
 def _coordinate(x: Fraction) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
@@ -224,7 +231,7 @@ def recognize_values(values: Sequence[float]) -> list[ExactEigenvalue] | None:
         match = None
         for j in unpaired:
             s = vals[i] + vals[j]
-            s_fr = _near_fraction(s, 2, 4 * atol)
+            s_fr = _near_half_integer(s, 4 * atol)
             if s_fr is None:
                 continue
             d2 = (vals[i] - vals[j]) ** 2

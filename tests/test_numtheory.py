@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sedwalk import (
@@ -23,6 +23,7 @@ from sedwalk import (
     recognize_values,
     square_free_part,
 )
+from sedwalk.numtheory import _near_fraction, _near_half_integer
 
 
 @given(st.integers(min_value=-(2**40), max_value=2**40).filter(lambda a: a != 0))
@@ -209,6 +210,25 @@ def test_recognize_spectrum_roundtrip(a, bs, delta):
     scale = max(1.0, max(abs(v) for v in vals))
     for v, w in zip(vals, _form_values(form)):
         assert abs(v - w) <= 1e-9 * scale
+
+
+@settings(max_examples=500)
+@given(
+    whole=st.integers(-(10**6), 10**6),
+    offset=st.floats(-1.0, 1.0),
+    scale=st.sampled_from([1e-3, 1.0, 1e5, 1e12, 1e17]),
+    tol=st.floats(0.0, 0.3),
+)
+@example(whole=0, offset=0.25, scale=1.0, tol=0.25)
+@example(whole=1, offset=0.75, scale=1.0, tol=0.25)
+@example(whole=-3, offset=-0.25, scale=1.0, tol=0.3)
+@example(whole=7, offset=0.5, scale=1.0, tol=0.0)
+@example(whole=2, offset=0.25 + 2**-40, scale=1.0, tol=0.25)
+@example(whole=2, offset=0.75 - 2**-40, scale=1.0, tol=0.25)
+def test_near_half_integer_matches_limit_denominator(whole, offset, scale, tol):
+    # values near x.25 and x.75 are as far from the integer as from the half
+    value = (whole + offset) * scale
+    assert _near_half_integer(value, tol) == _near_fraction(value, 2, tol)
 
 
 def test_recognize_values_mixed():
