@@ -389,6 +389,7 @@ def test_streamed_seeds_match_the_whole_grid(graph, u, span, points, blocks):
 @example(cuts=[5, 3 * _SEED_CHUNK], levels=6, seed=4, decreasing=True)
 # every later block's minimum equals the fifth held value, at a later index: skipped
 @example(cuts=[5, 3, _SEED_CHUNK], levels=1, seed=5, decreasing=False)
+# one-entry blocks, before and after five are held
 @example(cuts=[1] * 12, levels=3, seed=6, decreasing=False)
 @example(cuts=[1] * 12, levels=6, seed=7, decreasing=True)
 def test_least_entries_match_the_whole_grid(cuts, levels, seed, decreasing):
